@@ -21,13 +21,14 @@
 // the CI smoke job. A fourth section extracts one large synthetic file
 // through the collecting sink (O(file): one ParsedValue tree per record)
 // and the streaming columnar sink (O(wave): flat events straight to CSV),
-// isolating per-phase peak RSS; streaming peak RSS at or above 50% of the
-// collecting peak also fails the process. A fifth section runs the same
-// gate for the normalized layout: NormalizedWriteSink streaming root +
-// child-table CSVs vs collecting into NormalizedTables and rendering
-// ToCsv. A sixth section ("charset_engine") compares generation's
-// charset-trial tokenization under the scalar reference engine vs the
-// resolved SIMD engine (candidate-set parity gates the process). A seventh
+// each in its own forked child so each phase has its own peak RSS (every
+// peak-RSS case here is measured that way); streaming peak RSS at or
+// above 50% of the collecting peak also fails the process. A fifth
+// section runs the same gate for the normalized layout:
+// NormalizedWriteSink streaming root + child-table CSVs vs collecting
+// into NormalizedTables and rendering ToCsv. A sixth section
+// ("charset_engine") compares generation's charset-trial tokenization
+// under the scalar reference engine vs the resolved SIMD engine (candidate-set parity gates the process). A seventh
 // section ("evaluation") runs the single-thread pipeline with MDL
 // bound-based pruning on vs off: byte-identical output and a
 // candidate-evaluation speedup (evaluation_s; the shared top-K
@@ -50,10 +51,13 @@
 #include <memory>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <sys/resource.h>
+#include <sys/wait.h>
+#include <unistd.h>
 #endif
 
 #include "bench_common.h"
@@ -270,55 +274,89 @@ double Median(std::vector<double> v) {
   return n % 2 == 1 ? v[n / 2] : 0.5 * (v[n / 2 - 1] + v[n / 2]);
 }
 
-/// Process peak resident set size in bytes (0 when unavailable).
-size_t PeakRssBytes() {
 #if defined(__unix__) || defined(__APPLE__)
-  struct rusage usage;
-  if (getrusage(RUSAGE_SELF, &usage) != 0) return 0;
+/// ru_maxrss in bytes.
+size_t MaxRssBytes(const struct rusage& usage) {
 #if defined(__APPLE__)
   return static_cast<size_t>(usage.ru_maxrss);  // bytes on macOS
 #else
   return static_cast<size_t>(usage.ru_maxrss) * 1024;  // KB on Linux
 #endif
+}
+#endif
+
+/// Process peak resident set size in bytes (0 when unavailable).
+size_t PeakRssBytes() {
+#if defined(__unix__) || defined(__APPLE__)
+  struct rusage usage;
+  if (getrusage(RUSAGE_SELF, &usage) != 0) return 0;
+  return MaxRssBytes(usage);
 #else
   return 0;
 #endif
 }
 
-/// Resets the kernel's per-process peak-RSS watermark (Linux: writing "5"
-/// to /proc/self/clear_refs resets VmHWM to the current VmRSS). Returns
-/// false when unsupported — per-phase peaks can then not be isolated.
-bool ResetPeakRss() {
-#if defined(__linux__)
-  FILE* f = std::fopen("/proc/self/clear_refs", "w");
-  if (f == nullptr) return false;
-  const bool wrote = std::fwrite("5", 1, 1, f) == 1;
-  return (std::fclose(f) == 0) && wrote;
-#else
-  return false;
-#endif
-}
+/// A case run in its own process: the case's result and that process's
+/// peak RSS. `isolated` is false when no child could be forked (the case
+/// then ran in this process and its peak is the process-wide one) or the
+/// child failed (the result is then default, which fails the case).
+template <typename T>
+struct ChildRun {
+  T result{};
+  size_t peak_rss = 0;  // bytes
+  bool isolated = false;
+};
 
-/// Peak RSS since the last ResetPeakRss (Linux VmHWM); falls back to the
-/// monotone getrusage peak elsewhere.
-size_t ReadPeakRssBytes() {
-#if defined(__linux__)
-  FILE* f = std::fopen("/proc/self/status", "r");
-  if (f != nullptr) {
-    char line[256];
-    size_t kb = 0;
-    bool found = false;
-    while (std::fgets(line, sizeof(line), f) != nullptr) {
-      if (std::sscanf(line, "VmHWM: %zu kB", &kb) == 1) {
-        found = true;
-        break;
-      }
+/// Runs `fn` in a forked child, passes its trivially copyable result back
+/// through a pipe, and takes the child's peak RSS from wait4's ru_maxrss.
+/// Every memory case gets its own high-water mark this way, instead of a
+/// process-wide one whose floor is whatever earlier sections left on the
+/// heap. A forked child starts as a copy of this process, so its peak also
+/// counts the parent's resident pages at fork time: the memory cases run
+/// first, while that is a few MB and the same for every case.
+template <typename T, typename Fn>
+ChildRun<T> RunInChild(Fn fn) {
+  static_assert(std::is_trivially_copyable_v<T>);
+  ChildRun<T> run;
+#if defined(__unix__) || defined(__APPLE__)
+  int fds[2];
+  if (pipe(fds) == 0) {
+    std::fflush(nullptr);  // the child must not re-emit buffered output
+    const pid_t pid = fork();
+    if (pid == 0) {
+      close(fds[0]);
+      const T result = fn();
+      const bool sent = write(fds[1], &result, sizeof(T)) ==
+                        static_cast<ssize_t>(sizeof(T));
+      _exit(sent ? 0 : 1);
     }
-    std::fclose(f);
-    if (found) return kb * 1024;
+    close(fds[1]);
+    if (pid > 0) {
+      T result{};
+      size_t got = 0;
+      char* dst = reinterpret_cast<char*>(&result);
+      while (got < sizeof(T)) {
+        const ssize_t n = read(fds[0], dst + got, sizeof(T) - got);
+        if (n <= 0) break;
+        got += static_cast<size_t>(n);
+      }
+      close(fds[0]);
+      int status = 0;
+      struct rusage usage;
+      if (wait4(pid, &status, 0, &usage) == pid && WIFEXITED(status) &&
+          WEXITSTATUS(status) == 0 && got == sizeof(T)) {
+        run.result = result;
+        run.peak_rss = MaxRssBytes(usage);
+        run.isolated = true;
+      }
+      return run;
+    }
+    close(fds[0]);
   }
 #endif
-  return PeakRssBytes();
+  run.result = fn();
+  run.peak_rss = PeakRssBytes();
+  return run;
 }
 
 void HashSizeT(uint64_t* h, size_t v) {
@@ -592,22 +630,31 @@ double MbPerSec(size_t bytes, double seconds) {
 // Streaming-sink memory case: the collecting sink materializes one
 // ParsedValue tree per record (O(file) memory); the columnar streaming sink
 // consumes the flat event stream and flushes per wave (O(wave) memory).
-// Both paths extract the same large synthetic file; per-phase peak RSS is
-// isolated with ResetPeakRss. Streaming peak RSS >= 50% of the collecting
-// peak — or a record-count mismatch — fails the process (the CI smoke
-// gate). Runs first, before other workloads can pre-grow the allocator
-// arena and mask the collecting balloon.
+// Both paths extract the same large synthetic file, each in its own forked
+// child (RunInChild) so each has its own peak RSS. Streaming peak RSS >=
+// 50% of the collecting peak — or a record-count mismatch — fails the
+// process (the CI smoke gate).
 // ---------------------------------------------------------------------------
 
 struct SinkCase {
   size_t bytes = 0;
   size_t records = 0;
-  size_t streaming_peak = 0;   // bytes, per-phase when gated
-  size_t collecting_peak = 0;  // bytes, per-phase when gated
+  size_t streaming_peak = 0;   // bytes, child process peak when gated
+  size_t collecting_peak = 0;  // bytes, child process peak when gated
   double streaming_s = 0;
   double collecting_s = 0;
   bool counts_match = false;
-  bool rss_gated = false;  // per-phase peaks available (clear_refs worked)
+  bool rss_gated = false;  // both phases ran in their own child process
+  bool ok = false;
+};
+
+/// One phase of a sink case, as reported back from its child process.
+struct SinkPhase {
+  size_t bytes = 0;
+  size_t records = 0;
+  size_t covered = 0;
+  size_t child_rows = 0;  // normalized layout: rows of the array table
+  double seconds = 0;
   bool ok = false;
 };
 
@@ -633,78 +680,96 @@ std::string MakeSinkCorpus(uint64_t seed, bool quick) {
   return big;
 }
 
-/// The shared gate and report of both sink memory cases: streaming peak
-/// RSS at or above 50% of the collecting peak — or a count mismatch —
-/// clears `ok`, which fails the process (the CI smoke gate).
-void FinishSinkCase(const char* label, SinkCase* out) {
+std::vector<StructureTemplate> SinkTemplates() {
+  std::vector<StructureTemplate> templates;
+  templates.push_back(std::move(
+      StructureTemplate::FromCanonical("(F,)*F\n").value()));
+  return templates;
+}
+
+/// Runs the streaming and the collecting phase of a sink case, each in its
+/// own child, then applies the shared gate: streaming peak RSS at or above
+/// 50% of the collecting peak — or a count mismatch — clears `ok`, which
+/// fails the process (the CI smoke gate). `normalized` also compares the
+/// array-table row counts.
+SinkCase GateSinkCase(const char* label, bool normalized,
+                      const ChildRun<SinkPhase>& streaming,
+                      const ChildRun<SinkPhase>& collecting) {
+  SinkCase out;
+  out.bytes = streaming.result.bytes;
+  out.records = collecting.result.records;
+  out.streaming_peak = streaming.peak_rss;
+  out.collecting_peak = collecting.peak_rss;
+  out.streaming_s = streaming.result.seconds;
+  out.collecting_s = collecting.result.seconds;
+  out.rss_gated = streaming.isolated && collecting.isolated;
+  out.counts_match =
+      streaming.result.ok && collecting.result.ok &&
+      streaming.result.records == collecting.result.records &&
+      streaming.result.covered == collecting.result.covered &&
+      (!normalized ||
+       streaming.result.child_rows == collecting.result.child_rows);
   const double ratio =
-      out->collecting_peak > 0
-          ? static_cast<double>(out->streaming_peak) /
-                static_cast<double>(out->collecting_peak)
+      out.collecting_peak > 0
+          ? static_cast<double>(out.streaming_peak) /
+                static_cast<double>(out.collecting_peak)
           : 1.0;
   std::printf("%s sink (%zu MB, %zu records): streamed %.3fs "
               "(%.2f MB/s) peak %zu MB, collecting %.3fs peak %zu MB "
               "(%.2fx)%s, counts %s\n",
-              label, out->bytes >> 20, out->records, out->streaming_s,
-              MbPerSec(out->bytes, out->streaming_s),
-              out->streaming_peak >> 20, out->collecting_s,
-              out->collecting_peak >> 20, ratio,
-              out->rss_gated ? "" : " [peaks not isolated; gate skipped]",
-              out->counts_match ? "match" : "MISMATCH — SINK BUG");
-  out->ok = out->counts_match && (!out->rss_gated || ratio < 0.5);
+              label, out.bytes >> 20, out.records, out.streaming_s,
+              MbPerSec(out.bytes, out.streaming_s),
+              out.streaming_peak >> 20, out.collecting_s,
+              out.collecting_peak >> 20, ratio,
+              out.rss_gated ? "" : " [peaks not isolated; gate skipped]",
+              out.counts_match ? "match" : "MISMATCH — SINK BUG");
+  out.ok = out.counts_match && (!out.rss_gated || ratio < 0.5);
+  return out;
 }
 
 SinkCase RunStreamingSinkCase(int threads, bool quick) {
-  SinkCase out;
-  Dataset data(MakeSinkCorpus(7, quick));
-  out.bytes = data.size_bytes();
-
-  std::vector<StructureTemplate> templates;
-  templates.push_back(std::move(
-      StructureTemplate::FromCanonical("(F,)*F\n").value()));
-  ThreadPool pool(threads);
-  Extractor extractor(&templates, &pool);
-  const std::string out_dir = "bench_micro_sink_out.tmp";
-
-  // Streaming first: its peak is the phase baseline, so even without
-  // per-phase isolation the comparison errs against us, never for us.
-  const bool reset_ok = ResetPeakRss();
-  size_t streamed_records = 0;
-  size_t streamed_covered = 0;
-  {
+  const std::vector<StructureTemplate> templates = SinkTemplates();
+  const auto streaming = RunInChild<SinkPhase>([&] {
+    SinkPhase p;
+    Dataset data(MakeSinkCorpus(7, quick));
+    p.bytes = data.size_bytes();
+    ThreadPool pool(threads);
+    Extractor extractor(&templates, &pool);
+    const std::string out_dir = "bench_micro_sink_out.tmp";
     Timer timer;
-    DatasetView view(data);
-    ColumnarWriteSink sink(&templates, view, out_dir);
-    ExtractionResult stats = extractor.ExtractEvents(view, &sink);
-    const Status finished = sink.Finish();
-    if (!finished.ok()) {
-      std::fprintf(stderr, "streaming sink: %s\n",
-                   finished.ToString().c_str());
-      std::error_code cleanup;
-      std::filesystem::remove_all(out_dir, cleanup);
-      return out;
+    {
+      DatasetView view(data);
+      ColumnarWriteSink sink(&templates, view, out_dir);
+      ExtractionResult stats = extractor.ExtractEvents(view, &sink);
+      const Status finished = sink.Finish();
+      if (!finished.ok()) {
+        std::fprintf(stderr, "streaming sink: %s\n",
+                     finished.ToString().c_str());
+      }
+      p.ok = finished.ok();
+      p.records = sink.stats().total_records;
+      p.covered = stats.covered_chars;
     }
-    out.streaming_s = timer.Seconds();
-    streamed_records = sink.stats().total_records;
-    streamed_covered = stats.covered_chars;
-  }
-  out.streaming_peak = ReadPeakRssBytes();
-
-  out.rss_gated = reset_ok && ResetPeakRss();
-  {
+    p.seconds = timer.Seconds();
+    std::error_code ec;
+    std::filesystem::remove_all(out_dir, ec);
+    return p;
+  });
+  const auto collecting = RunInChild<SinkPhase>([&] {
+    SinkPhase p;
+    Dataset data(MakeSinkCorpus(7, quick));
+    ThreadPool pool(threads);
+    Extractor extractor(&templates, &pool);
     Timer timer;
     ExtractionResult collected = extractor.Extract(data);
-    out.collecting_s = timer.Seconds();
-    out.records = collected.records.size();
-    out.counts_match = collected.records.size() == streamed_records &&
-                       collected.covered_chars == streamed_covered;
-  }
-  out.collecting_peak = ReadPeakRssBytes();
-  std::error_code ec;
-  std::filesystem::remove_all(out_dir, ec);
-
-  FinishSinkCase("streaming", &out);
-  return out;
+    p.seconds = timer.Seconds();
+    p.records = collected.records.size();
+    p.covered = collected.covered_chars;
+    p.ok = true;
+    return p;
+  });
+  return GateSinkCase("streaming", /*normalized=*/false, streaming,
+                      collecting);
 }
 
 /// Normalized-layout counterpart of RunStreamingSinkCase: the streaming
@@ -714,43 +779,39 @@ SinkCase RunStreamingSinkCase(int threads, bool quick) {
 /// NormalizedTables tree, render ToCsv (all O(file)). Same corpus shape
 /// and the same 50% RSS gate.
 SinkCase RunNormalizedSinkCase(int threads, bool quick) {
-  SinkCase out;
-  Dataset data(MakeSinkCorpus(11, quick));
-  out.bytes = data.size_bytes();
-
-  std::vector<StructureTemplate> templates;
-  templates.push_back(std::move(
-      StructureTemplate::FromCanonical("(F,)*F\n").value()));
-  ThreadPool pool(threads);
-  Extractor extractor(&templates, &pool);
-  const std::string out_dir = "bench_micro_norm_out.tmp";
-
-  const bool reset_ok = ResetPeakRss();
-  size_t streamed_records = 0;
-  size_t streamed_covered = 0;
-  size_t streamed_child_rows = 0;
-  {
+  const std::vector<StructureTemplate> templates = SinkTemplates();
+  const auto streaming = RunInChild<SinkPhase>([&] {
+    SinkPhase p;
+    Dataset data(MakeSinkCorpus(11, quick));
+    p.bytes = data.size_bytes();
+    ThreadPool pool(threads);
+    Extractor extractor(&templates, &pool);
+    const std::string out_dir = "bench_micro_norm_out.tmp";
     Timer timer;
-    DatasetView view(data);
-    NormalizedWriteSink sink(&templates, view, out_dir);
-    ExtractionResult stats = extractor.ExtractEvents(view, &sink);
-    const Status finished = sink.Finish();
-    if (!finished.ok()) {
-      std::fprintf(stderr, "normalized sink: %s\n",
-                   finished.ToString().c_str());
-      std::error_code cleanup;
-      std::filesystem::remove_all(out_dir, cleanup);
-      return out;
+    {
+      DatasetView view(data);
+      NormalizedWriteSink sink(&templates, view, out_dir);
+      ExtractionResult stats = extractor.ExtractEvents(view, &sink);
+      const Status finished = sink.Finish();
+      if (!finished.ok()) {
+        std::fprintf(stderr, "normalized sink: %s\n",
+                     finished.ToString().c_str());
+      }
+      p.ok = finished.ok();
+      p.records = sink.stats().total_records;
+      p.covered = stats.covered_chars;
+      p.child_rows = sink.rows_in_table(0, 1);
     }
-    out.streaming_s = timer.Seconds();
-    streamed_records = sink.stats().total_records;
-    streamed_covered = stats.covered_chars;
-    streamed_child_rows = sink.rows_in_table(0, 1);
-  }
-  out.streaming_peak = ReadPeakRssBytes();
-
-  out.rss_gated = reset_ok && ResetPeakRss();
-  {
+    p.seconds = timer.Seconds();
+    std::error_code ec;
+    std::filesystem::remove_all(out_dir, ec);
+    return p;
+  });
+  const auto collecting = RunInChild<SinkPhase>([&] {
+    SinkPhase p;
+    Dataset data(MakeSinkCorpus(11, quick));
+    ThreadPool pool(threads);
+    Extractor extractor(&templates, &pool);
     Timer timer;
     ExtractionResult collected = extractor.Extract(data);
     auto tables = NormalizedTables(templates[0], collected.records,
@@ -759,20 +820,15 @@ SinkCase RunNormalizedSinkCase(int threads, bool quick) {
     for (const Table& table : tables) {
       collected_bytes += table.ToCsv().size();
     }
-    out.collecting_s = timer.Seconds();
-    out.records = collected.records.size();
-    out.counts_match = collected.records.size() == streamed_records &&
-                       collected.covered_chars == streamed_covered &&
-                       tables[0].row_count() == streamed_records &&
-                       tables[1].row_count() == streamed_child_rows &&
-                       collected_bytes > 0;
-  }
-  out.collecting_peak = ReadPeakRssBytes();
-  std::error_code ec;
-  std::filesystem::remove_all(out_dir, ec);
-
-  FinishSinkCase("normalized", &out);
-  return out;
+    p.seconds = timer.Seconds();
+    p.records = collected.records.size();
+    p.covered = collected.covered_chars;
+    p.child_rows = tables[1].row_count();
+    p.ok = tables[0].row_count() == p.records && collected_bytes > 0;
+    return p;
+  });
+  return GateSinkCase("normalized", /*normalized=*/true, streaming,
+                      collecting);
 }
 
 // ---------------------------------------------------------------------------
@@ -1241,9 +1297,10 @@ bool RunProgramLoadBench(FILE* f, bool quick) {
 // peak(1x) + 8 MB slack, catching any path that starts buffering history;
 // (2) drift recovery — after the evolution the B-phase tail must match at
 // >= 90%, catching a monitor or splice regression that leaves the evolved
-// format as noise. Peaks are isolated with ResetPeakRss like the sink
-// cases; when the watermark reset is unavailable the RSS gate is skipped
-// (reported as rss_gated=false), the recovery gate always runs.
+// format as noise. Each length runs in its own forked child like the sink
+// cases, and early, while the parent is small (RunInChild); when no child
+// can run the RSS gate is skipped (reported as rss_gated=false), the
+// recovery gate always runs.
 // ---------------------------------------------------------------------------
 
 /// Counting sink for streaming runs: records, noise, and noise in the
@@ -1267,32 +1324,46 @@ class StreamCountSink : public EventSink {
 
 /// Deterministic drifting stream: ~45% format A ("n,n,n"), 10%
 /// alternating A/B, then format B ("n|n|n|n"); counter-driven, no RNG.
-/// Returns the bytes and the total line count via `lines`.
-std::string DriftingStream(size_t total_bytes, size_t* lines) {
-  std::string bytes;
-  bytes.reserve(total_bytes + 64);
-  size_t i = 0;
-  *lines = 0;
-  char buf[64];
-  while (bytes.size() < total_bytes) {
-    const size_t b = bytes.size();
-    const bool fmt_a = b < total_bytes * 9 / 20
-                           ? true
-                           : (b < total_bytes * 11 / 20 ? i % 2 == 0 : false);
-    int n;
-    if (fmt_a) {
-      n = std::snprintf(buf, sizeof(buf), "%zu,%zu,%zu\n", i, i * 7 % 1000,
-                        i % 97);
-    } else {
-      n = std::snprintf(buf, sizeof(buf), "%zu|%zu|%zu|%zu\n", i, i % 89,
-                        i * 3 % 1000, i % 7);
+/// Produced chunk by chunk, so the stream itself never sits in memory and
+/// a case's peak RSS is the session's own.
+class DriftingStream {
+ public:
+  explicit DriftingStream(size_t total_bytes) : total_(total_bytes) {}
+
+  /// Replaces `chunk` with the next whole lines, at least `min_bytes` of
+  /// them unless the stream ends first; false once the stream is done.
+  bool Next(size_t min_bytes, std::string* chunk) {
+    chunk->clear();
+    char buf[64];
+    while (produced_ < total_ && chunk->size() < min_bytes) {
+      const size_t i = lines_;
+      const bool fmt_a =
+          produced_ < total_ * 9 / 20
+              ? true
+              : (produced_ < total_ * 11 / 20 ? i % 2 == 0 : false);
+      int n;
+      if (fmt_a) {
+        n = std::snprintf(buf, sizeof(buf), "%zu,%zu,%zu\n", i,
+                          i * 7 % 1000, i % 97);
+      } else {
+        n = std::snprintf(buf, sizeof(buf), "%zu|%zu|%zu|%zu\n", i, i % 89,
+                          i * 3 % 1000, i % 7);
+      }
+      chunk->append(buf, static_cast<size_t>(n));
+      produced_ += static_cast<size_t>(n);
+      ++lines_;
     }
-    bytes.append(buf, static_cast<size_t>(n));
-    ++i;
-    ++*lines;
+    return !chunk->empty();
   }
-  return bytes;
-}
+
+  size_t bytes() const { return produced_; }
+  size_t lines() const { return lines_; }
+
+ private:
+  size_t total_;
+  size_t produced_ = 0;
+  size_t lines_ = 0;
+};
 
 struct StreamingCase {
   size_t bytes = 0;
@@ -1300,7 +1371,6 @@ struct StreamingCase {
   size_t records = 0;
   size_t noise = 0;
   size_t evolutions = 0;
-  size_t peak_rss = 0;     // bytes, isolated when rss_gated
   double seconds = 0;
   double tail_match_rate = 0;
   bool finished = false;
@@ -1308,10 +1378,15 @@ struct StreamingCase {
 
 StreamingCase RunStreamingCase(size_t total_bytes) {
   StreamingCase out;
-  size_t lines = 0;
-  const std::string bytes = DriftingStream(total_bytes, &lines);
-  out.bytes = bytes.size();
-  out.lines = lines;
+  std::string chunk;
+  {
+    DriftingStream counting(total_bytes);
+    while (counting.Next(64 * 1024, &chunk)) {
+    }
+    out.bytes = counting.bytes();
+    out.lines = counting.lines();
+  }
+  const size_t lines = out.lines;
 
   DatamaranOptions options;
   options.num_threads = 1;
@@ -1321,14 +1396,19 @@ StreamingCase RunStreamingCase(size_t total_bytes) {
   // trigger: the last third of the stream.
   sink.tail_from = lines - lines / 3;
 
+  // Only the session's work is timed, not producing the chunks.
   Timer timer;
   StreamingSession session(options, stream_options, &sink);
-  const std::string_view view(bytes);
-  for (size_t off = 0; off < view.size(); off += 64 * 1024) {
-    session.FeedBytes(view.substr(off, 64 * 1024));
-  }
-  out.finished = session.Finish().ok();
   out.seconds = timer.Seconds();
+  DriftingStream stream(total_bytes);
+  while (stream.Next(64 * 1024, &chunk)) {
+    Timer feed;
+    session.FeedBytes(chunk);
+    out.seconds += feed.Seconds();
+  }
+  Timer finish;
+  out.finished = session.Finish().ok();
+  out.seconds += finish.Seconds();
   out.records = sink.records;
   out.noise = sink.noise;
   out.evolutions = session.stats().evolutions;
@@ -1340,19 +1420,31 @@ StreamingCase RunStreamingCase(size_t total_bytes) {
   return out;
 }
 
-bool RunStreamingBench(FILE* f, bool quick) {
-  const size_t short_bytes = quick ? 1 * 1024 * 1024 : 4 * 1024 * 1024;
-  const bool reset_short = ResetPeakRss();
-  StreamingCase small = RunStreamingCase(short_bytes);
-  small.peak_rss = ReadPeakRssBytes();
-  const bool reset_long = ResetPeakRss();
-  StreamingCase large = RunStreamingCase(short_bytes * 4);
-  large.peak_rss = ReadPeakRssBytes();
-  const bool rss_gated = reset_short && reset_long;
+/// The 1x and 4x streams, each measured in its own child.
+struct StreamingRuns {
+  ChildRun<StreamingCase> small;
+  ChildRun<StreamingCase> large;
+};
 
-  const size_t budget =
-      static_cast<size_t>(small.peak_rss * 1.5) + (8u << 20);
-  const bool rss_ok = !rss_gated || large.peak_rss <= budget;
+StreamingRuns RunStreamingCases(bool quick) {
+  const size_t short_bytes = quick ? 1 * 1024 * 1024 : 4 * 1024 * 1024;
+  StreamingRuns runs;
+  runs.small = RunInChild<StreamingCase>(
+      [&] { return RunStreamingCase(short_bytes); });
+  runs.large = RunInChild<StreamingCase>(
+      [&] { return RunStreamingCase(short_bytes * 4); });
+  return runs;
+}
+
+bool ReportStreamingBench(FILE* f, const StreamingRuns& runs) {
+  const StreamingCase& small = runs.small.result;
+  const StreamingCase& large = runs.large.result;
+  const size_t small_peak = runs.small.peak_rss;
+  const size_t large_peak = runs.large.peak_rss;
+  const bool rss_gated = runs.small.isolated && runs.large.isolated;
+
+  const size_t budget = static_cast<size_t>(small_peak * 1.5) + (8u << 20);
+  const bool rss_ok = !rss_gated || large_peak <= budget;
   const bool recovery_ok = large.finished && small.finished &&
                            large.evolutions >= 1 &&
                            large.tail_match_rate >= 0.9 &&
@@ -1361,7 +1453,7 @@ bool RunStreamingBench(FILE* f, bool quick) {
       "streaming: %zu MB %.3fs (%.2f MB/s) peak %zu KB; 4x stream peak "
       "%zu KB (budget %zu KB)%s; evolutions=%zu tail match %.1f%%: %s\n",
       small.bytes >> 20, small.seconds, MbPerSec(small.bytes, small.seconds),
-      small.peak_rss >> 10, large.peak_rss >> 10, budget >> 10,
+      small_peak >> 10, large_peak >> 10, budget >> 10,
       rss_gated ? "" : " [peaks not isolated; RSS gate skipped]",
       large.evolutions, large.tail_match_rate * 100,
       rss_ok && recovery_ok ? "ok" : "NO — STREAMING GATE FAILED");
@@ -1381,8 +1473,8 @@ bool RunStreamingBench(FILE* f, bool quick) {
                "    \"tail_match_rate\": %.4f\n"
                "  }",
                small.bytes, large.bytes, small.seconds, large.seconds,
-               MbPerSec(large.bytes, large.seconds), small.peak_rss,
-               large.peak_rss, rss_gated ? "true" : "false", large.evolutions,
+               MbPerSec(large.bytes, large.seconds), small_peak, large_peak,
+               rss_gated ? "true" : "false", large.evolutions,
                large.tail_match_rate);
   return rss_ok && recovery_ok;
 }
@@ -1391,9 +1483,10 @@ bool RunStreamingBench(FILE* f, bool quick) {
 // Rotated-stitch memory case: OpenInputs pre-sizes the combined buffer from
 // the on-disk member sizes and adopts the first member's buffer wholesale,
 // so stitching N members peaks near combined + one member — not 2x combined
-// from geometric reallocation growth plus a copied first member. The case
-// writes a newline-aligned rotated set, stitches it, and gates the phase's
-// RSS delta against the stitched size.
+// from geometric reallocation growth plus a copied first member. A forked
+// child writes a newline-aligned rotated set and stitches it; the gate is
+// the child's peak RSS (RunInChild) past its peak just before the stitch,
+// against the stitched size.
 // ---------------------------------------------------------------------------
 struct StitchedPeakCase {
   size_t bytes = 0;
@@ -1405,8 +1498,17 @@ struct StitchedPeakCase {
   bool ok = false;
 };
 
-StitchedPeakCase RunStitchedPeakCase(bool quick) {
-  StitchedPeakCase out;
+/// The stitch as reported back from its child process.
+struct StitchRun {
+  size_t bytes = 0;
+  size_t members = 0;
+  size_t baseline_peak = 0;  // the child's peak RSS just before the stitch
+  double stitch_s = 0;
+  bool bytes_match = false;
+};
+
+StitchRun StitchRotatedSet(bool quick) {
+  StitchRun out;
   const std::string text = MakeSinkCorpus(13, quick);
   constexpr size_t kMembers = 4;
   std::vector<std::string> paths;
@@ -1417,19 +1519,18 @@ StitchedPeakCase RunStitchedPeakCase(bool quick) {
                      : text.size();
     const std::string path =
         "bench_micro_stitch_" + std::to_string(m) + ".tmp";
+    paths.push_back(path);
     if (!WriteStringToFile(path, std::string_view(text).substr(
                                      begin, end - begin))
              .ok()) {
+      for (const std::string& p : paths) std::remove(p.c_str());
       return out;
     }
-    paths.push_back(path);
     begin = end;
   }
   out.bytes = text.size();
   out.members = kMembers;
-
-  const bool reset_ok = ResetPeakRss();
-  const size_t baseline = ReadPeakRssBytes();
+  out.baseline_peak = PeakRssBytes();
   {
     Timer timer;
     auto stitched = OpenInputs(paths, InputOptions{});
@@ -1438,11 +1539,23 @@ StitchedPeakCase RunStitchedPeakCase(bool quick) {
     // and the combined dataset is byte-for-byte the original corpus.
     out.bytes_match =
         stitched.ok() && stitched.value().size_bytes() == text.size();
-    const size_t peak = ReadPeakRssBytes();
-    out.peak_delta = peak > baseline ? peak - baseline : 0;
   }
-  out.rss_gated = reset_ok;
   for (const std::string& path : paths) std::remove(path.c_str());
+  return out;
+}
+
+StitchedPeakCase RunStitchedPeakCase(bool quick) {
+  const auto run =
+      RunInChild<StitchRun>([&] { return StitchRotatedSet(quick); });
+  StitchedPeakCase out;
+  out.bytes = run.result.bytes;
+  out.members = run.result.members;
+  out.stitch_s = run.result.stitch_s;
+  out.bytes_match = run.result.bytes_match;
+  out.rss_gated = run.isolated;
+  out.peak_delta = run.peak_rss > run.result.baseline_peak
+                       ? run.peak_rss - run.result.baseline_peak
+                       : 0;
 
   const double ratio =
       out.bytes > 0
@@ -1489,16 +1602,13 @@ int RunPipelineBench() {
   const int hw = ThreadPool::DefaultThreadCount();
   const int multi = bench::EnvInt("DM_BENCH_THREADS", std::max(4, hw));
 
-  // Streaming-vs-collecting sink memory cases first (fresh allocator),
-  // one per output layout.
-  // The stitch case measures an RSS *delta*, which freed-then-reused
-  // allocator pages would hide — it must run before anything grows the
-  // arena. The sink cases compare two absolute peaks measured the same
-  // way, so the stitch case's modest retained arena cancels out of their
-  // ratio.
+  // Every peak-RSS case runs first, each in its own forked child: a child
+  // starts as a copy of this process, so the parent must still be small.
+  // The streaming section reports later, in its usual place.
   const StitchedPeakCase stitch_case = RunStitchedPeakCase(quick);
   const SinkCase sink_case = RunStreamingSinkCase(multi, quick);
   const SinkCase norm_case = RunNormalizedSinkCase(multi, quick);
+  const StreamingRuns streaming_runs = RunStreamingCases(quick);
 
   std::vector<std::string> texts;
   texts.reserve(static_cast<size_t>(datasets));
@@ -1557,7 +1667,7 @@ int RunPipelineBench() {
   const bool eval_ok = RunEvaluationBench(f, texts, quick);
   const bool catalog_ok = RunCatalogBench(f, quick);
   const bool program_load_ok = RunProgramLoadBench(f, quick);
-  const bool streaming_ok = RunStreamingBench(f, quick);
+  const bool streaming_ok = ReportStreamingBench(f, streaming_runs);
   // --- Large-file extraction through both backings (the mmap path). ---
   const size_t big_bytes = quick ? 2 * 1024 * 1024 : 16 * 1024 * 1024;
   Rng rng(5);

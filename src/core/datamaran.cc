@@ -13,7 +13,6 @@
 #include "generation/generator.h"
 #include "pruning/pruner.h"
 #include "refinement/refiner.h"
-#include "scoring/score_cache.h"
 #include "template/dispatch.h"
 #include "util/file_io.h"
 #include "util/logging.h"
@@ -73,7 +72,7 @@ ResidualMask MaskMatchedLines(const DatasetView& view,
   // Phase 2 (sequential, O(live)): the greedy first-match walk — identical
   // to the sequential scan's skip rule — decides which attempts count,
   // then compacts the survivors' physical indices.
-  ResidualMask out{view, {}, 0, 0};
+  ResidualMask out{view, 0, 0};
   for (size_t w = 0; w < static_cast<size_t>(workers); ++w) {
     out.assembled_bytes += assembled[w];
   }
@@ -82,10 +81,6 @@ ResidualMask MaskMatchedLines(const DatasetView& view,
   size_t v = 0;
   while (v < n) {
     if (matched[v] != 0) {
-      for (size_t k = v; k < v + span; ++k) {
-        out.removed_lines.push_back(
-            static_cast<uint32_t>(view.physical_line(k)));
-      }
       out.matched_records += 1;
       v += span;
     } else {
@@ -109,15 +104,6 @@ std::vector<StructureTemplate> Datamaran::DiscoverTemplates(
 
   std::vector<StructureTemplate> accepted;
   const size_t initial_bytes = residual.size_bytes();
-
-  // Cross-round score reuse: the backing buffer never moves, so line
-  // identity is stable and cached scores stay exact (score_cache.h). The
-  // caching decorator serves both the candidate-scoring loop below and the
-  // Refiner's unfold variants.
-  ScoreCache cache(options_.match_engine, options_.charset_engine);
-  const CachingScorer cached_scorer(&scorer_,
-                                    options_.enable_score_cache ? &cache
-                                                                : nullptr);
 
   for (int round = 0; round < options_.max_record_types; ++round) {
     if (residual.size_bytes() <
@@ -241,7 +227,7 @@ std::vector<StructureTemplate> Datamaran::DiscoverTemplates(
       ForEachIndex(pool_.get(), unique_scores.size(), [&](size_t u, int) {
         const StructureTemplate* st = unique_scores[u].first;
         if (!prune) {
-          unique_scores[u].second = cached_scorer.Score(residual, *st);
+          unique_scores[u].second = scorer_.Score(residual, *st);
           return;
         }
         auto memo = pruned_at.find(std::string(st->canonical()));
@@ -249,7 +235,7 @@ std::vector<StructureTemplate> Datamaran::DiscoverTemplates(
           return;  // pruned before at a looser-or-equal threshold
         }
         unique_scores[u].second =
-            cached_scorer.ScoreBounded(residual, *st, threshold);
+            scorer_.ScoreBounded(residual, *st, threshold);
       });
       // Phase D (sequential, candidate order): variant choice and
       // threshold/memo updates. A candidate survives only when its exact
@@ -332,16 +318,17 @@ std::vector<StructureTemplate> Datamaran::DiscoverTemplates(
     // --- Refinement: refine the best few candidates, then pick the best
     // refined score. Unfolding changes relative order (it exposes
     // per-column types), so refining only the unrefined winner would let
-    // overly generic templates that merge record types slip through.
+    // overly generic templates that merge record types slip through. Each
+    // refinement starts from the exact score evaluation just computed.
     Timer refine_timer;
-    Refiner refiner(residual, &cached_scorer, &options_);
+    Refiner refiner(residual, &scorer_, &options_);
     size_t refine_count = std::min(
         scored.size(), static_cast<size_t>(std::max(1, options_.refine_top_k)));
     // Refinements are independent; the winner is picked by a strict-less
     // scan in rank order, the same tie-break as the sequential loop.
     std::vector<Refiner::Refined> refined_slots(refine_count);
     ForEachIndex(pool_.get(), refine_count, [&](size_t k, int) {
-      refined_slots[k] = refiner.Refine(scored[k].st);
+      refined_slots[k] = refiner.Refine(scored[k].st, scored[k].score);
     });
     Refiner::Refined refined{scored[0].st, scored[0].score};
     bool have_refined = false;
@@ -388,16 +375,8 @@ std::vector<StructureTemplate> Datamaran::DiscoverTemplates(
                                          options_.match_engine,
                                          options_.charset_engine);
     if (stats != nullptr) stats->residual_copy_bytes += mask.assembled_bytes;
-    if (mask.removed_lines.empty()) break;  // nothing matched
+    if (mask.matched_records == 0) break;
     residual = std::move(mask.view);
-    // Adjacency-aware invalidation (score_cache.h): entries whose matched
-    // windows are untouched by the shrink — including multi-line ones —
-    // survive into the next round.
-    cache.InvalidateRemovedLines(mask.removed_lines, residual);
-  }
-  if (stats != nullptr) {
-    stats->score_cache_hits = cache.hits();
-    stats->score_cache_misses = cache.misses();
   }
   return accepted;
 }

@@ -41,8 +41,6 @@
 
 namespace datamaran {
 
-class ScoreCache;
-
 /// Wall-clock seconds per pipeline step (Table 3's empirical counterpart).
 struct StepTimings {
   /// Catalog fingerprinting (template/catalog.h MatchCatalog); 0 when no
@@ -84,9 +82,9 @@ struct PipelineStats {
   size_t candidates_pruned = 0;
   size_t sample_bytes = 0;
   int rounds = 0;
-  /// Cross-round score cache effectiveness (0/0 when the cache is off).
-  /// Counts may vary slightly with thread count (benign lookup races);
-  /// results never do.
+  /// Always 0: the pipeline has no score cache. Kept only because
+  /// bench_e2e/e2e/replay.cc still reads them; they go with the next
+  /// change to that benchmark.
   size_t score_cache_hits = 0;
   size_t score_cache_misses = 0;
   /// Text bytes materialized by residual transitions. Index-only masking
@@ -178,8 +176,7 @@ class Datamaran {
 /// either engine. No text is copied — only candidate windows straddling a
 /// view gap are assembled transiently (`assembled_bytes` totals them).
 struct ResidualMask {
-  DatasetView view;                     ///< surviving lines
-  std::vector<uint32_t> removed_lines;  ///< physical ids masked out, ascending
+  DatasetView view;  ///< surviving lines
   size_t matched_records = 0;
   size_t assembled_bytes = 0;
 };

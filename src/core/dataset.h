@@ -27,8 +27,8 @@
 /// lines out of the previous view — an O(live lines) index-only transition
 /// with zero text copies, in place of the old rebuild-the-residual-string
 /// approach. Because the backing text never moves, line identity is stable
-/// across rounds, which is what makes cross-round score caching sound
-/// (scoring/score_cache.h).
+/// across rounds: a residual line's physical index is the one it had in the
+/// sample.
 
 namespace datamaran {
 

@@ -81,11 +81,6 @@ struct DatamaranOptions {
   size_t max_inflate_bytes = 4ull * 1024 * 1024 * 1024;
   size_t max_line_bytes = 4 * 1024 * 1024;
 
-  /// Reuse candidate MDL scores across residual rounds (exact — cached
-  /// values are bit-identical to fresh evaluation; see
-  /// scoring/score_cache.h). Disable to measure the uncached cost.
-  bool enable_score_cache = true;
-
   /// Matching engine for every match hot loop (generation-round masking,
   /// MDL scoring, refinement, extraction): kCompiled runs templates as flat
   /// bytecode programs with first-byte template-set dispatch

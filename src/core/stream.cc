@@ -48,6 +48,7 @@ class StreamSegmentAdapter : public EventSink {
             .line_span();
     session_->stats_.records++;
     session_->stats_.lines_decided += static_cast<uint64_t>(span);
+    session_->stats_.decided_bytes += static_cast<uint64_t>(end - pos);
     for (int i = 0; i < span; ++i) {
       session_->ObserveDecided(/*noise=*/false, {});
     }
@@ -61,6 +62,8 @@ class StreamSegmentAdapter : public EventSink {
         static_cast<size_t>(global_base_) + line_index, line);
     session_->stats_.noise_lines++;
     session_->stats_.lines_decided++;
+    session_->stats_.decided_bytes += line.size();
+    session_->stats_.noise_bytes += line.size();
     session_->ObserveDecided(/*noise=*/true, line);
     MaybeTrigger();
   }
@@ -268,6 +271,8 @@ void StreamingSession::EmitNoiseDirect(std::string_view line_with_newline) {
                      line_with_newline);
   stats_.noise_lines++;
   stats_.lines_decided++;
+  stats_.decided_bytes += line_with_newline.size();
+  stats_.noise_bytes += line_with_newline.size();
   ObserveDecided(/*noise=*/true, line_with_newline);
 }
 

@@ -117,6 +117,11 @@ struct StreamStats {
   uint64_t lines_decided = 0;  ///< lines emitted as record members or noise
   uint64_t records = 0;
   uint64_t noise_lines = 0;
+  /// Bytes of the decided lines, and the noise share of them ('\n'
+  /// included); (decided_bytes - noise_bytes) / decided_bytes is the
+  /// stream's coverage, as ExtractionResult::coverage() is batch's.
+  uint64_t decided_bytes = 0;
+  uint64_t noise_bytes = 0;
   uint64_t oversized_lines = 0;
   /// Discovery epochs: 0 before warm-up discovery succeeds, 1 after, +1
   /// per successful evolution.

@@ -241,8 +241,9 @@ Refiner::Refiner(DatasetView sample, const RegularityScorer* scorer,
                  const DatamaranOptions* options)
     : sample_(std::move(sample)), scorer_(scorer), options_(options) {}
 
-Refiner::Refined Refiner::Refine(const StructureTemplate& st) const {
-  Refined current{st, scorer_->Score(sample_, st)};
+Refiner::Refined Refiner::Refine(const StructureTemplate& st,
+                                 double score) const {
+  Refined current{st, score};
 
   // --- Array unfolding: repeat until no variant improves the score. ---
   bool improved = true;

@@ -103,8 +103,10 @@ class Refiner {
   };
 
   /// Runs the unfold-until-no-improvement loop followed by structure
-  /// shifting; returns the refined template and its score.
-  Refined Refine(const StructureTemplate& st) const;
+  /// shifting; returns the refined template and its score. `score` must be
+  /// `st`'s exact score on the refiner's sample — the evaluation step
+  /// passes the score it already computed, so `st` is never rescored.
+  Refined Refine(const StructureTemplate& st, double score) const;
 
  private:
   DatasetView sample_;

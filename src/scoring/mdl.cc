@@ -19,7 +19,7 @@ std::optional<double> MdlScorer::ScoreBounded(const DatasetView& sample,
                                               const StructureTemplate& st,
                                               double abort_above) const {
   std::vector<const StructureTemplate*> ts = {&st};
-  MdlBreakdown b = EvaluateSet(sample, ts, nullptr, abort_above);
+  MdlBreakdown b = EvaluateSet(sample, ts, abort_above);
   if (b.pruned) return std::nullopt;
   return b.total_bits;
 }
@@ -27,9 +27,8 @@ std::optional<double> MdlScorer::ScoreBounded(const DatasetView& sample,
 MdlBreakdown MdlScorer::EvaluateSet(
     const DatasetView& sample,
     const std::vector<const StructureTemplate*>& templates,
-    std::vector<uint32_t>* covered_lines, double abort_above) const {
+    double abort_above) const {
   MdlBreakdown out;
-  if (covered_lines != nullptr) covered_lines->clear();
   // Noise is charged 8 bits per character including the line's '\n'
   // (paper: len(block) * 8). Keeping the newline in both the noise coding
   // and the record templates makes the trivial "F\n" template an exact
@@ -88,12 +87,6 @@ MdlBreakdown MdlScorer::EvaluateSet(
     out.record_lines += spans[t];
     out.covered_chars += parsed->end - win.pos;
     out.record_bits += type_bits;
-    if (covered_lines != nullptr) {
-      for (size_t k = li; k < li + spans[t]; ++k) {
-        covered_lines->push_back(
-            static_cast<uint32_t>(sample.physical_line(k)));
-      }
-    }
     li += spans[t];
     return true;
   };
@@ -131,7 +124,6 @@ MdlBreakdown MdlScorer::EvaluateSet(
       if (lower > abort_above) {
         out.pruned = true;
         out.total_bits = lower;
-        if (covered_lines != nullptr) covered_lines->clear();
         return out;
       }
     }

@@ -122,22 +122,18 @@ class MdlScorer : public RegularityScorer {
                                      const StructureTemplate& st,
                                      double abort_above) const override;
 
-  /// Full breakdown; ScoreSet returns .total_bits of this. When
-  /// `covered_lines` is non-null it receives the *physical* (backing
-  /// dataset) indices of every record-covered line, ascending — the
-  /// invalidation key for the cross-round score cache. A finite
+  /// Full breakdown; ScoreSet returns .total_bits of this. A finite
   /// `abort_above` arms the early abort (see ScoreBounded); on abort the
-  /// breakdown comes back with .pruned set and covered_lines cleared.
+  /// breakdown comes back with .pruned set.
   MdlBreakdown EvaluateSet(
       const DatasetView& sample,
       const std::vector<const StructureTemplate*>& templates,
-      std::vector<uint32_t>* covered_lines = nullptr,
       double abort_above = std::numeric_limits<double>::infinity()) const;
 
-  MdlBreakdown Evaluate(const DatasetView& sample, const StructureTemplate& st,
-                        std::vector<uint32_t>* covered_lines = nullptr) const {
+  MdlBreakdown Evaluate(const DatasetView& sample,
+                        const StructureTemplate& st) const {
     std::vector<const StructureTemplate*> ts = {&st};
-    return EvaluateSet(sample, ts, covered_lines);
+    return EvaluateSet(sample, ts);
   }
 
  private:

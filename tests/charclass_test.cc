@@ -13,7 +13,6 @@
 #include "datagen/github_corpus.h"
 #include "generation/generator.h"
 #include "scoring/mdl.h"
-#include "scoring/score_cache.h"
 #include "template/template.h"
 #include "util/byte_class.h"
 #include "util/char_class.h"
@@ -34,8 +33,8 @@
 //  * Full-pipeline parity: byte-identical output across
 //    charset_engine x match_engine x threads x pruning.
 //  * ScoreBounded exactness: a returned value is the exact total; nullopt
-//    proves the total strictly exceeds the abort threshold; aborted
-//    evaluations never poison the score cache.
+//    proves the total strictly exceeds the abort threshold, and an aborted
+//    evaluation reports a lower bound on it.
 //  * Bound-based pruning exactness: DiscoverTemplates with pruning on and
 //    off accepts identical templates, and kept + pruned candidates add up
 //    to the brute-force evaluation count.
@@ -390,32 +389,29 @@ TEST(ScoreBoundedTest, ValueIsExactAndNulloptProvesAboveThreshold) {
   }
 }
 
-TEST(ScoreBoundedTest, AbortedEvaluationsNeverPoisonTheCache) {
+TEST(ScoreBoundedTest, AbortedEvaluationReportsLowerBound) {
   Dataset data(GenerationCorpus());
   DatasetView view(data);
   MdlScorer scorer;
-  ScoreCache cache;
-  CachingScorer caching(&scorer, &cache);
   auto st = StructureTemplate::FromCanonical("(F,)*F\n");
   ASSERT_TRUE(st.ok());
   const double exact = scorer.Score(view, st.value());
 
-  // Prune against an impossible threshold: no entry may be created.
-  EXPECT_FALSE(caching.ScoreBounded(view, st.value(), 1.0).has_value());
-  EXPECT_EQ(cache.size(), 0u);
+  // An impossible threshold aborts: no value, and the breakdown carries a
+  // lower bound that already exceeds the threshold but not the exact total.
+  EXPECT_FALSE(scorer.ScoreBounded(view, st.value(), 1.0).has_value());
+  const std::vector<const StructureTemplate*> ts = {&st.value()};
+  const MdlBreakdown aborted = scorer.EvaluateSet(view, ts, 1.0);
+  EXPECT_TRUE(aborted.pruned);
+  EXPECT_GT(aborted.total_bits, 1.0);
+  EXPECT_LE(aborted.total_bits, exact);
 
-  // A completing bounded evaluation caches the exact total...
-  auto full = caching.ScoreBounded(
-      view, st.value(), std::numeric_limits<double>::infinity());
+  // A completing bounded evaluation returns the exact total.
+  auto full = scorer.ScoreBounded(view, st.value(),
+                                  std::numeric_limits<double>::infinity());
   ASSERT_TRUE(full.has_value());
   EXPECT_EQ(*full, exact);
-  EXPECT_EQ(cache.size(), 1u);
-
-  // ...and a later hit answers exactly even below the abort threshold
-  // (hits are free; only misses scan).
-  auto hit = caching.ScoreBounded(view, st.value(), 1.0);
-  ASSERT_TRUE(hit.has_value());
-  EXPECT_EQ(*hit, exact);
+  EXPECT_FALSE(scorer.EvaluateSet(view, ts, exact).pruned);
 }
 
 // ------------------------------------------------------- pruning exactness --

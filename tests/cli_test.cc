@@ -1032,10 +1032,13 @@ TEST(CliFollowTest, FollowMatchesBatchOutputOnStaticFile) {
   const std::string out_batch = ::testing::TempDir() + "dm_cli_follow_b";
   const std::string out_follow = ::testing::TempDir() + "dm_cli_follow_f";
   const std::string summary = ::testing::TempDir() + "dm_cli_follow.json";
+  const std::string batch_summary =
+      ::testing::TempDir() + "dm_cli_follow_batch.json";
   fs::remove_all(out_batch);
   fs::remove_all(out_follow);
-  ASSERT_EQ(RunCli(StrFormat("\"%s\" --out=\"%s\"", input.c_str(),
-                             out_batch.c_str())),
+  ASSERT_EQ(RunCli(StrFormat("\"%s\" --out=\"%s\" --summary-json=\"%s\"",
+                             input.c_str(), out_batch.c_str(),
+                             batch_summary.c_str())),
             0);
   ASSERT_EQ(RunCli(StrFormat("--follow=\"%s\" --follow-max-bytes=%zu "
                              "--out=\"%s\" --summary-json=\"%s\"",
@@ -1048,9 +1051,22 @@ TEST(CliFollowTest, FollowMatchesBatchOutputOnStaticFile) {
   EXPECT_NE(summary_text.value().find("\"stream\": {\"epochs\": 1"),
             std::string::npos)
       << summary_text.value();
+  // Coverage is computed from the decided bytes and must equal batch's.
+  auto batch_text = ReadFileToString(batch_summary);
+  ASSERT_TRUE(batch_text.ok());
+  auto coverage_of = [](const std::string& json) {
+    const size_t at = json.find("\"coverage\": ");
+    if (at == std::string::npos) return std::string();
+    return json.substr(at, json.find(',', at) - at);
+  };
+  const std::string batch_coverage = coverage_of(batch_text.value());
+  ASSERT_FALSE(batch_coverage.empty()) << batch_text.value();
+  EXPECT_NE(batch_coverage, "\"coverage\": 0.000000");
+  EXPECT_EQ(coverage_of(summary_text.value()), batch_coverage);
   fs::remove_all(out_batch);
   fs::remove_all(out_follow);
   fs::remove(summary);
+  fs::remove(batch_summary);
 }
 
 // Satellite regression: a cold crawl that persists a shared catalog must

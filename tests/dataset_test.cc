@@ -7,7 +7,6 @@
 #include "core/datamaran.h"
 #include "core/dataset.h"
 #include "core/options.h"
-#include "scoring/score_cache.h"
 #include "util/file_io.h"
 #include "util/rng.h"
 #include "util/sampler.h"
@@ -15,7 +14,7 @@
 
 // Edge cases for the zero-copy dataset layer: Dataset's two backings (owned
 // string vs mmap'd region), DatasetView gap semantics, the index-only
-// residual transition (MaskMatchedLines), and the cross-round score cache.
+// residual transition (MaskMatchedLines).
 
 namespace datamaran {
 namespace {
@@ -208,7 +207,7 @@ TEST(MaskMatchedLinesTest, RemovesExactlyTheMatchedLines) {
   ASSERT_TRUE(st.ok());
   ResidualMask mask = MaskMatchedLines(DatasetView(data), st.value());
   EXPECT_GT(mask.matched_records, 0u);
-  EXPECT_EQ(mask.view.line_count() + mask.removed_lines.size(),
+  EXPECT_EQ(mask.view.line_count() + mask.matched_records,
             data.line_count());
   // Survivors are exactly the non-matching lines, in order.
   for (size_t v = 0; v < mask.view.line_count(); ++v) {
@@ -230,8 +229,8 @@ TEST(MaskMatchedLinesTest, DeterministicAcrossThreadCounts) {
   for (int threads : {2, 4, 7}) {
     ThreadPool pool(threads);
     ResidualMask par = MaskMatchedLines(DatasetView(data), st.value(), &pool);
-    ASSERT_EQ(par.removed_lines, seq.removed_lines) << threads << " threads";
-    ASSERT_EQ(par.view.line_count(), seq.view.line_count());
+    ASSERT_EQ(par.view.line_count(), seq.view.line_count())
+        << threads << " threads";
     ASSERT_EQ(par.matched_records, seq.matched_records);
     ASSERT_EQ(par.assembled_bytes, seq.assembled_bytes);
     for (size_t v = 0; v < par.view.line_count(); ++v) {
@@ -255,107 +254,6 @@ TEST(MaskMatchedLinesTest, MultiLineTemplateMatchesAcrossNewGap) {
   EXPECT_EQ(mask2.matched_records, 1u);
   EXPECT_EQ(mask2.view.line_count(), 0u);
   EXPECT_GT(mask2.assembled_bytes, 0u);  // the window straddled the gap
-}
-
-// ------------------------------------------------------- score caching ----
-
-// A multi-line entry must survive a residual shrink that neither touches
-// its matched windows nor splices a new matchable window into existence —
-// and the served value must still be bit-identical to a fresh evaluation.
-TEST(ScoreCacheTest, MultiLineEntrySurvivesUntouchedShrink) {
-  // T2 = "F F\nF F\n" matches line pairs (0,1) and (5,6); lines 2,3 are the
-  // to-be-removed type; line 4 ("q-q", no space) blocks the spliced window.
-  Dataset data{std::string("a b\nc d\nx,1\nx,2\nq-q\ne f\ng h\n")};
-  auto t2 = StructureTemplate::FromCanonical("F F\nF F\n");
-  ASSERT_TRUE(t2.ok());
-
-  ScoreCache cache;
-  MdlScorer scorer;
-  CachingScorer cached(&scorer, &cache);
-  const DatasetView full(data);
-  const double before = cached.Score(full, t2.value());
-  EXPECT_DOUBLE_EQ(before, scorer.Score(full, t2.value()));
-  ASSERT_EQ(cache.size(), 1u);
-
-  const std::vector<uint32_t> removed = {2, 3};
-  const DatasetView shrunk(data, {0, 1, 4, 5, 6});
-  cache.InvalidateRemovedLines(removed, shrunk);
-  ASSERT_EQ(cache.size(), 1u);  // the entry survived the shrink
-
-  const size_t hits_before = cache.hits();
-  const double after = cached.Score(shrunk, t2.value());
-  EXPECT_EQ(cache.hits(), hits_before + 1);  // served from cache...
-  EXPECT_DOUBLE_EQ(after, scorer.Score(shrunk, t2.value()));  // ...exactly
-}
-
-// The correctness-critical case: removing a line splices two previously
-// separated lines into a window that now matches the cached multi-line
-// candidate. The entry must be dropped (its cached record set is stale).
-TEST(ScoreCacheTest, SpliceCreatingNewMatchDropsEntry) {
-  // T2 never matches the full view ("k-1"/"k-2" and the ","-lines break
-  // every window), but removing line 2 makes "a b\nc d\n" adjacent.
-  Dataset data{std::string("k-1\na b\nx,1\nc d\nk-2\n")};
-  auto t2 = StructureTemplate::FromCanonical("F F\nF F\n");
-  ASSERT_TRUE(t2.ok());
-
-  ScoreCache cache;
-  MdlScorer scorer;
-  CachingScorer cached(&scorer, &cache);
-  const DatasetView full(data);
-  cached.Score(full, t2.value());
-  ASSERT_EQ(cache.size(), 1u);
-
-  const std::vector<uint32_t> removed = {2};
-  const DatasetView shrunk(data, {0, 1, 3, 4});
-  cache.InvalidateRemovedLines(removed, shrunk);
-  EXPECT_EQ(cache.size(), 0u);  // stale entry dropped
-
-  // And the rescore (a miss) agrees with the uncached scorer.
-  const size_t misses_before = cache.misses();
-  const double after = cached.Score(shrunk, t2.value());
-  EXPECT_EQ(cache.misses(), misses_before + 1);
-  EXPECT_DOUBLE_EQ(after, scorer.Score(shrunk, t2.value()));
-}
-
-// Removing a line covered by a matched window always drops the entry.
-TEST(ScoreCacheTest, CoveredLineRemovalDropsEntry) {
-  Dataset data{std::string("a b\nc d\nx,1\n")};
-  auto t2 = StructureTemplate::FromCanonical("F F\nF F\n");
-  ASSERT_TRUE(t2.ok());
-
-  ScoreCache cache;
-  MdlScorer scorer;
-  CachingScorer cached(&scorer, &cache);
-  cached.Score(DatasetView(data), t2.value());
-  ASSERT_EQ(cache.size(), 1u);
-
-  const std::vector<uint32_t> removed = {1};  // inside the matched pair
-  const DatasetView shrunk(data, {0, 2});
-  cache.InvalidateRemovedLines(removed, shrunk);
-  EXPECT_EQ(cache.size(), 0u);
-}
-
-TEST(ScoreCacheTest, CachedPipelineMatchesUncached) {
-  std::string text = InterleavedTwoTypes(1200, 33);
-  DatamaranOptions with_cache;
-  with_cache.num_threads = 1;
-  DatamaranOptions without_cache = with_cache;
-  without_cache.enable_score_cache = false;
-
-  PipelineResult a = Datamaran(with_cache).ExtractText(text);
-  PipelineResult b = Datamaran(without_cache).ExtractText(text);
-  EXPECT_GT(a.stats.score_cache_hits + a.stats.score_cache_misses, 0u);
-  EXPECT_EQ(b.stats.score_cache_hits + b.stats.score_cache_misses, 0u);
-  ASSERT_EQ(a.templates.size(), b.templates.size());
-  for (size_t i = 0; i < a.templates.size(); ++i) {
-    EXPECT_EQ(a.templates[i].canonical(), b.templates[i].canonical());
-  }
-  ASSERT_EQ(a.reports.size(), b.reports.size());
-  for (size_t i = 0; i < a.reports.size(); ++i) {
-    EXPECT_DOUBLE_EQ(a.reports[i].mdl_bits, b.reports[i].mdl_bits) << i;
-  }
-  ASSERT_EQ(a.extraction.records.size(), b.extraction.records.size());
-  EXPECT_EQ(a.extraction.noise_lines, b.extraction.noise_lines);
 }
 
 }  // namespace

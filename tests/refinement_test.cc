@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "core/dataset.h"
 #include "core/options.h"
@@ -103,22 +107,21 @@ TEST(RotationTest, FirstOccurrence) {
 
 // ---------------------------------------------------------------- refiner --
 
-TEST(RefinerTest, UnfoldsFixedWidthCsv) {
+// The refiner fixtures: each dataset paired with the template handed to
+// Refine. FixedWidthCsv's "(F,)*F" unfolds fully, Syslog's "(F )*F" peels a
+// fixed prefix off a free-text tail, XyPairs' "y=F\nx=F" shifts to the
+// rotation seen first, and Semicolon's "F;F" is already best.
+std::string FixedWidthCsv() {
   std::string text;
   Rng rng(4);
   for (int i = 0; i < 300; ++i) {
     text += std::string("GET,") + std::to_string(rng.Uniform(0, 20)) + "," +
             std::to_string(rng.Uniform(100000, 999999)) + "\n";
   }
-  Dataset data(std::move(text));
-  MdlScorer scorer;
-  DatamaranOptions opts;
-  Refiner refiner(&data, &scorer, &opts);
-  auto refined = refiner.Refine(MustParse("(F,)*F\n"));
-  EXPECT_EQ(refined.st.canonical(), "F,F,F\n");
+  return text;
 }
 
-TEST(RefinerTest, PartialUnfoldForFreeTextTail) {
+std::string Syslog() {
   // Paper's syslog example: fixed fields then a free-text message.
   std::string text;
   Rng rng(8);
@@ -133,11 +136,45 @@ TEST(RefinerTest, PartialUnfoldForFreeTextTail) {
     }
     text += "\n";
   }
+  return text;
+}
+
+std::string XyPairs() {
+  // Records are (x,y) pairs starting at line 0; the shifted template
+  // (y,x) first matches only at line 1.
+  std::string text;
+  for (int i = 0; i < 60; ++i) {
+    text += "x=" + std::to_string(i) + "\ny=" + std::to_string(i * 2) + "\n";
+  }
+  return text;
+}
+
+std::string Semicolon() {
+  std::string text;
+  Rng rng(6);
+  for (int i = 0; i < 200; ++i) {
+    text += std::to_string(rng.Uniform(0, 9)) + ";" +
+            std::to_string(rng.Uniform(0, 9)) + "\n";
+  }
+  return text;
+}
+
+Refiner::Refined RefineWithMdl(std::string text, std::string_view canonical) {
   Dataset data(std::move(text));
   MdlScorer scorer;
   DatamaranOptions opts;
   Refiner refiner(&data, &scorer, &opts);
-  auto refined = refiner.Refine(MustParse("(F )*F\n"));
+  StructureTemplate st = MustParse(canonical);
+  return refiner.Refine(st, scorer.Score(data, st));
+}
+
+TEST(RefinerTest, UnfoldsFixedWidthCsv) {
+  auto refined = RefineWithMdl(FixedWidthCsv(), "(F,)*F\n");
+  EXPECT_EQ(refined.st.canonical(), "F,F,F\n");
+}
+
+TEST(RefinerTest, PartialUnfoldForFreeTextTail) {
+  auto refined = RefineWithMdl(Syslog(), "(F )*F\n");
   // At least the fixed prefix ("Apr", day, host) should be peeled off.
   EXPECT_TRUE(refined.st.canonical().rfind("F F F ", 0) == 0)
       << refined.st.canonical();
@@ -146,33 +183,70 @@ TEST(RefinerTest, PartialUnfoldForFreeTextTail) {
 }
 
 TEST(RefinerTest, ShiftsToEarliestFirstOccurrence) {
-  // Records are (x,y) pairs starting at line 0; the shifted template
-  // (y,x) first matches only at line 1.
-  std::string text;
-  for (int i = 0; i < 60; ++i) {
-    text += "x=" + std::to_string(i) + "\ny=" + std::to_string(i * 2) + "\n";
-  }
-  Dataset data(std::move(text));
-  MdlScorer scorer;
-  DatamaranOptions opts;
-  Refiner refiner(&data, &scorer, &opts);
-  auto refined = refiner.Refine(MustParse("y=F\nx=F\n"));
+  auto refined = RefineWithMdl(XyPairs(), "y=F\nx=F\n");
   EXPECT_EQ(refined.st.canonical(), "x=F\ny=F\n");
 }
 
 TEST(RefinerTest, LeavesGoodTemplateAlone) {
-  std::string text;
-  Rng rng(6);
-  for (int i = 0; i < 200; ++i) {
-    text += std::to_string(rng.Uniform(0, 9)) + ";" +
-            std::to_string(rng.Uniform(0, 9)) + "\n";
-  }
-  Dataset data(std::move(text));
-  MdlScorer scorer;
-  DatamaranOptions opts;
-  Refiner refiner(&data, &scorer, &opts);
-  auto refined = refiner.Refine(MustParse("F;F\n"));
+  auto refined = RefineWithMdl(Semicolon(), "F;F\n");
   EXPECT_EQ(refined.st.canonical(), "F;F\n");
+}
+
+/// Forwards to an MdlScorer and records the canonical of every template it
+/// is asked to score.
+class CountingScorer : public RegularityScorer {
+ public:
+  double ScoreSet(const DatasetView& sample,
+                  const std::vector<const StructureTemplate*>& templates)
+      const override {
+    for (const StructureTemplate* st : templates) {
+      scored.emplace_back(st->canonical());
+    }
+    return base.ScoreSet(sample, templates);
+  }
+  std::optional<double> ScoreBounded(const DatasetView& sample,
+                                     const StructureTemplate& st,
+                                     double abort_above) const override {
+    scored.emplace_back(st.canonical());
+    return base.ScoreBounded(sample, st, abort_above);
+  }
+
+  MdlScorer base;
+  mutable std::vector<std::string> scored;
+};
+
+// Refine starts from the caller's score: the input template is never
+// rescored, and the result (template and score) is the one refinement
+// produced when it scored the input itself.
+TEST(RefinerTest, StartsFromGivenScoreWithoutRescoringInput) {
+  struct Case {
+    std::string text;
+    const char* input;
+    const char* want;
+    double want_score;
+  };
+  const Case cases[] = {
+      {FixedWidthCsv(), "(F,)*F\n", "F,F,F\n", 8174},
+      {Syslog(), "(F )*F\n", "F F F (F )*F\n", 8385},
+      {XyPairs(), "y=F\nx=F\n", "x=F\ny=F\n", 1196},
+      {Semicolon(), "F;F\n", "F;F\n", 2124},
+  };
+  for (const Case& c : cases) {
+    Dataset data(c.text);
+    CountingScorer scorer;
+    DatamaranOptions opts;
+    Refiner refiner(&data, &scorer, &opts);
+    StructureTemplate st = MustParse(c.input);
+    const double score = scorer.Score(data, st);
+    scorer.scored.clear();
+    auto refined = refiner.Refine(st, score);
+    EXPECT_EQ(std::count(scorer.scored.begin(), scorer.scored.end(),
+                         st.canonical()),
+              0)
+        << c.input;
+    EXPECT_EQ(refined.st.canonical(), c.want) << c.input;
+    EXPECT_EQ(refined.score, c.want_score) << c.input;
+  }
 }
 
 }  // namespace

@@ -286,6 +286,11 @@ int main(int argc, char** argv) {
               ? 1.0
               : static_cast<double>(stats.lines_decided - stats.noise_lines) /
                     static_cast<double>(stats.lines_decided);
+      s.coverage =
+          stats.decided_bytes == 0
+              ? 0
+              : static_cast<double>(stats.decided_bytes - stats.noise_bytes) /
+                    static_cast<double>(stats.decided_bytes);
       s.streaming = true;
       s.stream_epochs = static_cast<size_t>(stats.epochs);
       s.stream_evolutions = static_cast<size_t>(stats.evolutions);
@@ -382,13 +387,6 @@ int main(int argc, char** argv) {
   } else {
     std::printf("input: %zu bytes read into memory\n",
                 result->stats.input_bytes);
-  }
-  if (result->stats.score_cache_hits + result->stats.score_cache_misses > 0) {
-    std::printf("score cache: %zu hits / %zu misses over %d round(s); "
-                "residual copies %zu bytes\n",
-                result->stats.score_cache_hits,
-                result->stats.score_cache_misses, result->stats.rounds,
-                result->stats.residual_copy_bytes);
   }
 
   if (!summary_json.empty()) {
