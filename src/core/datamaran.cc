@@ -392,12 +392,13 @@ CatalogEntry CatalogEntryFromReports(
   return entry;
 }
 
-PipelineResult Datamaran::ExtractDataset(const Dataset& data) const {
+PipelineResult Datamaran::ResolveTemplates(
+    const Dataset& data, std::vector<std::string>* programs) const {
   PipelineResult result;
   Timer total_timer;
-  // Discovery touches scattered sample chunks of a mapped file; the final
-  // scan streams through it once. Both hints are best-effort no-ops for
-  // owned backings and platforms without madvise.
+  if (programs != nullptr) programs->clear();
+  // Discovery touches scattered sample chunks of a mapped file. The hint is
+  // a best-effort no-op for owned backings and platforms without madvise.
   data.Advise(AccessHint::kRandom);
 
   // Catalog fast path: fingerprint a sample against the loaded catalog
@@ -407,7 +408,6 @@ PipelineResult Datamaran::ExtractDataset(const Dataset& data) const {
   // byte-identical to the fresh-discovery run that produced the entry.
   const bool use_catalog =
       catalog_loaded_ || !options_.catalog_out.empty();
-  std::vector<std::string> entry_programs;
   if (use_catalog) {
     Timer match_timer;
     const CatalogMatchOptions match_opts = MakeCatalogMatchOptions(options_);
@@ -420,7 +420,7 @@ PipelineResult Datamaran::ExtractDataset(const Dataset& data) const {
         const CatalogEntry& entry =
             catalog_.entry(static_cast<size_t>(match.entry));
         result.templates = entry.templates;
-        entry_programs = entry.programs;
+        if (programs != nullptr) *programs = entry.programs;
         result.stats.catalog_hit = true;
         result.stats.catalog_entry = match.entry;
         result.stats.catalog_match_rate = match.match_rate;
@@ -459,12 +459,21 @@ PipelineResult Datamaran::ExtractDataset(const Dataset& data) const {
              options_.catalog_out.c_str(), saved.ToString().c_str());
     }
   }
+  data.Advise(AccessHint::kNormal);
+  result.timings.total_s = total_timer.Seconds();
+  return result;
+}
+
+PipelineResult Datamaran::ExtractDataset(const Dataset& data) const {
+  Timer total_timer;
+  std::vector<std::string> programs;
+  PipelineResult result = ResolveTemplates(data, &programs);
 
   Timer extract_timer;
   data.Advise(AccessHint::kSequential);
   Extractor extractor(&result.templates, pool_.get(), options_.match_engine,
                       options_.charset_engine, options_.max_line_bytes,
-                      entry_programs.empty() ? nullptr : &entry_programs);
+                      programs.empty() ? nullptr : &programs);
   result.extraction = extractor.Extract(data);
   data.Advise(AccessHint::kNormal);
   result.timings.extraction_s = extract_timer.Seconds();

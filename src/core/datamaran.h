@@ -131,11 +131,34 @@ class Datamaran {
   const Status& catalog_status() const { return catalog_status_; }
   const TemplateCatalog& catalog() const { return catalog_; }
 
+  /// The instance's worker pool (options().num_threads), for callers that
+  /// run their own extraction pass after ResolveTemplates.
+  ThreadPool* pool() const { return pool_.get(); }
+
   /// Runs the full pipeline over the file at `path`, choosing the backing
   /// (mmap vs owned read) per options().mmap_mode.
   Result<PipelineResult> ExtractFile(const std::string& path) const;
 
-  /// Runs the full pipeline over an already-opened dataset.
+  /// Template resolution without the whole-file scan: fingerprints `data`
+  /// against the catalog (when one is loaded or options().catalog_out is
+  /// set), runs cold discovery on a miss, folds a cold-discovered format
+  /// back into the catalog, and saves it to options().catalog_out. The
+  /// result is ExtractDataset's minus the scan: `extraction` stays empty,
+  /// timings.extraction_s is 0, total_s covers resolution only, and the
+  /// stats.input_* fields are unset. On a catalog hit, `*programs` (when
+  /// non-null) receives the entry's persisted compiled programs, parallel
+  /// to `templates`, for the Extractor's warm path; otherwise it is
+  /// cleared. Streaming callers run the one scan themselves:
+  /// Extractor(&templates, pool(), ...).ExtractEvents(view, sink).
+  PipelineResult ResolveTemplates(const Dataset& data,
+                                  std::vector<std::string>* programs) const;
+
+  /// Runs the full pipeline over an already-opened dataset: ResolveTemplates
+  /// plus a collecting Extractor::Extract. The collected result holds one
+  /// ExtractedRecord (with its ParsedValue tree) per record and one index
+  /// per noise line, so memory grows with the file (O(file) records), not
+  /// O(wave). Callers that only write tables or count should call
+  /// ResolveTemplates and stream one ExtractEvents pass instead.
   PipelineResult ExtractDataset(const Dataset& data) const;
 
   /// Runs the full pipeline over an in-memory dataset.

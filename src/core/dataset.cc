@@ -54,6 +54,10 @@ Result<Dataset> Dataset::FromFile(const std::string& path, MapMode mode,
 void Dataset::BuildLineIndex() {
   const std::string_view t = text();
   line_begin_.clear();
+  // Sized exactly before filling: growing by doubling would hold the old
+  // and the new array at once, up to twice the index on top of the input.
+  line_begin_.reserve(
+      static_cast<size_t>(std::count(t.begin(), t.end(), '\n')));
   size_t begin = 0;
   for (size_t i = 0; i < t.size(); ++i) {
     if (t[i] == '\n') {

@@ -91,6 +91,13 @@ struct ChunkScan {
 /// the matching work.
 constexpr size_t kMinLinesPerChunk = 256;
 
+/// The automatic chunk size: a sixteenth of each worker's share of the
+/// lines, clamped to [kMinLinesPerChunk, Extractor::kMaxLinesPerChunk].
+size_t AutoChunkLines(size_t lines, int threads) {
+  return std::clamp(lines / (static_cast<size_t>(threads) * 16),
+                    kMinLinesPerChunk, Extractor::kMaxLinesPerChunk);
+}
+
 }  // namespace
 
 Extractor::Extractor(const std::vector<StructureTemplate>* templates,
@@ -188,7 +195,7 @@ ExtractionResult Extractor::ExtractSequential(const DatasetView& data,
   // is bounded by one wave of output regardless of thread count. Flush
   // boundaries never affect emitted bytes, only when they reach the OS.
   size_t chunk_lines = lines_per_chunk_;
-  if (chunk_lines == 0) chunk_lines = std::max(kMinLinesPerChunk, n / 16);
+  if (chunk_lines == 0) chunk_lines = AutoChunkLines(n, 1);
   const size_t wave_lines = chunk_lines * 2;
   size_t next_wave = wave_lines;
   while (li < n) {
@@ -209,10 +216,7 @@ ExtractionResult Extractor::ExtractEvents(const DatasetView& data,
   const size_t n = data.line_count();
   const int threads = pool_ != nullptr ? pool_->thread_count() : 1;
   size_t chunk_lines = lines_per_chunk_;
-  if (chunk_lines == 0) {
-    chunk_lines = std::max(kMinLinesPerChunk,
-                           n / (static_cast<size_t>(threads) * 16));
-  }
+  if (chunk_lines == 0) chunk_lines = AutoChunkLines(n, threads);
   if (threads <= 1 || matchers_.empty() || n < 2 * chunk_lines) {
     return ExtractSequential(data, sink);
   }

@@ -193,6 +193,14 @@ struct ExtractionResult {
 
 class Extractor {
  public:
+  /// Cap on the automatic chunk size. A wave buffers threads x 2 chunks of
+  /// attempts and MatchEvents (40 bytes per field or array event, often
+  /// several times the text they describe), so without a cap one wave of a
+  /// file scanned at n / (threads x 16) lines per chunk holds an eighth of
+  /// the file's events. With it, wave state is bounded by the thread count
+  /// and the record width, whatever the file size.
+  static constexpr size_t kMaxLinesPerChunk = 4096;
+
   /// `templates` in priority order (the pipeline's discovery order). The
   /// templates must outlive the extractor. When `pool` is non-null and has
   /// more than one thread, the streaming scans shard across it.
@@ -215,10 +223,12 @@ class Extractor {
   /// Streams each record's flat MatchEvent parse into `sink` in scan order;
   /// returns coverage statistics. This is the one scan implementation — the
   /// tree paths below are adapters over it. Memory stays bounded in the
-  /// parallel case too: chunks are processed in waves of a few per thread,
-  /// each chunk buffering only events and span bookkeeping (no ParsedValue
-  /// trees), flushed to the sink in stitched order before the next wave
-  /// starts — peak memory is O(wave), not O(file).
+  /// parallel case too: chunks of at most kMaxLinesPerChunk lines are
+  /// processed in waves of two per thread, each chunk buffering only events
+  /// and span bookkeeping (no ParsedValue trees), flushed to the sink in
+  /// stitched order before the next wave starts — peak memory is O(wave),
+  /// independent of the file size. `sink` may be null: the scan then only
+  /// counts.
   ExtractionResult ExtractEvents(const DatasetView& data,
                                  EventSink* sink) const;
 

@@ -16,11 +16,11 @@
 
 #include "core/datamaran.h"
 #include "core/input.h"
+#include "core/summary.h"
 #include "extraction/sinks.h"
 #include "util/file_io.h"
 #include "util/gzip.h"
 #include "util/strings.h"
-#include "util/thread_pool.h"
 
 // End-to-end golden harness for `datamaran_cli --out`: runs the real binary
 // (full pipeline: discovery + streaming columnar extraction) on small
@@ -264,6 +264,29 @@ TEST(CliInputsTest, CorruptGzipFailsWithErrorSummary) {
   ASSERT_TRUE(sum.ok()) << "--summary-json must be written even on failure";
   EXPECT_NE(sum.value().find("\"error\": \"IO_ERROR"), std::string::npos);
   EXPECT_NE(sum.value().find("truncated"), std::string::npos);
+  fs::remove_all(dir);
+}
+
+/// An --out directory that cannot be created fails the run, and the
+/// summary written for it carries that Status rather than reporting a
+/// successful run.
+TEST(CliInputsTest, UnwritableOutDirFailsWithErrorSummary) {
+  const std::string dir = ::testing::TempDir() + "dm_cli_bad_out";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  const std::string blocker = dir + "/file";
+  ASSERT_TRUE(WriteStringToFile(blocker, "not a directory\n").ok());
+  const std::string summary = dir + "/summary.json";
+  EXPECT_EQ(RunCli(StrFormat("\"%s\" --out=\"%s/sub\" --summary-json=\"%s\"",
+                             SourcePath("tests/data/cli_basic.log").c_str(),
+                             blocker.c_str(), summary.c_str())),
+            1);
+  auto sum = ReadFileToString(summary);
+  ASSERT_TRUE(sum.ok()) << "--summary-json must be written even on failure";
+  EXPECT_NE(sum.value().find("\"error\": \"IO_ERROR: mkdir failed: " +
+                             blocker + "/sub"),
+            std::string::npos)
+      << sum.value();
   fs::remove_all(dir);
 }
 
@@ -912,13 +935,14 @@ TEST(CliCrawlTest, ConcurrentCrawlersShareCatalogWithoutLoss) {
   fs::remove(catalog + ".lock");
 }
 
-// ------------------------------------------- streaming vs collecting parity ---
+// ---------------------------------------------------- crawl vs CLI parity ---
 
-/// The crawler streams events (never materializing records); the CLI's
-/// --summary-json path collects them. Both must report identical
-/// per-template accounting for the same input — the counts come from the
-/// extractor's own bookkeeping, not from the collected vector.
-TEST(CliCrawlTest, StreamingCrawlCountsMatchCollectingCliSummary) {
+/// The crawler extracts with a catalog entry on a sequential scan per file;
+/// the CLI resolves its own templates and scans on its thread pool. Both
+/// stream one pass and take every count from the extractor's own
+/// bookkeeping, so for the same input the crawl manifest's per-file
+/// summary and the CLI's --summary-json must agree on every count.
+TEST(CliCrawlTest, CrawlCountsMatchCliSummary) {
   const std::string lake = ::testing::TempDir() + "dm_crawl_parity_lake";
   const std::string out = ::testing::TempDir() + "dm_crawl_parity_out";
   const std::string manifest =
@@ -1144,9 +1168,22 @@ DatamaranOptions CellOptions(const EngineBacking& cell, int threads) {
   return options;
 }
 
+/// The count fields of a summary, which must not depend on how the counts
+/// were taken.
+void ExpectSameCounts(const FileSummary& want, const FileSummary& got) {
+  EXPECT_EQ(want.total_lines, got.total_lines);
+  EXPECT_EQ(want.records, got.records);
+  EXPECT_EQ(want.records_per_template, got.records_per_template);
+  EXPECT_EQ(want.noise_lines, got.noise_lines);
+  EXPECT_EQ(want.match_rate, got.match_rate);
+  EXPECT_EQ(want.coverage, got.coverage);
+}
+
 /// datamaran_cli's batch `--out` sequence, in process: OpenInputs ->
-/// Datamaran::ExtractDataset -> Extractor::ExtractEvents into the
-/// columnar (or normalized) write sink. Reports whether the catalog hit.
+/// Datamaran::ResolveTemplates -> one Extractor::ExtractEvents pass on the
+/// instance's pool into the columnar (or normalized) write sink. The
+/// summary counts of that single pass must equal those of the collecting
+/// Datamaran::ExtractDataset. Reports whether the catalog hit.
 void ExtractLikeCli(const std::vector<std::string>& inputs,
                     const DatamaranOptions& options, bool normalized,
                     const std::string& out, bool* catalog_hit = nullptr) {
@@ -1155,12 +1192,15 @@ void ExtractLikeCli(const std::vector<std::string>& inputs,
   auto opened = OpenInputs(inputs, MakeInputOptions(options));
   ASSERT_TRUE(opened.ok()) << opened.status().ToString();
   const Dataset& data = opened.value();
-  PipelineResult result = dm.ExtractDataset(data);
+  std::vector<std::string> programs;
+  PipelineResult result = dm.ResolveTemplates(data, &programs);
   ASSERT_FALSE(result.templates.empty());
   if (catalog_hit != nullptr) *catalog_hit = result.stats.catalog_hit;
-  ThreadPool pool(ThreadPool::ResolveThreadCount(options.num_threads));
-  Extractor extractor(&result.templates, &pool, options.match_engine,
-                      options.charset_engine, options.max_line_bytes);
+  EXPECT_EQ(programs.empty(), !result.stats.catalog_hit);
+  const Extractor extractor(&result.templates, dm.pool(),
+                            options.match_engine, options.charset_engine,
+                            options.max_line_bytes,
+                            programs.empty() ? nullptr : &programs);
   DatasetView view(data);
   std::unique_ptr<WriteSinkBase> sink;
   if (normalized) {
@@ -1170,8 +1210,12 @@ void ExtractLikeCli(const std::vector<std::string>& inputs,
                                                OutputFormat::kCsv);
   }
   ASSERT_TRUE(sink->status().ok()) << sink->status().ToString();
-  extractor.ExtractEvents(view, sink.get());
+  result.extraction = extractor.ExtractEvents(view, sink.get());
   ASSERT_TRUE(sink->Finish().ok());
+
+  const PipelineResult collected = dm.ExtractDataset(data);
+  ExpectSameCounts(SummarizeResult("", collected, options),
+                   SummarizeResult("", result, options));
 }
 
 /// Every threads x engine x backing cell of `inputs` must reproduce the

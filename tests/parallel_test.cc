@@ -439,6 +439,42 @@ TEST(StreamingSinkDeterminismTest, NormalizedTinyWavesAreByteIdentical) {
   }
 }
 
+TEST(StreamingSinkDeterminismTest, CappedAutoChunksAreByteIdentical) {
+  // The automatic chunk size on a file long enough that
+  // Extractor::kMaxLinesPerChunk binds at every thread count below: many
+  // full-size waves, with 3-line records straddling their boundaries. The
+  // streamed tables must be byte-identical for every thread count.
+  auto st = StructureTemplate::FromCanonical("F F\n F=F\nF\n");
+  ASSERT_TRUE(st.ok());
+  std::vector<StructureTemplate> templates;
+  templates.push_back(std::move(st.value()));
+  Dataset data(MultiLineWithNoise(150000, 5));
+  ASSERT_GT(data.line_count() / (7 * 16), Extractor::kMaxLinesPerChunk);
+  DatasetView view(data);
+
+  std::map<std::string, std::string> want_files;
+  size_t want_records = 0;
+  for (const int threads : {1, 2, 4, 7}) {
+    SCOPED_TRACE(StrFormat("threads=%d", threads));
+    ThreadPool pool(threads);
+    const std::string dir = ::testing::TempDir() + "dm_capped_wave_run";
+    std::filesystem::remove_all(dir);
+    Extractor ex(&templates, &pool);
+    ColumnarWriteSink sink(&templates, view, dir, OutputFormat::kCsv);
+    const ExtractionResult stats = ex.ExtractEvents(view, &sink);
+    ASSERT_TRUE(sink.Finish().ok());
+    if (threads == 1) {
+      want_files = SlurpDir(dir);
+      want_records = stats.matched_records;
+      EXPECT_GT(want_records, 100000u);
+    } else {
+      EXPECT_EQ(SlurpDir(dir), want_files);
+      EXPECT_EQ(stats.matched_records, want_records);
+    }
+    std::filesystem::remove_all(dir);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Streaming session determinism: threads x engine x chunk schedule
 // ---------------------------------------------------------------------------

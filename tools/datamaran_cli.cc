@@ -10,10 +10,12 @@
 // `datamaran_cli --help` prints the usage generated from it.
 //
 // Batch mode opens the input through the resilient front-end
-// (core/input.h: gzip, CRLF, rotation stitching for --inputs), prints the
-// discovered templates and a summary, and with --out streams the tables
-// through the flat-event writers in extraction/sinks.h at O(wave) memory.
-// --follow switches to online streaming (core/stream.h) at O(window)
+// (core/input.h: gzip, CRLF, rotation stitching for --inputs), resolves
+// the templates (Datamaran::ResolveTemplates: catalog hit or discovery),
+// and scans the file exactly once: with --out that pass streams the tables
+// through the flat-event writers in extraction/sinks.h, and the same pass
+// yields the printed summary and --summary-json, at O(wave) memory on top
+// of the input. --follow switches to online streaming (core/stream.h) at O(window)
 // memory: a live file or stdin is decided line by line, and format drift
 // re-runs discovery over recent noise. Corrupt or truncated input exits 1
 // with a descriptive error, also recorded in the --summary-json "error"
@@ -37,6 +39,7 @@
 #include "util/file_io.h"
 #include "util/strings.h"
 #include "util/thread_pool.h"
+#include "util/timer.h"
 
 namespace {
 
@@ -323,47 +326,78 @@ int main(int argc, char** argv) {
 
   Datamaran dm(options);
   if (!dm.catalog_status().ok()) return fail(dm.catalog_status());
-  // One open through the resilient front-end serves both the pipeline and
-  // the --out extraction pass (the dataset is immutable).
   auto opened = OpenInputs(input_paths, MakeInputOptions(options));
   if (!opened.ok()) return fail(opened.status());
-  Dataset data = std::move(opened.value());
-  PipelineResult pipeline = dm.ExtractDataset(data);
-  PipelineResult* result = &pipeline;
+  const Dataset data = std::move(opened.value());
+  Timer total_timer;
+  // Batch is one streaming pass: resolve the templates (catalog hit or
+  // cold discovery), then a single whole-file scan feeds the --out writers
+  // (or no sink) and yields every count and timing reported below, at
+  // O(wave) memory.
+  std::vector<std::string> programs;
+  PipelineResult result = dm.ResolveTemplates(data, &programs);
 
-  std::printf("%zu structure template(s):\n", result->templates.size());
-  for (size_t t = 0; t < result->templates.size(); ++t) {
-    std::printf("  [%zu] span=%d fields=%d  %s\n", t,
-                result->templates[t].line_span(),
-                result->templates[t].field_count(),
-                result->templates[t].Display().c_str());
+  // Both layouts stream through the same WriteSinkBase machinery. No
+  // output directory is created when no template was accepted.
+  Timer extract_timer;
+  const DatasetView view(data);
+  std::unique_ptr<WriteSinkBase> sink;
+  if (!out_dir.empty() && !result.templates.empty()) {
+    if (normalized) {
+      sink = std::make_unique<NormalizedWriteSink>(&result.templates, view,
+                                                   out_dir);
+    } else {
+      sink = std::make_unique<ColumnarWriteSink>(&result.templates, view,
+                                                 out_dir, format);
+    }
+    // An unwritable out dir fails before the scan.
+    if (!sink->status().ok()) return fail(sink->status());
   }
-  size_t per_type[64] = {};
-  for (const auto& rec : result->extraction.records) {
-    if (rec.template_id < 64) per_type[rec.template_id]++;
+  data.Advise(AccessHint::kSequential);
+  const Extractor extractor(&result.templates, dm.pool(),
+                            options.match_engine, options.charset_engine,
+                            options.max_line_bytes,
+                            programs.empty() ? nullptr : &programs);
+  result.extraction = extractor.ExtractEvents(view, sink.get());
+  if (sink != nullptr) {
+    Status finished = sink->Finish();
+    if (!finished.ok()) return fail(finished);
+  }
+  result.timings.extraction_s = extract_timer.Seconds();
+  result.timings.total_s = total_timer.Seconds();
+  result.stats.input_bytes = data.size_bytes();
+  result.stats.input_mapped = data.is_mapped();
+  result.stats.input_resident_bytes = data.resident_bytes();
+
+  std::printf("%zu structure template(s):\n", result.templates.size());
+  for (size_t t = 0; t < result.templates.size(); ++t) {
+    std::printf("  [%zu] span=%d fields=%d  %s\n", t,
+                result.templates[t].line_span(),
+                result.templates[t].field_count(),
+                result.templates[t].Display().c_str());
   }
   std::printf("records:");
-  for (size_t t = 0; t < result->templates.size() && t < 64; ++t) {
-    std::printf(" type%zu=%zu", t, per_type[t]);
+  for (size_t t = 0; t < result.extraction.records_per_template.size(); ++t) {
+    std::printf(" type%zu=%zu", t, result.extraction.records_per_template[t]);
   }
   std::printf("  noise_lines=%zu  coverage=%.1f%%\n",
-              result->extraction.noise_lines.size(),
-              result->extraction.coverage() * 100);
+              result.extraction.noise_line_count,
+              result.extraction.coverage() * 100);
   std::printf(
       "timings: gen=%.2fs prune=%.2fs eval=%.2fs refine=%.2fs extract=%.2fs\n",
-      result->timings.generation_s, result->timings.pruning_s,
-      result->timings.evaluation_s, result->timings.refinement_s,
-      result->timings.extraction_s);
-  if (result->stats.catalog_checked) {
-    if (result->stats.catalog_hit) {
+      result.timings.generation_s, result.timings.pruning_s,
+      result.timings.evaluation_s, result.timings.refinement_s,
+      result.timings.extraction_s);
+  if (result.stats.catalog_checked) {
+    if (result.stats.catalog_hit) {
       std::printf("catalog: hit entry %d (%.1f%% of sample; fingerprint "
                   "%.3fs, discovery skipped)\n",
-                  result->stats.catalog_entry,
-                  result->stats.catalog_match_rate * 100,
-                  result->timings.catalog_match_s);
+                  result.stats.catalog_entry,
+                  result.stats.catalog_match_rate * 100,
+                  result.timings.catalog_match_s);
     } else {
       std::printf("catalog: miss (fingerprint %.3fs, cold discovery)\n",
-                  result->timings.catalog_match_s);
+                  result.timings.catalog_match_s);
     }
   }
   // Report the engine actually running, not the one requested: kSimd
@@ -378,20 +412,37 @@ int main(int argc, char** argv) {
   }
   std::printf("evaluation: %zu candidate(s) scored, %zu pruned by MDL "
               "bound\n",
-              result->stats.candidates_evaluated,
-              result->stats.candidates_pruned);
-  if (result->stats.input_mapped) {
+              result.stats.candidates_evaluated,
+              result.stats.candidates_pruned);
+  if (result.stats.input_mapped) {
     std::printf("input: %zu bytes mmap-backed, ~%zu resident after run\n",
-                result->stats.input_bytes,
-                result->stats.input_resident_bytes);
+                result.stats.input_bytes, result.stats.input_resident_bytes);
   } else {
     std::printf("input: %zu bytes read into memory\n",
-                result->stats.input_bytes);
+                result.stats.input_bytes);
+  }
+  if (sink != nullptr) {
+    for (size_t t = 0; t < result.templates.size(); ++t) {
+      if (normalized) {
+        const auto& norm = static_cast<const NormalizedWriteSink&>(*sink);
+        for (size_t k = 0; k < norm.table_count(t); ++k) {
+          std::printf("wrote %s/%s (%zu rows)\n", out_dir.c_str(),
+                      NormalizedWriteSink::TableFileName(t, k).c_str(),
+                      norm.rows_in_table(t, k));
+        }
+      } else {
+        std::printf("wrote %s/%s (%zu rows)\n", out_dir.c_str(),
+                    ColumnarWriteSink::FileName(t, format).c_str(),
+                    sink->stats().records_per_template[t]);
+      }
+    }
+    std::printf("wrote %s/%s (%zu lines); %zu bytes streamed\n",
+                out_dir.c_str(), WriteSinkBase::NoiseFileName().c_str(),
+                sink->stats().noise_lines, sink->stats().bytes_written);
   }
 
   if (!summary_json.empty()) {
-    const FileSummary summary = SummarizeResult(display_path, *result,
-                                                options);
+    const FileSummary summary = SummarizeResult(display_path, result, options);
     Status written =
         WriteFileAtomic(summary_json, FileSummaryToJson(summary));
     if (!written.ok()) {
@@ -399,53 +450,5 @@ int main(int argc, char** argv) {
       return 1;
     }
   }
-
-  if (out_dir.empty() || result->templates.empty()) return 0;
-
-  data.Advise(AccessHint::kSequential);
-  ThreadPool pool(ThreadPool::ResolveThreadCount(options.num_threads));
-  Extractor extractor(&result->templates, &pool, options.match_engine,
-                      options.charset_engine, options.max_line_bytes);
-
-  // Both layouts stream through the same WriteSinkBase machinery: the
-  // scan's flat events feed the writers directly and nothing is buffered
-  // beyond one wave of rows. Only the sink type and the per-file summary
-  // differ between layouts.
-  DatasetView view(data);
-  std::unique_ptr<WriteSinkBase> sink;
-  if (normalized) {
-    sink = std::make_unique<NormalizedWriteSink>(&result->templates, view,
-                                                 out_dir);
-  } else {
-    sink = std::make_unique<ColumnarWriteSink>(&result->templates, view,
-                                               out_dir, format);
-  }
-  if (!sink->status().ok()) {  // unwritable out dir: fail before the scan
-    std::fprintf(stderr, "error: %s\n", sink->status().ToString().c_str());
-    return 1;
-  }
-  extractor.ExtractEvents(view, sink.get());
-  Status finished = sink->Finish();
-  if (!finished.ok()) {
-    std::fprintf(stderr, "error: %s\n", finished.ToString().c_str());
-    return 1;
-  }
-  for (size_t t = 0; t < result->templates.size(); ++t) {
-    if (normalized) {
-      const auto& norm = static_cast<const NormalizedWriteSink&>(*sink);
-      for (size_t k = 0; k < norm.table_count(t); ++k) {
-        std::printf("wrote %s/%s (%zu rows)\n", out_dir.c_str(),
-                    NormalizedWriteSink::TableFileName(t, k).c_str(),
-                    norm.rows_in_table(t, k));
-      }
-    } else {
-      std::printf("wrote %s/%s (%zu rows)\n", out_dir.c_str(),
-                  ColumnarWriteSink::FileName(t, format).c_str(),
-                  sink->stats().records_per_template[t]);
-    }
-  }
-  std::printf("wrote %s/%s (%zu lines); %zu bytes streamed\n",
-              out_dir.c_str(), WriteSinkBase::NoiseFileName().c_str(),
-              sink->stats().noise_lines, sink->stats().bytes_written);
   return 0;
 }

@@ -82,17 +82,6 @@ namespace {
 
 using namespace datamaran;
 
-/// EventSink that discards records; used when the crawl runs without --out.
-/// All counting (including the per-template split) comes from the
-/// extractor's own ExtractionResult accounting.
-class NullSink : public EventSink {
- public:
-  void OnRecord(int /*template_id*/, size_t /*first_line*/,
-                std::string_view /*text*/, size_t /*pos*/, size_t /*end*/,
-                const MatchEvent* /*events*/,
-                size_t /*num_events*/) override {}
-};
-
 /// Per-file crawl state, indexed like `files` (sorted relative paths).
 /// One CrawlFile may be a rotation group: `members` lists the physical
 /// relative paths stitched into this logical file, in chronological order
@@ -441,8 +430,7 @@ int main(int argc, char** argv) {
         return;
       }
     } else {
-      NullSink sink;
-      stats = extractor.ExtractEvents(view, &sink);
+      stats = extractor.ExtractEvents(view, nullptr);  // count only
     }
     s.records_per_template = std::move(stats.records_per_template);
     s.timings.extraction_s = t.Seconds();

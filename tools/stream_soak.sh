@@ -1,15 +1,29 @@
 #!/usr/bin/env bash
-# Stream soak: pipe a large synthetic drifting stream (default 200 MB)
-# through `datamaran_cli --follow=-` and gate peak RSS. The generator is
-# deterministic (counter-based, no RNG): ~45% of the bytes are format A
-# ("n,n,n"), a 10% alternating A/B transition band, then format B
-# ("n|n|n|n") to the end — so the run must survive a drift-triggered
-# template evolution mid-stream. The gate is the streaming-memory
-# contract: peak RSS stays O(window), independent of stream length, far
-# below the bytes streamed. Fails on a nonzero CLI exit, a missing
-# evolution, or peak RSS above the budget.
+# Memory soak for datamaran_cli, gated on the child's peak RSS. One
+# deterministic generator (counter-based, no RNG) feeds both modes: ~45% of
+# the bytes are format A ("n,n,n"), a 10% alternating A/B transition band,
+# then format B ("n|n|n|n") to the end.
+#
+# Stream mode (default): pipe a large drifting stream (default 200 MB)
+# through `datamaran_cli --follow=-`. The run must survive a
+# drift-triggered template evolution mid-stream, and peak RSS must stay
+# O(window), independent of stream length, far below the bytes streamed.
+# Fails on a nonzero CLI exit, a missing evolution, or peak RSS above the
+# budget.
+#
+# Batch mode (--batch): write the generator's output to a file (default
+# 64 MiB) and run `datamaran_cli FILE --out --summary-json --threads=2`
+# once. Batch extraction is one streaming pass over the mapped input, so
+# the only memory that grows with the file is the input's own pages
+# (mapped pages count in RSS once touched) and its line index (8 bytes
+# per line, 33 MiB of the default file's ~4.3M lines); discovery, one
+# extraction wave and the writers' buffers fit a fixed budget on top
+# (default 24 MiB; measured ~12 MiB). Fails on a nonzero CLI exit, a
+# summary error, no extracted records, or peak RSS above file + index +
+# budget.
 #
 #   tools/stream_soak.sh [total_bytes] [rss_budget_kb]
+#   tools/stream_soak.sh --batch [file_bytes] [budget_kb]
 #
 # Requires the tier-1 build (./build/datamaran_cli) and python3 (used
 # only to read the child's peak RSS via getrusage — GNU time is not
@@ -17,8 +31,18 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-TOTAL_BYTES="${1:-200000000}"
-RSS_BUDGET_KB="${2:-65536}"   # 64 MiB — measured peak is ~11 MB, flat in stream length
+MODE=stream
+if [ "${1:-}" = "--batch" ]; then
+  MODE=batch
+  shift
+fi
+if [ "$MODE" = batch ]; then
+  TOTAL_BYTES="${1:-67108864}"  # 64 MiB
+  BUDGET_KB="${2:-24576}"       # 24 MiB over the input and its line index
+else
+  TOTAL_BYTES="${1:-200000000}"
+  BUDGET_KB="${2:-65536}"   # 64 MiB — measured peak is ~11 MB, flat in stream length
+fi
 
 if [ ! -x build/datamaran_cli ]; then
   echo "stream_soak: build/datamaran_cli not found (run the tier-1 build first)" >&2
@@ -44,36 +68,72 @@ generate() {
   }'
 }
 
-echo "stream_soak: streaming ${TOTAL_BYTES} bytes through --follow=- ..."
-# python3 wrapper: exec the CLI with our stdin, then report the child's
-# peak RSS (getrusage RUSAGE_CHILDREN ru_maxrss, in kB on Linux).
-set +e
-generate | python3 -c '
+# Runs the CLI with the given arguments and this function's stdin, writing
+# its stdout to $workdir/stdout.txt; the python3 wrapper reports the child's
+# peak RSS (getrusage RUSAGE_CHILDREN ru_maxrss, in kB on Linux) as
+# peak_rss_kb=N in $workdir/rss.txt. Sets $peak_kb; exits on a CLI failure.
+run_cli() {
+  local status
+  set +e
+  python3 -c '
 import resource, subprocess, sys
 status = subprocess.call(sys.argv[1:])
 peak_kb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
 print(f"peak_rss_kb={peak_kb}", file=sys.stderr)
 sys.exit(status)
-' ./build/datamaran_cli --follow=- \
-  --summary-json="$workdir/summary.json" \
-  > "$workdir/stdout.txt" 2> "$workdir/rss.txt"
-status=$?
-set -e
-if [ "$status" -ne 0 ]; then
-  echo "stream_soak: CLI exited $status" >&2
-  cat "$workdir/rss.txt" >&2
-  exit 1
-fi
-cat "$workdir/stdout.txt"
+' ./build/datamaran_cli "$@" > "$workdir/stdout.txt" 2> "$workdir/rss.txt"
+  status=$?
+  set -e
+  if [ "$status" -ne 0 ]; then
+    echo "stream_soak: CLI exited $status" >&2
+    cat "$workdir/rss.txt" >&2
+    exit 1
+  fi
+  cat "$workdir/stdout.txt"
+  peak_kb="$(sed -n 's/^peak_rss_kb=//p' "$workdir/rss.txt")"
+  if [ -z "$peak_kb" ]; then
+    echo "stream_soak: could not read peak RSS" >&2
+    cat "$workdir/rss.txt" >&2
+    exit 1
+  fi
+}
 
-peak_kb="$(sed -n 's/^peak_rss_kb=//p' "$workdir/rss.txt")"
-if [ -z "$peak_kb" ]; then
-  echo "stream_soak: could not read peak RSS" >&2
-  cat "$workdir/rss.txt" >&2
-  exit 1
+if [ "$MODE" = batch ]; then
+  generate > "$workdir/input.log"
+  file_bytes="$(wc -c < "$workdir/input.log")"
+  file_lines="$(wc -l < "$workdir/input.log")"
+  echo "stream_soak: batch extraction of ${file_bytes} bytes," \
+       "${file_lines} lines ..."
+  run_cli "$workdir/input.log" --out="$workdir/out" \
+    --summary-json="$workdir/summary.json" --threads=2 < /dev/null
+  file_kb=$(( file_bytes / 1024 ))
+  index_kb=$(( file_lines * 8 / 1024 ))
+  limit_kb=$(( file_kb + index_kb + BUDGET_KB ))
+  echo "stream_soak: peak RSS ${peak_kb} kB (limit ${limit_kb} kB = file" \
+       "${file_kb} + line index ${index_kb} + budget ${BUDGET_KB})"
+  if [ "$peak_kb" -gt "$limit_kb" ]; then
+    echo "stream_soak: FAIL — peak RSS over file + line index + budget" >&2
+    exit 1
+  fi
+  if ! grep -q '"error": ""' "$workdir/summary.json"; then
+    echo "stream_soak: FAIL — summary reports an error" >&2
+    cat "$workdir/summary.json" >&2
+    exit 1
+  fi
+  records="$(sed -n 's/^ *"records": \([0-9]*\).*/\1/p' "$workdir/summary.json")"
+  if [ "${records:-0}" -lt 1 ]; then
+    echo "stream_soak: FAIL — no records extracted" >&2
+    cat "$workdir/summary.json" >&2
+    exit 1
+  fi
+  echo "stream_soak: OK (${records} records)"
+  exit 0
 fi
-echo "stream_soak: peak RSS ${peak_kb} kB (budget ${RSS_BUDGET_KB} kB)"
-if [ "$peak_kb" -gt "$RSS_BUDGET_KB" ]; then
+
+echo "stream_soak: streaming ${TOTAL_BYTES} bytes through --follow=- ..."
+run_cli --follow=- --summary-json="$workdir/summary.json" < <(generate)
+echo "stream_soak: peak RSS ${peak_kb} kB (budget ${BUDGET_KB} kB)"
+if [ "$peak_kb" -gt "$BUDGET_KB" ]; then
   echo "stream_soak: FAIL — peak RSS over budget" >&2
   exit 1
 fi
