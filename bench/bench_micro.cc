@@ -1687,7 +1687,6 @@ int RunPipelineBench() {
   const std::string big_path = "bench_micro_mmap_input.tmp";
   double mapped_s = 0, read_s = 0;
   bool mmap_identical = false;
-  size_t resident = 0;
   if (WriteStringToFile(big_path, big).ok()) {
     auto run_mode = [&](MapMode mode, double* seconds,
                         bool* used_map) -> uint64_t {
@@ -1699,7 +1698,6 @@ int RunPipelineBench() {
       if (!r.ok()) return 0;
       *seconds = r->timings.total_s;
       *used_map = r->stats.input_mapped;
-      if (mode == MapMode::kAlways) resident = r->stats.input_resident_bytes;
       uint64_t sig = kFnvOffset;
       for (const StructureTemplate& st : r->templates) {
         sig = Fnv1a(st.canonical(), sig);
@@ -1718,11 +1716,10 @@ int RunPipelineBench() {
     const uint64_t sig_read = run_mode(MapMode::kNever, &read_s, &read_used);
     mmap_identical = sig_map != 0 && sig_map == sig_read && mapped_used &&
                      !read_used;
-    std::printf("large-file (%zu MB): mmap %.3fs (%.2f MB/s, ~%zu KB "
-                "resident), read %.3fs, identical: %s\n",
+    std::printf("large-file (%zu MB): mmap %.3fs (%.2f MB/s), read %.3fs, "
+                "identical: %s\n",
                 big.size() >> 20, mapped_s, MbPerSec(big.size(), mapped_s),
-                resident >> 10, read_s,
-                mmap_identical ? "yes" : "NO — BACKING BUG");
+                read_s, mmap_identical ? "yes" : "NO — BACKING BUG");
     std::remove(big_path.c_str());
   }
 
@@ -1737,7 +1734,6 @@ int RunPipelineBench() {
                "    \"mapped_s\": %.6f,\n"
                "    \"read_s\": %.6f,\n"
                "    \"mapped_mb_per_s\": %.3f,\n"
-               "    \"resident_bytes\": %zu,\n"
                "    \"identical\": %s\n"
                "  },\n"
                "  \"streaming_sink\": {\n"
@@ -1772,7 +1768,7 @@ int RunPipelineBench() {
                speedup, identical ? "true" : "false",
                single.residual_copy_bytes + parallel.residual_copy_bytes,
                PeakRssBytes(), big.size(), mapped_s, read_s,
-               MbPerSec(big.size(), mapped_s), resident,
+               MbPerSec(big.size(), mapped_s),
                mmap_identical ? "true" : "false", sink_case.bytes,
                sink_case.records, sink_case.streaming_s,
                sink_case.collecting_s, sink_case.streaming_peak,

@@ -99,7 +99,8 @@ std::vector<StructureTemplate> Datamaran::DiscoverTemplates(
   sampler_opts.max_sample_bytes = options_.max_sample_bytes;
   sampler_opts.num_chunks = options_.sample_chunks;
   sampler_opts.max_line_bytes = options_.max_line_bytes;
-  DatasetView residual = SampleView(data, sampler_opts);
+  std::optional<Dataset> sample_copy;
+  DatasetView residual = DiscoverySample(data, sampler_opts, &sample_copy);
   if (stats != nullptr) stats->sample_bytes = residual.size_bytes();
 
   std::vector<StructureTemplate> accepted;
@@ -480,7 +481,6 @@ PipelineResult Datamaran::ExtractDataset(const Dataset& data) const {
   result.timings.total_s = total_timer.Seconds();
   result.stats.input_bytes = data.size_bytes();
   result.stats.input_mapped = data.is_mapped();
-  result.stats.input_resident_bytes = data.resident_bytes();
   return result;
 }
 

@@ -33,11 +33,13 @@
 ///
 /// Memory model: the input file is one immutable backing buffer (owned or
 /// mmap'd — see Dataset::FromFile), the discovery sample is a DatasetView
-/// of its lines, and each residual round is produced by MaskMatchedLines —
-/// an index-only mask-and-compact over the previous round's live lines.
-/// No stage ever rewrites text, so the per-round cost is O(live lines) and
-/// a mapped multi-GB file only faults in the pages the sample and the
-/// final extraction actually touch.
+/// of its lines (for a mapped input larger than the sample budget, of an
+/// owned copy of them — util/sampler.h DiscoverySample), and each residual
+/// round is produced by MaskMatchedLines — an index-only mask-and-compact
+/// over the previous round's live lines. No stage ever rewrites text, so
+/// the per-round cost is O(live lines), and every pass over a mapped input
+/// releases the pages behind it, so a multi-GB file is never resident as a
+/// whole.
 
 namespace datamaran {
 
@@ -94,7 +96,6 @@ struct PipelineStats {
   /// Input backing diagnostics (ExtractFile / ExtractDataset only).
   size_t input_bytes = 0;
   bool input_mapped = false;
-  size_t input_resident_bytes = 0;
   /// Catalog fast path (options.catalog_in): whether the input was
   /// fingerprinted against a loaded catalog, and whether that produced a
   /// hit (discovery skipped; templates served from catalog_entry).

@@ -53,18 +53,33 @@ Result<Dataset> Dataset::FromFile(const std::string& path, MapMode mode,
 
 void Dataset::BuildLineIndex() {
   const std::string_view t = text();
-  line_begin_.clear();
+  // Both passes walk the text a folio at a time and release each block of
+  // a mapped input behind them, so building the index holds one folio of
+  // the input resident instead of the whole file.
+  const auto for_each_block = [&](const auto& fn) {
+    for (size_t b = 0; b < t.size(); b += kMaxFolioBytes) {
+      const size_t e = std::min(b + kMaxFolioBytes, t.size());
+      fn(b, t.substr(b, e - b));
+      Release(b, e);
+    }
+  };
   // Sized exactly before filling: growing by doubling would hold the old
   // and the new array at once, up to twice the index on top of the input.
-  line_begin_.reserve(
-      static_cast<size_t>(std::count(t.begin(), t.end(), '\n')));
+  size_t lines = 0;
+  for_each_block([&](size_t, std::string_view block) {
+    lines += static_cast<size_t>(std::count(block.begin(), block.end(), '\n'));
+  });
+  line_begin_.clear();
+  line_begin_.reserve(lines);
   size_t begin = 0;
-  for (size_t i = 0; i < t.size(); ++i) {
-    if (t[i] == '\n') {
-      line_begin_.push_back(begin);
-      begin = i + 1;
+  for_each_block([&](size_t base, std::string_view block) {
+    for (size_t i = 0; i < block.size(); ++i) {
+      if (block[i] == '\n') {
+        line_begin_.push_back(begin);
+        begin = base + i + 1;
+      }
     }
-  }
+  });
 }
 
 size_t Dataset::LineOfOffset(size_t pos) const {

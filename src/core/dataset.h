@@ -20,6 +20,15 @@
 /// downstream stages address content by line index, and records always
 /// start at a line begin and end at a line end.
 ///
+/// Which inputs stay mapped: plain LF-terminated files of
+/// kDefaultMmapThreshold (8 MiB) or more under MapMode::kAuto. Gzip
+/// members, CRLF-stripped files, multi-file --inputs stitches and files
+/// whose last line is unterminated become owned copies (core/input.h).
+/// A mapped input is never resident as a whole: the line-index build, the
+/// discovery sample copy (util/sampler.h DiscoverySample) and each
+/// extraction wave release the pages behind them (Release), so only the
+/// 8-byte-per-line index grows with the file.
+///
 /// `DatasetView` is a Dataset plus a set of live line indices. It is the
 /// pipeline's working currency: the discovery sample is a view (the sampled
 /// lines of the backing file), and each residual round of the iterated
@@ -78,10 +87,14 @@ class Dataset {
   /// True when the text is served by a lazy memory mapping.
   bool is_mapped() const { return use_region_; }
 
-  /// Best-effort count of bytes currently resident in memory; equals
-  /// size_bytes() for owned backings.
-  size_t resident_bytes() const {
-    return use_region_ ? region_.ResidentBytes() : owned_.size();
+  /// Gives back the mapped pages wholly inside bytes [begin, end) of the
+  /// text (util/file_io's MappedRegion::Release): they leave the resident
+  /// set, and a later read faults the same bytes back in. Passes call it
+  /// behind themselves — the line-index build, each copied sample chunk,
+  /// every extraction wave — so a mapped input never stays resident as a
+  /// whole. No-op for owned backings.
+  void Release(size_t begin, size_t end) const {
+    if (use_region_) region_.Release(begin, end);
   }
 
   /// Forwards an access-pattern hint to a mapped backing (util/file_io's

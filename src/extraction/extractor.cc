@@ -98,6 +98,23 @@ size_t AutoChunkLines(size_t lines, int threads) {
                     kMinLinesPerChunk, Extractor::kMaxLinesPerChunk);
 }
 
+/// At a wave end, releases a mapped input's pages before stitched view line
+/// `li` (Dataset::Release), so the scan holds about one wave of the input
+/// resident instead of everything it has read. Identity views only: their
+/// lines are the backing text in order. `*released` is the previous cut;
+/// each call restarts from it rounded down to a folio, because reading
+/// past a cut maps the cut's whole folio again, the released pages before
+/// it included. A later read of a released page (the next wave's first
+/// chunk starts before `li` when a record spilled past the wave) faults
+/// the same bytes back in.
+void ReleaseBefore(const DatasetView& data, size_t li, size_t* released) {
+  if (!data.is_identity()) return;
+  const Dataset& d = data.dataset();
+  const size_t cut = li < d.line_count() ? d.line_begin(li) : d.size_bytes();
+  d.Release(*released / kMaxFolioBytes * kMaxFolioBytes, cut);
+  *released = cut;
+}
+
 }  // namespace
 
 Extractor::Extractor(const std::vector<StructureTemplate>* templates,
@@ -198,10 +215,12 @@ ExtractionResult Extractor::ExtractSequential(const DatasetView& data,
   if (chunk_lines == 0) chunk_lines = AutoChunkLines(n, 1);
   const size_t wave_lines = chunk_lines * 2;
   size_t next_wave = wave_lines;
+  size_t released = 0;
   while (li < n) {
     li = EmitAt(data, li, sink, &stats, &scratch, &events);
     if (li >= next_wave) {
       if (sink != nullptr) sink->OnWaveEnd();
+      ReleaseBefore(data, li, &released);
       do {
         next_wave += wave_lines;
       } while (next_wave <= li);
@@ -239,6 +258,7 @@ ExtractionResult Extractor::ExtractEvents(const DatasetView& data,
 
   size_t li = 0;  // stitched (authoritative) line position
   size_t wave_start = 0;
+  size_t released = 0;
   while (wave_start < n) {
     const size_t wave_chunks = std::min(
         chunks_per_wave, (n - wave_start + chunk_lines - 1) / chunk_lines);
@@ -325,6 +345,7 @@ ExtractionResult Extractor::ExtractEvents(const DatasetView& data,
       }
     }
     if (sink != nullptr) sink->OnWaveEnd();
+    ReleaseBefore(data, li, &released);
     wave_start += wave_chunks * chunk_lines;
   }
   return stats;

@@ -6,6 +6,7 @@
 #include <cstring>
 #include <filesystem>
 #include <limits>
+#include <optional>
 #include <system_error>
 #include <utility>
 
@@ -432,7 +433,8 @@ CatalogMatch MatchCatalog(const TemplateCatalog& catalog, const Dataset& data,
   sampler_opts.max_sample_bytes = options.max_sample_bytes;
   sampler_opts.num_chunks = options.sample_chunks;
   sampler_opts.max_line_bytes = options.max_line_bytes;
-  const DatasetView sample = SampleView(data, sampler_opts);
+  std::optional<Dataset> sample_copy;
+  const DatasetView sample = DiscoverySample(data, sampler_opts, &sample_copy);
   const size_t n = sample.line_count();
   if (n == 0) return out;
 

@@ -58,13 +58,13 @@
 /// field.
 ///
 /// MatchCatalog is the fingerprint step of the catalog-hit fast path: given
-/// a new input, sample it (util/sampler.h, same policy as discovery),
-/// prefilter entries by FIRST-byte dispatch — an entry none of whose
-/// templates can start at enough sample lines is discarded without a single
-/// match attempt — then score the survivors with the MDL noise model
-/// (scoring/mdl.h) and accept the best entry that both covers at least
-/// `min_match` of the sample lines and beats the pure-noise encoding by the
-/// discovery margin. A miss falls back to cold discovery.
+/// a new input, sample it (util/sampler.h DiscoverySample, the sample
+/// discovery runs on), prefilter entries by FIRST-byte dispatch — an entry
+/// none of whose templates can start at enough sample lines is discarded
+/// without a single match attempt — then score the survivors with the MDL
+/// noise model (scoring/mdl.h) and accept the best entry that both covers
+/// at least `min_match` of the sample lines and beats the pure-noise
+/// encoding by the discovery margin. A miss falls back to cold discovery.
 
 namespace datamaran {
 

@@ -236,27 +236,23 @@ Result<int64_t> FileMtimeNs(const std::string& path) {
           .count());
 }
 
-size_t MappedRegion::ResidentBytes() const {
-  if (!mapped_) return owned_.size();
-#if DM_HAVE_MMAP
-  const size_t page = static_cast<size_t>(::sysconf(_SC_PAGESIZE));
-  if (page == 0) return size_;
-  const size_t pages = (size_ + page - 1) / page;
-  std::string vec(pages, '\0');
-#if defined(__APPLE__)
-  using MincoreVec = char*;
+void MappedRegion::Release(size_t begin, size_t end) const {
+#if DM_HAVE_MMAP && defined(MADV_DONTNEED)
+  if (!mapped_ || addr_ == nullptr || begin >= size_) return;
+  static const size_t page = static_cast<size_t>(::sysconf(_SC_PAGESIZE));
+  if (page == 0) return;
+  // Whole pages only: round the start up and the end down, except that an
+  // end at or past the size takes the last, partial page too (the mapping
+  // covers it whole and nothing else lives there).
+  begin = (begin + page - 1) / page * page;
+  end = end >= size_ ? (size_ + page - 1) / page * page : end / page * page;
+  if (begin >= end) return;
+  // Best effort: a failing madvise only leaves the pages resident.
+  (void)::madvise(static_cast<char*>(addr_) + begin, end - begin,
+                  MADV_DONTNEED);
 #else
-  using MincoreVec = unsigned char*;
-#endif
-  if (::mincore(addr_, size_, reinterpret_cast<MincoreVec>(vec.data())) != 0) {
-    return size_;
-  }
-  size_t resident_pages = 0;
-  for (char c : vec) resident_pages += static_cast<unsigned char>(c) & 1u;
-  const size_t resident = resident_pages * page;
-  return resident < size_ ? resident : size_;
-#else
-  return size_;
+  (void)begin;
+  (void)end;
 #endif
 }
 

@@ -10,11 +10,16 @@
 /// File access helpers. Datamaran has two ways of getting a file's bytes
 /// into the pipeline: a plain whole-file read (ReadFileToString) and a
 /// read-only memory mapping (MmapFile) whose pages fault in lazily — the
-/// backing store of choice for multi-GB data-lake files, where the sampled
-/// discovery phase touches only a few chunks and extraction streams through
-/// the rest. MmapFile degrades gracefully: on platforms without mmap, or
-/// when the mapping fails, the region falls back to an owned in-memory
-/// copy, so callers never need a second code path.
+/// backing store of choice for multi-GB data-lake files. Every pass over a
+/// mapped input gives the pages behind it back (MappedRegion::Release), so
+/// the input's resident share stays a few folios whatever the file size.
+/// Which inputs are mapped is decided above this layer (core/input.h,
+/// Dataset::FromFile): plain LF-terminated files of 8 MiB or more stay
+/// mapped; gzip members, CRLF-stripped files, multi-file --inputs stitches
+/// and files without a final newline are owned copies. MmapFile degrades
+/// gracefully: on platforms without mmap, or when the mapping fails, the
+/// region falls back to an owned in-memory copy, so callers never need a
+/// second code path.
 
 namespace datamaran {
 
@@ -86,6 +91,11 @@ class FileLock {
 /// Creates directory `path` (and parents) if it does not exist.
 Status MakeDirs(const std::string& path);
 
+/// Largest page-cache folio one fault may map (the PMD size with 4 KiB
+/// pages). Reading a single byte of a file mapping can map its whole folio,
+/// so a scan that releases pages behind it rounds its cuts out to this.
+inline constexpr size_t kMaxFolioBytes = size_t{2} << 20;
+
 /// Expected access pattern for a mapped region, forwarded to the kernel as
 /// an madvise hint: kSequential readahead for the streaming extraction
 /// scan, kRandom for the scattered sampling/discovery touches, kNormal to
@@ -121,10 +131,15 @@ class MappedRegion {
   /// in-memory copy.
   bool is_mapped() const { return mapped_; }
 
-  /// Best-effort count of bytes currently resident in memory (mincore).
-  /// Owned regions are fully resident by definition; on platforms without
-  /// mincore a mapped region conservatively reports its full size.
-  size_t ResidentBytes() const;
+  /// Gives the mapped pages wholly inside bytes [begin, end) back to the
+  /// kernel (madvise MADV_DONTNEED), so they stop counting in the process's
+  /// resident memory. Safe at any time: the mapping is private, read-only
+  /// and never written, so a later read of a released page faults it back
+  /// from the page cache with the same bytes. The range is clamped to the
+  /// region and shrunk to whole pages (a partial page at either end is
+  /// kept, except the file's last page when `end` reaches the size). No-op
+  /// for owned regions and on platforms without madvise.
+  void Release(size_t begin, size_t end) const;
 
   /// Advises the kernel of the expected access pattern (best effort; no-op
   /// when the region is not a live mapping or madvise is unavailable).

@@ -1,38 +1,40 @@
 #include "util/sampler.h"
 
 #include <algorithm>
+#include <string>
+#include <utility>
 
 #include "util/common.h"
 
 namespace datamaran {
 
-std::vector<SampleRange> SampleRanges(std::string_view text,
+std::vector<SampleRange> SampleRanges(const Dataset& data,
                                       const SamplerOptions& options) {
-  if (text.size() <= options.max_sample_bytes) {
-    return {{0, text.size()}};
+  const size_t size = data.size_bytes();
+  if (size <= options.max_sample_bytes) {
+    return {{0, size}};
   }
   DM_CHECK(options.num_chunks > 0);
   const size_t chunk_bytes = options.max_sample_bytes / options.num_chunks;
-  const size_t stride = text.size() / options.num_chunks;
+  const size_t stride = size / options.num_chunks;
+  // Every line of a Dataset ends in '\n', so "one past the '\n' at or after
+  // byte p" is the end of the line holding p: a binary search of the index.
+  const auto end_of_line_at = [&](size_t p) {
+    return data.line_end(data.LineOfOffset(p));
+  };
   std::vector<SampleRange> ranges;
   size_t last_end = 0;  // avoid overlapping chunks
   for (int i = 0; i < options.num_chunks; ++i) {
-    size_t nominal = static_cast<size_t>(i) * stride;
+    const size_t nominal = static_cast<size_t>(i) * stride;
     size_t begin = std::max(nominal, last_end);
-    if (begin >= text.size()) break;
-    // Align the start to the character after the previous '\n'.
-    if (begin > 0) {
-      size_t nl = text.find('\n', begin);
-      if (nl == std::string_view::npos) break;
-      begin = nl + 1;
-    }
-    if (begin >= text.size()) break;
-    size_t end = std::min(begin + chunk_bytes, text.size());
-    // Extend to the end of the current line (inclusive of '\n').
-    size_t nl = text.find('\n', end);
-    end = (nl == std::string_view::npos) ? text.size() : nl + 1;
-    ranges.push_back({begin, end});
-    last_end = end;
+    if (begin >= size) break;
+    // Start on the line after the one holding the nominal offset.
+    if (begin > 0) begin = end_of_line_at(begin);
+    if (begin >= size) break;
+    // Extend to the end of the line holding the nominal end.
+    const size_t end = std::min(begin + chunk_bytes, size);
+    ranges.push_back({begin, end < size ? end_of_line_at(end) : size});
+    last_end = ranges.back().end;
   }
   return ranges;
 }
@@ -41,12 +43,14 @@ DatasetView SampleView(const Dataset& data, const SamplerOptions& options) {
   // Oversized-line containment: a line beyond the cap never enters the
   // sample (and with it generation's per-line token index); it can only
   // ever be noise. The check is a pure function of the line length, so the
-  // sample is identical for every backing and thread count.
+  // sample is identical for every backing and thread count. The length
+  // comes from the index (every Dataset line ends in '\n'), so building
+  // the view reads no text: SampleCopy then maps one chunk at a time.
   const size_t cap = options.max_line_bytes;
   const auto line_ok = [&](size_t li) {
-    return cap == 0 || data.line(li).size() <= cap;
+    return cap == 0 || data.line_end(li) - data.line_begin(li) - 1 <= cap;
   };
-  std::vector<SampleRange> ranges = SampleRanges(data.text(), options);
+  std::vector<SampleRange> ranges = SampleRanges(data, options);
   if (ranges.size() == 1 && ranges[0].begin == 0 &&
       ranges[0].end == data.size_bytes()) {
     bool all_ok = true;
@@ -68,6 +72,37 @@ DatasetView SampleView(const Dataset& data, const SamplerOptions& options) {
     }
   }
   return DatasetView(data, std::move(live));
+}
+
+Dataset SampleCopy(const Dataset& data, const SamplerOptions& options) {
+  const DatasetView view = SampleView(data, options);
+  std::string text;
+  text.reserve(view.size_bytes());
+  size_t run_begin = 0;  // byte offset of the current contiguous run
+  for (size_t v = 0; v < view.line_count(); ++v) {
+    const size_t li = view.physical_line(v);
+    if (v == 0 || view.physical_line(v - 1) + 1 != li) {
+      run_begin = data.line_begin(li);
+    }
+    text.append(data.line_with_newline(li));
+    if (v + 1 == view.line_count() || view.physical_line(v + 1) != li + 1) {
+      // The run is copied: release it, rounded out to whole folios, since
+      // reading it may have mapped the folios it starts and ends in.
+      data.Release(run_begin / kMaxFolioBytes * kMaxFolioBytes,
+                   (data.line_end(li) + kMaxFolioBytes - 1) / kMaxFolioBytes *
+                       kMaxFolioBytes);
+    }
+  }
+  return Dataset(std::move(text));
+}
+
+DatasetView DiscoverySample(const Dataset& data, const SamplerOptions& options,
+                            std::optional<Dataset>* copy) {
+  if (!data.is_mapped() || data.size_bytes() <= options.max_sample_bytes) {
+    return SampleView(data, options);
+  }
+  copy->emplace(SampleCopy(data, options));
+  return DatasetView(**copy);
 }
 
 }  // namespace datamaran

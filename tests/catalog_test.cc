@@ -20,6 +20,7 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <cstdio>
 #include <filesystem>
 #include <string>
 #include <string_view>
@@ -467,6 +468,46 @@ TEST(MatchCatalogTest, MinMatchThresholdGovernsDriftedInputs) {
   const CatalogMatch m = MatchCatalog(KvCatalog(), data, relaxed);
   ASSERT_TRUE(m.hit());
   EXPECT_NEAR(m.match_rate, 0.4, 0.05);
+}
+
+TEST(MatchCatalogTest, MappedInputOverTheSampleBudgetHitsLikeOwned) {
+  // A mapped input larger than the 256 KB sample budget is fingerprinted
+  // on an owned copy of its sampled lines (util/sampler.h
+  // DiscoverySample); the owned input is read through a gapped view. Both
+  // must pick the same entry at the same rates, including a two-line
+  // entry whose windows cross the sample's chunk boundaries.
+  Rng rng(4);
+  std::string text;
+  while (text.size() < 400 * 1024) {
+    text += KvLines(40, &rng);
+    text += ProseLines(3);
+  }
+  const std::string path = ::testing::TempDir() + "dm_catalog_mapped.log";
+  ASSERT_TRUE(WriteStringToFile(path, text).ok());
+  auto mapped = Dataset::FromFile(path, MapMode::kAlways);
+  ASSERT_TRUE(mapped.ok());
+  ASSERT_TRUE(mapped->is_mapped());
+  const Dataset owned{std::string(text)};
+
+  TemplateCatalog catalog = KvCatalog();
+  CatalogEntry pairs;
+  auto st = StructureTemplate::FromCanonical("F=F;F=F;\nF=F;F=F;\n");
+  ASSERT_TRUE(st.ok());
+  pairs.templates.push_back(std::move(st.value()));
+  pairs.meta.emplace_back();
+  catalog.AddEntry(std::move(pairs));
+
+  const CatalogMatch want = MatchCatalog(catalog, owned, {});
+  const CatalogMatch got = MatchCatalog(catalog, mapped.value(), {});
+  ASSERT_TRUE(want.hit());
+  EXPECT_LT(want.match_rate, 1.0);
+  EXPECT_EQ(got.entry, want.entry);
+  EXPECT_EQ(got.match_rate, want.match_rate);
+  EXPECT_DOUBLE_EQ(got.mdl_bits, want.mdl_bits);
+  EXPECT_DOUBLE_EQ(got.noise_only_bits, want.noise_only_bits);
+  EXPECT_EQ(got.entries_scored, want.entries_scored);
+  EXPECT_EQ(got.entries_prefiltered, want.entries_prefiltered);
+  std::remove(path.c_str());
 }
 
 TEST(MatchCatalogTest, EmptyCatalogNeverHits) {

@@ -443,36 +443,53 @@ TEST(StreamingSinkDeterminismTest, CappedAutoChunksAreByteIdentical) {
   // The automatic chunk size on a file long enough that
   // Extractor::kMaxLinesPerChunk binds at every thread count below: many
   // full-size waves, with 3-line records straddling their boundaries. The
-  // streamed tables must be byte-identical for every thread count.
+  // streamed tables and counts must be byte-identical for every thread
+  // count and both backings. The mapped file is released behind every
+  // wave, so it also checks that later reads of released pages (the next
+  // wave's first chunk, noise lines, record fields) see the same bytes.
   auto st = StructureTemplate::FromCanonical("F F\n F=F\nF\n");
   ASSERT_TRUE(st.ok());
   std::vector<StructureTemplate> templates;
   templates.push_back(std::move(st.value()));
-  Dataset data(MultiLineWithNoise(150000, 5));
-  ASSERT_GT(data.line_count() / (7 * 16), Extractor::kMaxLinesPerChunk);
-  DatasetView view(data);
+  const std::string text = MultiLineWithNoise(150000, 5);
+  const std::string path = ::testing::TempDir() + "dm_capped_wave_input.log";
+  ASSERT_TRUE(WriteStringToFile(path, text).ok());
+  const Dataset owned{std::string(text)};
+  auto mapped = Dataset::FromFile(path, MapMode::kAlways);
+  ASSERT_TRUE(mapped.ok());
+  ASSERT_TRUE(mapped->is_mapped());
+  ASSERT_GT(owned.line_count() / (7 * 16), Extractor::kMaxLinesPerChunk);
 
   std::map<std::string, std::string> want_files;
-  size_t want_records = 0;
-  for (const int threads : {1, 2, 4, 7}) {
-    SCOPED_TRACE(StrFormat("threads=%d", threads));
-    ThreadPool pool(threads);
-    const std::string dir = ::testing::TempDir() + "dm_capped_wave_run";
-    std::filesystem::remove_all(dir);
-    Extractor ex(&templates, &pool);
-    ColumnarWriteSink sink(&templates, view, dir, OutputFormat::kCsv);
-    const ExtractionResult stats = ex.ExtractEvents(view, &sink);
-    ASSERT_TRUE(sink.Finish().ok());
-    if (threads == 1) {
-      want_files = SlurpDir(dir);
-      want_records = stats.matched_records;
-      EXPECT_GT(want_records, 100000u);
-    } else {
-      EXPECT_EQ(SlurpDir(dir), want_files);
-      EXPECT_EQ(stats.matched_records, want_records);
+  ExtractionResult want;
+  const Dataset* const backings[] = {&owned, &mapped.value()};
+  for (const Dataset* data : backings) {
+    const DatasetView view(*data);
+    for (const int threads : {1, 2, 4, 7}) {
+      SCOPED_TRACE(StrFormat("%s threads=%d",
+                             data->is_mapped() ? "mapped" : "owned", threads));
+      ThreadPool pool(threads);
+      const std::string dir = ::testing::TempDir() + "dm_capped_wave_run";
+      std::filesystem::remove_all(dir);
+      Extractor ex(&templates, &pool);
+      ColumnarWriteSink sink(&templates, view, dir, OutputFormat::kCsv);
+      const ExtractionResult stats = ex.ExtractEvents(view, &sink);
+      ASSERT_TRUE(sink.Finish().ok());
+      if (data == &owned && threads == 1) {
+        want_files = SlurpDir(dir);
+        want = stats;
+        EXPECT_GT(want.matched_records, 100000u);
+      } else {
+        EXPECT_EQ(SlurpDir(dir), want_files);
+        EXPECT_EQ(stats.matched_records, want.matched_records);
+        EXPECT_EQ(stats.noise_line_count, want.noise_line_count);
+        EXPECT_EQ(stats.covered_chars, want.covered_chars);
+        EXPECT_EQ(stats.records_per_template, want.records_per_template);
+      }
+      std::filesystem::remove_all(dir);
     }
-    std::filesystem::remove_all(dir);
   }
+  std::remove(path.c_str());
 }
 
 // ---------------------------------------------------------------------------

@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <optional>
 #include <set>
+#include <string_view>
+#include <vector>
 
 #include "core/dataset.h"
 #include "util/char_class.h"
@@ -243,15 +247,42 @@ TEST(HashingTest, IncrementalMatchesBulk) {
 
 // --------------------------------------------------------------- Sampler --
 
+/// Reference for SampleRanges: the same chunking, found by searching the
+/// text for each chunk's '\n's instead of the line index.
+std::vector<SampleRange> TextSearchRanges(std::string_view text,
+                                          const SamplerOptions& options) {
+  if (text.size() <= options.max_sample_bytes) return {{0, text.size()}};
+  const size_t chunk_bytes = options.max_sample_bytes / options.num_chunks;
+  const size_t stride = text.size() / options.num_chunks;
+  std::vector<SampleRange> ranges;
+  size_t last_end = 0;
+  for (int i = 0; i < options.num_chunks; ++i) {
+    size_t begin = std::max(static_cast<size_t>(i) * stride, last_end);
+    if (begin >= text.size()) break;
+    if (begin > 0) {
+      const size_t nl = text.find('\n', begin);
+      if (nl == std::string_view::npos) break;
+      begin = nl + 1;
+    }
+    if (begin >= text.size()) break;
+    size_t end = std::min(begin + chunk_bytes, text.size());
+    const size_t nl = text.find('\n', end);
+    end = nl == std::string_view::npos ? text.size() : nl + 1;
+    ranges.push_back({begin, end});
+    last_end = end;
+  }
+  return ranges;
+}
+
 TEST(SamplerTest, SmallInputReturnedWhole) {
   SamplerOptions opts;
   opts.max_sample_bytes = 1024;
   std::string text = "a\nb\nc\n";
-  auto ranges = SampleRanges(text, opts);
+  Dataset data{std::string(text)};
+  auto ranges = SampleRanges(data, opts);
   ASSERT_EQ(ranges.size(), 1u);
   EXPECT_EQ(ranges[0].begin, 0u);
   EXPECT_EQ(ranges[0].end, text.size());
-  Dataset data{std::string(text)};
   DatasetView view = SampleView(data, opts);
   EXPECT_TRUE(view.is_identity());
   EXPECT_EQ(view.line_count(), 3u);
@@ -278,7 +309,7 @@ TEST(SamplerTest, LargeInputIsLineAlignedAndBounded) {
     EXPECT_TRUE(StartsWith(line, "line-")) << line;
     EXPECT_TRUE(EndsWith(line, ",field,value")) << line;
   }
-  auto ranges = SampleRanges(text, opts);
+  auto ranges = SampleRanges(data, opts);
   size_t total = 0;
   size_t prev_end = 0;
   for (const SampleRange& r : ranges) {
@@ -305,6 +336,129 @@ TEST(SamplerTest, ChunksSpreadThroughFile) {
   // The sample should contain rows from both the beginning and the end half.
   EXPECT_EQ(view.line(0), "row0");
   EXPECT_GE(view.physical_line(view.line_count() - 1), data.line_count() / 2);
+}
+
+/// Lines of random length in [0, max_len], some far longer than a chunk.
+std::string RandomLines(Rng* rng, size_t bytes, int max_len) {
+  std::string text;
+  while (text.size() < bytes) {
+    const int64_t len = rng->Bernoulli(0.02) ? rng->Uniform(200, 3000)
+                                             : rng->Uniform(0, max_len);
+    for (int64_t k = 0; k < len; ++k) {
+      text += static_cast<char>('a' + rng->Uniform(0, 25));
+    }
+    text += '\n';
+  }
+  return text;
+}
+
+TEST(SamplerTest, SampleRangesMatchTextSearch) {
+  // Finding the ranges from the line index must reproduce every range the
+  // text search found: single-byte lines, empty lines, lines longer than a
+  // chunk or a stride, budgets below the chunk count, and sizes on both
+  // sides of the whole-file threshold.
+  Rng rng(3);
+  for (int trial = 0; trial < 300; ++trial) {
+    SCOPED_TRACE(trial);
+    const size_t bytes = static_cast<size_t>(rng.Uniform(1, 20000));
+    const std::string text =
+        RandomLines(&rng, bytes, static_cast<int>(rng.Uniform(0, 120)));
+    SamplerOptions opts;
+    opts.num_chunks = static_cast<int>(rng.Uniform(1, 16));
+    switch (trial % 4) {
+      case 0:
+        opts.max_sample_bytes = text.size();  // whole file, exactly
+        break;
+      case 1:
+        opts.max_sample_bytes = text.size() - 1;  // one byte over
+        break;
+      case 2:
+        opts.max_sample_bytes = static_cast<size_t>(rng.Uniform(0, 20));
+        break;
+      default:
+        opts.max_sample_bytes = static_cast<size_t>(rng.Uniform(0, 8000));
+        break;
+    }
+    const Dataset data{std::string(text)};
+    const std::vector<SampleRange> got = SampleRanges(data, opts);
+    const std::vector<SampleRange> want = TextSearchRanges(text, opts);
+    ASSERT_EQ(got.size(), want.size());
+    for (size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].begin, want[i].begin) << "range " << i;
+      EXPECT_EQ(got[i].end, want[i].end) << "range " << i;
+    }
+  }
+}
+
+void ExpectCopyMatchesView(const Dataset& data, const SamplerOptions& opts) {
+  const DatasetView view = SampleView(data, opts);
+  const Dataset copy = SampleCopy(data, opts);
+  EXPECT_FALSE(copy.is_mapped());
+  ASSERT_EQ(copy.line_count(), view.line_count());
+  EXPECT_EQ(copy.size_bytes(), view.size_bytes());
+  for (size_t v = 0; v < view.line_count(); ++v) {
+    ASSERT_EQ(copy.line_with_newline(v), view.line_with_newline(v))
+        << "line " << v;
+  }
+}
+
+TEST(SamplerTest, SampleCopyHoldsSampleViewLinesInOrder) {
+  // Over-cap lines sit inside the chunks; both the view and the copy drop
+  // them. The budgets straddle the whole-file threshold.
+  std::string text;
+  for (int i = 0; i < 4000; ++i) {
+    text += i % 97 == 5 ? std::string(300, 'Z') + "\n"
+                        : "k=" + std::to_string(i) + ";v=" +
+                              std::to_string(i * 13) + "\n";
+  }
+  const Dataset data{std::string(text)};
+  for (const size_t cap : {size_t{0}, size_t{64}}) {
+    for (const size_t budget :
+         {text.size(), text.size() - 1, size_t{8192}, size_t{100}}) {
+      SCOPED_TRACE(StrFormat("cap=%zu budget=%zu", cap, budget));
+      SamplerOptions opts;
+      opts.max_sample_bytes = budget;
+      opts.max_line_bytes = cap;
+      ExpectCopyMatchesView(data, opts);
+    }
+  }
+}
+
+TEST(SamplerTest, DiscoverySampleCopiesOnlyLargeMappedInputs) {
+  std::string text;
+  for (int i = 0; i < 3000; ++i) {
+    text += "id=" + std::to_string(i) + " status=" +
+            std::to_string(200 + i % 5) + "\n";
+  }
+  const std::string path = ::testing::TempDir() + "dm_util_sampler.log";
+  ASSERT_TRUE(WriteStringToFile(path, text).ok());
+  auto mapped = Dataset::FromFile(path, MapMode::kAlways);
+  ASSERT_TRUE(mapped.ok());
+  ASSERT_TRUE(mapped->is_mapped());
+  const Dataset owned{std::string(text)};
+  SamplerOptions opts;
+  opts.max_sample_bytes = 4096;
+  opts.max_line_bytes = 20;
+  ExpectCopyMatchesView(mapped.value(), opts);
+
+  std::optional<Dataset> copy;
+  const DatasetView from_owned = DiscoverySample(owned, opts, &copy);
+  EXPECT_FALSE(copy.has_value());
+  const DatasetView from_mapped = DiscoverySample(mapped.value(), opts, &copy);
+  ASSERT_TRUE(copy.has_value());
+  EXPECT_TRUE(from_mapped.is_identity());
+  EXPECT_EQ(&from_mapped.dataset(), &copy.value());
+  ASSERT_EQ(from_mapped.line_count(), from_owned.line_count());
+  for (size_t v = 0; v < from_owned.line_count(); ++v) {
+    ASSERT_EQ(from_mapped.line_with_newline(v), from_owned.line_with_newline(v));
+  }
+  // Within the budget the mapped input is used whole, in place.
+  std::optional<Dataset> none;
+  opts.max_sample_bytes = text.size();
+  const DatasetView whole = DiscoverySample(mapped.value(), opts, &none);
+  EXPECT_FALSE(none.has_value());
+  EXPECT_EQ(&whole.dataset(), &mapped.value());
+  std::remove(path.c_str());
 }
 
 }  // namespace

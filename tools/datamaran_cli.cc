@@ -367,7 +367,6 @@ int main(int argc, char** argv) {
   result.timings.total_s = total_timer.Seconds();
   result.stats.input_bytes = data.size_bytes();
   result.stats.input_mapped = data.is_mapped();
-  result.stats.input_resident_bytes = data.resident_bytes();
 
   std::printf("%zu structure template(s):\n", result.templates.size());
   for (size_t t = 0; t < result.templates.size(); ++t) {
@@ -415,8 +414,7 @@ int main(int argc, char** argv) {
               result.stats.candidates_evaluated,
               result.stats.candidates_pruned);
   if (result.stats.input_mapped) {
-    std::printf("input: %zu bytes mmap-backed, ~%zu resident after run\n",
-                result.stats.input_bytes, result.stats.input_resident_bytes);
+    std::printf("input: %zu bytes mmap-backed\n", result.stats.input_bytes);
   } else {
     std::printf("input: %zu bytes read into memory\n",
                 result.stats.input_bytes);
