@@ -12,8 +12,11 @@
 // whether the two configurations produced byte-identical output, the
 // process peak RSS, and the bytes the index-only residual transitions
 // materialized (cross-gap windows only — the old per-round string rebuild
-// is gone). A second section extracts one large synthetic file through
-// both backings (mmap vs owned read) and checks they are byte-identical.
+// is gone). A second section extracts one large synthetic file the way
+// the CLI reads it — InputReader: the sample read from the file, one scan
+// through a 256 KiB window — and from one whole owned buffer, each in its
+// own forked child, and fails the process unless the templates, records and
+// noise lines hash identically; the windowed child's peak RSS is reported.
 // A third section compares the two match engines (reference tree walker vs
 // compiled bytecode + TemplateSetIndex dispatch) on the discovered
 // templates: records/s each, the speedup, and an engine-parity bit; parity
@@ -49,6 +52,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <type_traits>
@@ -635,6 +639,138 @@ double MbPerSec(size_t bytes, double seconds) {
 // 50% of the collecting peak — or a record-count mismatch — fails the
 // process (the CI smoke gate).
 // ---------------------------------------------------------------------------
+
+// ---------------------------------------------------------------------------
+// Large-file extraction: windowed reader vs whole buffer
+// ---------------------------------------------------------------------------
+
+/// Hashes every decision of a scan: each record's template, stream line,
+/// event count and bytes, each noise line's index and bytes. Index-only
+/// noise (the whole-buffer scan) is resolved against `data`.
+class HashingSink : public EventSink {
+ public:
+  explicit HashingSink(const Dataset* data) : data_(data) {}
+  void OnRecord(int template_id, size_t first_line, std::string_view text,
+                size_t pos, size_t end, const MatchEvent* /*events*/,
+                size_t num_events) override {
+    HashSizeT(&sig, static_cast<size_t>(template_id));
+    HashSizeT(&sig, first_line);
+    HashSizeT(&sig, num_events);
+    sig = Fnv1a(text.substr(pos, end - pos), sig);
+  }
+  void OnNoiseLine(size_t line_index) override {
+    OnNoiseText(line_index, data_->line_with_newline(line_index));
+  }
+  void OnNoiseText(size_t line_index, std::string_view line) override {
+    HashSizeT(&sig, line_index);
+    sig = Fnv1a(line, sig);
+  }
+  uint64_t sig = kFnvOffset;
+
+ private:
+  const Dataset* data_;
+};
+
+/// One side of the window case, as reported back from its child process.
+struct WindowPhase {
+  uint64_t sig = 0;
+  double seconds = 0;
+  bool ok = false;
+};
+
+struct WindowCase {
+  size_t bytes = 0;
+  double window_s = 0;
+  double whole_s = 0;
+  size_t window_peak = 0;  // bytes, child process peak
+  size_t whole_peak = 0;
+  bool isolated = false;   // both sides ran in their own child process
+  bool identical = false;
+};
+
+/// The CLI's batch sequence on one large synthetic file, two ways, each in
+/// its own forked child: through InputReader (the sample read from the
+/// file, templates resolved on it, one scan through the window) and on one
+/// whole owned buffer (OpenInputs, ResolveTemplates on the Dataset, one
+/// ExtractEvents). Templates, records and noise must hash identically.
+WindowCase RunWindowCase(int threads, bool quick) {
+  WindowCase out;
+  const std::string path = "bench_micro_window_input.tmp";
+  {
+    const size_t target = quick ? 2 * 1024 * 1024 : 16 * 1024 * 1024;
+    Rng rng(5);
+    std::string big;
+    big.reserve(target + 128);
+    while (big.size() < target) {
+      big += std::to_string(rng.Uniform(0, 999999)) + "," +
+             std::to_string(rng.Uniform(0, 999)) + "," +
+             std::to_string(rng.Uniform(0, 999)) + "\n";
+      if (rng.Bernoulli(0.02)) big += "## unstructured comment line\n";
+    }
+    out.bytes = big.size();
+    if (!WriteStringToFile(path, big).ok()) return out;
+  }  // freed before forking: a child's peak counts the parent's pages
+  DatamaranOptions opts;
+  opts.num_threads = threads;
+  const auto hash_templates = [](const PipelineResult& r, uint64_t* sig) {
+    for (const StructureTemplate& st : r.templates) {
+      *sig = Fnv1a(st.canonical(), *sig);
+    }
+  };
+  const auto windowed = RunInChild<WindowPhase>([&] {
+    WindowPhase p;
+    Datamaran dm(opts);
+    Timer timer;
+    auto reader = InputReader::Open({path}, MakeInputOptions(opts));
+    if (!reader.ok()) return p;
+    PipelineResult r;
+    {
+      std::optional<Dataset> sample_copy;
+      auto sample = reader->ReadSample(MakeSamplerOptions(opts), &sample_copy);
+      if (!sample.ok()) return p;
+      r = dm.ResolveTemplates(sample.value(), nullptr);
+    }
+    const Extractor extractor(&r.templates, dm.pool());
+    HashingSink sink(nullptr);
+    hash_templates(r, &sink.sig);
+    if (!reader->Scan(extractor, &sink).ok()) return p;
+    p.seconds = timer.Seconds();
+    p.sig = sink.sig;
+    p.ok = true;
+    return p;
+  });
+  const auto whole = RunInChild<WindowPhase>([&] {
+    WindowPhase p;
+    Datamaran dm(opts);
+    Timer timer;
+    auto data = OpenInputs({path}, MakeInputOptions(opts));
+    if (!data.ok()) return p;
+    const PipelineResult r = dm.ResolveTemplates(data.value(), nullptr);
+    const Extractor extractor(&r.templates, dm.pool());
+    HashingSink sink(&data.value());
+    hash_templates(r, &sink.sig);
+    extractor.ExtractEvents(DatasetView(data.value()), &sink);
+    p.seconds = timer.Seconds();
+    p.sig = sink.sig;
+    p.ok = true;
+    return p;
+  });
+  std::remove(path.c_str());
+  out.window_s = windowed.result.seconds;
+  out.whole_s = whole.result.seconds;
+  out.window_peak = windowed.peak_rss;
+  out.whole_peak = whole.peak_rss;
+  out.isolated = windowed.isolated && whole.isolated;
+  out.identical = windowed.result.ok && whole.result.ok &&
+                  windowed.result.sig == whole.result.sig;
+  std::printf("large-file (%zu MB): windowed %.3fs (%.2f MB/s, peak %.1f MB), "
+              "whole buffer %.3fs (peak %.1f MB), identical: %s\n",
+              out.bytes >> 20, out.window_s, MbPerSec(out.bytes, out.window_s),
+              static_cast<double>(out.window_peak) / (1 << 20), out.whole_s,
+              static_cast<double>(out.whole_peak) / (1 << 20),
+              out.identical ? "yes" : "NO — WINDOW BUG");
+  return out;
+}
 
 struct SinkCase {
   size_t bytes = 0;
@@ -1611,6 +1747,7 @@ int RunPipelineBench() {
   // starts as a copy of this process, so the parent must still be small.
   // The streaming section reports later, in its usual place.
   const StitchedPeakCase stitch_case = RunStitchedPeakCase(quick);
+  const WindowCase window_case = RunWindowCase(multi, quick);
   const SinkCase sink_case = RunStreamingSinkCase(multi, quick);
   const SinkCase norm_case = RunNormalizedSinkCase(multi, quick);
   const StreamingRuns streaming_runs = RunStreamingCases(quick);
@@ -1673,67 +1810,20 @@ int RunPipelineBench() {
   const bool catalog_ok = RunCatalogBench(f, quick);
   const bool program_load_ok = RunProgramLoadBench(f, quick);
   const bool streaming_ok = ReportStreamingBench(f, streaming_runs);
-  // --- Large-file extraction through both backings (the mmap path). ---
-  const size_t big_bytes = quick ? 2 * 1024 * 1024 : 16 * 1024 * 1024;
-  Rng rng(5);
-  std::string big;
-  big.reserve(big_bytes + 128);
-  while (big.size() < big_bytes) {
-    big += std::to_string(rng.Uniform(0, 999999)) + "," +
-           std::to_string(rng.Uniform(0, 999)) + "," +
-           std::to_string(rng.Uniform(0, 999)) + "\n";
-    if (rng.Bernoulli(0.02)) big += "## unstructured comment line\n";
-  }
-  const std::string big_path = "bench_micro_mmap_input.tmp";
-  double mapped_s = 0, read_s = 0;
-  bool mmap_identical = false;
-  if (WriteStringToFile(big_path, big).ok()) {
-    auto run_mode = [&](MapMode mode, double* seconds,
-                        bool* used_map) -> uint64_t {
-      DatamaranOptions opts;
-      opts.num_threads = multi;
-      opts.mmap_mode = mode;
-      Datamaran dm(opts);
-      auto r = dm.ExtractFile(big_path);
-      if (!r.ok()) return 0;
-      *seconds = r->timings.total_s;
-      *used_map = r->stats.input_mapped;
-      uint64_t sig = kFnvOffset;
-      for (const StructureTemplate& st : r->templates) {
-        sig = Fnv1a(st.canonical(), sig);
-      }
-      for (const ExtractedRecord& rec : r->extraction.records) {
-        HashSizeT(&sig, static_cast<size_t>(rec.template_id));
-        HashSizeT(&sig, rec.begin);
-        HashSizeT(&sig, rec.end);
-      }
-      for (size_t noise : r->extraction.noise_lines) HashSizeT(&sig, noise);
-      return sig;
-    };
-    bool mapped_used = false, read_used = false;
-    const uint64_t sig_map = run_mode(MapMode::kAlways, &mapped_s,
-                                      &mapped_used);
-    const uint64_t sig_read = run_mode(MapMode::kNever, &read_s, &read_used);
-    mmap_identical = sig_map != 0 && sig_map == sig_read && mapped_used &&
-                     !read_used;
-    std::printf("large-file (%zu MB): mmap %.3fs (%.2f MB/s), read %.3fs, "
-                "identical: %s\n",
-                big.size() >> 20, mapped_s, MbPerSec(big.size(), mapped_s),
-                read_s, mmap_identical ? "yes" : "NO — BACKING BUG");
-    std::remove(big_path.c_str());
-  }
-
   std::fprintf(f,
                ",\n"
                "  \"speedup\": %.3f,\n"
                "  \"identical_output\": %s,\n"
                "  \"residual_copy_bytes\": %zu,\n"
                "  \"peak_rss_bytes\": %zu,\n"
-               "  \"mmap_case\": {\n"
+               "  \"window_case\": {\n"
                "    \"bytes\": %zu,\n"
-               "    \"mapped_s\": %.6f,\n"
-               "    \"read_s\": %.6f,\n"
-               "    \"mapped_mb_per_s\": %.3f,\n"
+               "    \"window_s\": %.6f,\n"
+               "    \"whole_s\": %.6f,\n"
+               "    \"window_mb_per_s\": %.3f,\n"
+               "    \"window_peak_rss_bytes\": %zu,\n"
+               "    \"whole_peak_rss_bytes\": %zu,\n"
+               "    \"rss_isolated\": %s,\n"
                "    \"identical\": %s\n"
                "  },\n"
                "  \"streaming_sink\": {\n"
@@ -1767,9 +1857,12 @@ int RunPipelineBench() {
                "}\n",
                speedup, identical ? "true" : "false",
                single.residual_copy_bytes + parallel.residual_copy_bytes,
-               PeakRssBytes(), big.size(), mapped_s, read_s,
-               MbPerSec(big.size(), mapped_s),
-               mmap_identical ? "true" : "false", sink_case.bytes,
+               PeakRssBytes(), window_case.bytes, window_case.window_s,
+               window_case.whole_s,
+               MbPerSec(window_case.bytes, window_case.window_s),
+               window_case.window_peak, window_case.whole_peak,
+               window_case.isolated ? "true" : "false",
+               window_case.identical ? "true" : "false", sink_case.bytes,
                sink_case.records, sink_case.streaming_s,
                sink_case.collecting_s, sink_case.streaming_peak,
                sink_case.collecting_peak,
@@ -1786,7 +1879,7 @@ int RunPipelineBench() {
                stitch_case.bytes_match ? "true" : "false");
   std::fclose(f);
   std::printf("wrote %s\n\n", out_path);
-  return identical && mmap_identical && match_ok && charset_ok && eval_ok &&
+  return identical && window_case.identical && match_ok && charset_ok && eval_ok &&
                  catalog_ok && program_load_ok && streaming_ok &&
                  sink_case.ok && norm_case.ok && stitch_case.ok
              ? 0

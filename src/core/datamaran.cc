@@ -14,7 +14,6 @@
 #include "pruning/pruner.h"
 #include "refinement/refiner.h"
 #include "template/dispatch.h"
-#include "util/file_io.h"
 #include "util/logging.h"
 #include "util/sampler.h"
 #include "util/timer.h"
@@ -95,12 +94,14 @@ ResidualMask MaskMatchedLines(const DatasetView& view,
 std::vector<StructureTemplate> Datamaran::DiscoverTemplates(
     const Dataset& data, StepTimings* timings, PipelineStats* stats,
     std::vector<TemplateReport>* reports) const {
-  SamplerOptions sampler_opts;
-  sampler_opts.max_sample_bytes = options_.max_sample_bytes;
-  sampler_opts.num_chunks = options_.sample_chunks;
-  sampler_opts.max_line_bytes = options_.max_line_bytes;
-  std::optional<Dataset> sample_copy;
-  DatasetView residual = DiscoverySample(data, sampler_opts, &sample_copy);
+  return DiscoverTemplates(SampleView(data, MakeSamplerOptions(options_)),
+                           timings, stats, reports);
+}
+
+std::vector<StructureTemplate> Datamaran::DiscoverTemplates(
+    const DatasetView& sample, StepTimings* timings, PipelineStats* stats,
+    std::vector<TemplateReport>* reports) const {
+  DatasetView residual = sample;
   if (stats != nullptr) stats->sample_bytes = residual.size_bytes();
 
   std::vector<StructureTemplate> accepted;
@@ -395,12 +396,15 @@ CatalogEntry CatalogEntryFromReports(
 
 PipelineResult Datamaran::ResolveTemplates(
     const Dataset& data, std::vector<std::string>* programs) const {
+  return ResolveTemplates(SampleView(data, MakeSamplerOptions(options_)),
+                          programs);
+}
+
+PipelineResult Datamaran::ResolveTemplates(
+    const DatasetView& sample, std::vector<std::string>* programs) const {
   PipelineResult result;
   Timer total_timer;
   if (programs != nullptr) programs->clear();
-  // Discovery touches scattered sample chunks of a mapped file. The hint is
-  // a best-effort no-op for owned backings and platforms without madvise.
-  data.Advise(AccessHint::kRandom);
 
   // Catalog fast path: fingerprint a sample against the loaded catalog
   // first. A hit serves the stored templates — discovery is skipped
@@ -415,7 +419,7 @@ PipelineResult Datamaran::ResolveTemplates(
     std::lock_guard<std::mutex> lock(catalog_mu_);
     if (!catalog_.empty()) {
       result.stats.catalog_checked = true;
-      const CatalogMatch match = MatchCatalog(catalog_, data, match_opts);
+      const CatalogMatch match = MatchCatalog(catalog_, sample, match_opts);
       result.timings.catalog_match_s = match_timer.Seconds();
       if (match.hit()) {
         const CatalogEntry& entry =
@@ -441,8 +445,8 @@ PipelineResult Datamaran::ResolveTemplates(
   }
 
   if (!result.stats.catalog_hit) {
-    result.templates = DiscoverTemplates(data, &result.timings, &result.stats,
-                                         &result.reports);
+    result.templates = DiscoverTemplates(sample, &result.timings,
+                                         &result.stats, &result.reports);
     // Fold the cold-discovered format back into the catalog so later files
     // of the same format (this process or, via catalog_out, any later run)
     // hit. AddEntry dedups by template-set signature.
@@ -460,7 +464,6 @@ PipelineResult Datamaran::ResolveTemplates(
              options_.catalog_out.c_str(), saved.ToString().c_str());
     }
   }
-  data.Advise(AccessHint::kNormal);
   result.timings.total_s = total_timer.Seconds();
   return result;
 }
@@ -471,16 +474,13 @@ PipelineResult Datamaran::ExtractDataset(const Dataset& data) const {
   PipelineResult result = ResolveTemplates(data, &programs);
 
   Timer extract_timer;
-  data.Advise(AccessHint::kSequential);
   Extractor extractor(&result.templates, pool_.get(), options_.match_engine,
                       options_.charset_engine, options_.max_line_bytes,
                       programs.empty() ? nullptr : &programs);
   result.extraction = extractor.Extract(data);
-  data.Advise(AccessHint::kNormal);
   result.timings.extraction_s = extract_timer.Seconds();
   result.timings.total_s = total_timer.Seconds();
   result.stats.input_bytes = data.size_bytes();
-  result.stats.input_mapped = data.is_mapped();
   return result;
 }
 
@@ -495,7 +495,6 @@ Result<PipelineResult> Datamaran::ExtractFile(const std::string& path) const {
   if (!catalog_status_.ok()) return catalog_status_;
   // The resilient front-end (core/input.h): gzip sniff + inflate, CRLF
   // normalization, descriptive error Status on corrupt/truncated input.
-  // Plain clean files keep the mmap fast path.
   auto data = OpenInput(path, MakeInputOptions(options_));
   if (!data.ok()) return data.status();
   return ExtractDataset(data.value());

@@ -31,15 +31,15 @@
 ///   unexplained residual (Section 9.1) until nothing else clears alpha%.
 ///   Finally the whole file is extracted with the accepted template set.
 ///
-/// Memory model: the input file is one immutable backing buffer (owned or
-/// mmap'd — see Dataset::FromFile), the discovery sample is a DatasetView
-/// of its lines (for a mapped input larger than the sample budget, of an
-/// owned copy of them — util/sampler.h DiscoverySample), and each residual
-/// round is produced by MaskMatchedLines — an index-only mask-and-compact
-/// over the previous round's live lines. No stage ever rewrites text, so
-/// the per-round cost is O(live lines), and every pass over a mapped input
-/// releases the pages behind it, so a multi-GB file is never resident as a
-/// whole.
+/// Memory model: the tools never hold a plain input file whole. They read
+/// the discovery sample straight from the file into one owned Dataset
+/// (core/input.h InputReader::ReadSample) and resolve templates on it with
+/// the sample overloads below; the Dataset overloads take the sample
+/// themselves (util/sampler.h SampleView). Each residual round is produced
+/// by MaskMatchedLines — an index-only mask-and-compact over the previous
+/// round's live lines — so no stage rewrites text and the per-round cost
+/// is O(live lines). The whole-file scan then runs a window-sized segment
+/// at a time (InputReader::Scan), so nothing grows with the file.
 
 namespace datamaran {
 
@@ -93,9 +93,8 @@ struct PipelineStats {
   /// copies nothing except the rare candidate window that straddles a view
   /// gap, so this stays O(gaps x record) instead of O(rounds x sample).
   size_t residual_copy_bytes = 0;
-  /// Input backing diagnostics (ExtractFile / ExtractDataset only).
+  /// Input size diagnostics (ExtractFile / ExtractDataset only).
   size_t input_bytes = 0;
-  bool input_mapped = false;
   /// Catalog fast path (options.catalog_in): whether the input was
   /// fingerprinted against a loaded catalog, and whether that produced a
   /// hit (discovery skipped; templates served from catalog_entry).
@@ -136,21 +135,27 @@ class Datamaran {
   /// run their own extraction pass after ResolveTemplates.
   ThreadPool* pool() const { return pool_.get(); }
 
-  /// Runs the full pipeline over the file at `path`, choosing the backing
-  /// (mmap vs owned read) per options().mmap_mode.
+  /// Runs the full pipeline over the file at `path`, read whole into
+  /// memory (OpenInput) and collected (ExtractDataset).
   Result<PipelineResult> ExtractFile(const std::string& path) const;
 
-  /// Template resolution without the whole-file scan: fingerprints `data`
-  /// against the catalog (when one is loaded or options().catalog_out is
-  /// set), runs cold discovery on a miss, folds a cold-discovered format
-  /// back into the catalog, and saves it to options().catalog_out. The
-  /// result is ExtractDataset's minus the scan: `extraction` stays empty,
-  /// timings.extraction_s is 0, total_s covers resolution only, and the
-  /// stats.input_* fields are unset. On a catalog hit, `*programs` (when
-  /// non-null) receives the entry's persisted compiled programs, parallel
-  /// to `templates`, for the Extractor's warm path; otherwise it is
-  /// cleared. Streaming callers run the one scan themselves:
-  /// Extractor(&templates, pool(), ...).ExtractEvents(view, sink).
+  /// Template resolution without the whole-file scan, on the input's
+  /// discovery sample used as is (InputReader::ReadSample's, or a
+  /// SampleView): fingerprints the sample against the catalog (when one is
+  /// loaded or options().catalog_out is set), runs cold discovery on it on
+  /// a miss, folds a cold-discovered format back into the catalog, and
+  /// saves it to options().catalog_out. The result is ExtractDataset's
+  /// minus the scan: `extraction` stays empty, timings.extraction_s is 0,
+  /// total_s covers resolution only, and stats.input_bytes is unset. On a
+  /// catalog hit, `*programs` (when non-null) receives the entry's
+  /// persisted compiled programs, parallel to `templates`, for the
+  /// Extractor's warm path; otherwise it is cleared. Callers run the one
+  /// scan themselves: InputReader::Scan with Extractor(&templates, pool(),
+  /// ...).
+  PipelineResult ResolveTemplates(const DatasetView& sample,
+                                  std::vector<std::string>* programs) const;
+
+  /// ResolveTemplates on SampleView(data).
   PipelineResult ResolveTemplates(const Dataset& data,
                                   std::vector<std::string>* programs) const;
 
@@ -158,15 +163,24 @@ class Datamaran {
   /// plus a collecting Extractor::Extract. The collected result holds one
   /// ExtractedRecord (with its ParsedValue tree) per record and one index
   /// per noise line, so memory grows with the file (O(file) records), not
-  /// O(wave). Callers that only write tables or count should call
-  /// ResolveTemplates and stream one ExtractEvents pass instead.
+  /// O(wave). Callers that only write tables or count should read the
+  /// input through InputReader, call ResolveTemplates on its sample and
+  /// stream one InputReader::Scan instead, as the tools do.
   PipelineResult ExtractDataset(const Dataset& data) const;
 
   /// Runs the full pipeline over an in-memory dataset.
   PipelineResult ExtractText(std::string text) const;
 
-  /// Structure discovery only (no whole-file extraction); `data` is sampled
-  /// internally. Used by parameter-sweep benchmarks.
+  /// Structure discovery only (no whole-file extraction) on a discovery
+  /// sample used as is.
+  std::vector<StructureTemplate> DiscoverTemplates(const DatasetView& sample,
+                                                   StepTimings* timings,
+                                                   PipelineStats* stats,
+                                                   std::vector<TemplateReport>*
+                                                       reports) const;
+
+  /// DiscoverTemplates on SampleView(data). Used by parameter-sweep
+  /// benchmarks.
   std::vector<StructureTemplate> DiscoverTemplates(const Dataset& data,
                                                    StepTimings* timings,
                                                    PipelineStats* stats,

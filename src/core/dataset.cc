@@ -7,79 +7,19 @@
 
 namespace datamaran {
 
-Dataset::Dataset(std::string text) : owned_(std::move(text)) {
-  if (!owned_.empty() && owned_.back() != '\n') owned_.push_back('\n');
-  BuildLineIndex();
-}
-
-Dataset::Dataset(MappedRegion region) {
-  const std::string_view bytes = region.view();
-  if (region.is_mapped()) {
-    if (bytes.empty() || bytes.back() == '\n') {
-      region_ = std::move(region);
-      use_region_ = true;
-    } else {
-      // A mapped file without a final newline: a read-only mapping cannot
-      // have one appended, so own a normalized copy instead.
-      owned_.assign(bytes.begin(), bytes.end());
-      owned_.push_back('\n');
-    }
-  } else {
-    // Read fallback: adopt the region's buffer, no second copy.
-    owned_ = std::move(region).ReleaseOwned();
-    if (!owned_.empty() && owned_.back() != '\n') owned_.push_back('\n');
-  }
-  BuildLineIndex();
-}
-
-Result<Dataset> Dataset::FromFile(const std::string& path, MapMode mode,
-                                  size_t mmap_threshold) {
-  if (mode == MapMode::kAuto) {
-    // One stat decides the mode: map large files, read small ones outright
-    // so their pages are not pinned to a mapping.
-    auto size = FileSizeBytes(path);
-    if (!size.ok()) return size.status();
-    mode = size.value() >= mmap_threshold ? MapMode::kAlways : MapMode::kNever;
-  }
-  if (mode == MapMode::kAlways) {
-    auto region = MmapFile(path);
-    if (!region.ok()) return region.status();
-    return Dataset(std::move(region.value()));
-  }
-  auto text = ReadFileToString(path);
-  if (!text.ok()) return text.status();
-  return Dataset(std::move(text.value()));
-}
-
-void Dataset::BuildLineIndex() {
-  const std::string_view t = text();
-  // Both passes walk the text a folio at a time and release each block of
-  // a mapped input behind them, so building the index holds one folio of
-  // the input resident instead of the whole file.
-  const auto for_each_block = [&](const auto& fn) {
-    for (size_t b = 0; b < t.size(); b += kMaxFolioBytes) {
-      const size_t e = std::min(b + kMaxFolioBytes, t.size());
-      fn(b, t.substr(b, e - b));
-      Release(b, e);
-    }
-  };
+Dataset::Dataset(std::string text) : text_(std::move(text)) {
+  if (!text_.empty() && text_.back() != '\n') text_.push_back('\n');
   // Sized exactly before filling: growing by doubling would hold the old
-  // and the new array at once, up to twice the index on top of the input.
-  size_t lines = 0;
-  for_each_block([&](size_t, std::string_view block) {
-    lines += static_cast<size_t>(std::count(block.begin(), block.end(), '\n'));
-  });
-  line_begin_.clear();
-  line_begin_.reserve(lines);
+  // and the new array at once.
+  line_begin_.reserve(
+      static_cast<size_t>(std::count(text_.begin(), text_.end(), '\n')));
   size_t begin = 0;
-  for_each_block([&](size_t base, std::string_view block) {
-    for (size_t i = 0; i < block.size(); ++i) {
-      if (block[i] == '\n') {
-        line_begin_.push_back(begin);
-        begin = base + i + 1;
-      }
+  for (size_t i = 0; i < text_.size(); ++i) {
+    if (text_[i] == '\n') {
+      line_begin_.push_back(begin);
+      begin = i + 1;
     }
-  });
+  }
 }
 
 size_t Dataset::LineOfOffset(size_t pos) const {

@@ -8,30 +8,24 @@
 #include <string_view>
 #include <vector>
 
-#include "util/file_io.h"
-#include "util/status.h"
-
-/// The dataset layer: one immutable backing buffer plus cheap line views.
+/// The dataset layer: one immutable owned buffer plus cheap line views.
 ///
-/// `Dataset` holds the textual component T (Definition 2.4) behind one of
-/// two backings — an owned string, or an mmap'd read-only file region whose
-/// pages fault in lazily (the data-lake mode for multi-GB files) — plus a
-/// line index. The text is immutable for the lifetime of the Dataset; all
-/// downstream stages address content by line index, and records always
-/// start at a line begin and end at a line end.
+/// `Dataset` holds the textual component T (Definition 2.4) — or a segment
+/// of it — as an owned string plus a line index. The text is immutable for
+/// the lifetime of the Dataset; all downstream stages address content by
+/// line index, and records always start at a line begin and end at a line
+/// end.
 ///
-/// Which inputs stay mapped: plain LF-terminated files of
-/// kDefaultMmapThreshold (8 MiB) or more under MapMode::kAuto. Gzip
-/// members, CRLF-stripped files, multi-file --inputs stitches and files
-/// whose last line is unterminated become owned copies (core/input.h).
-/// A mapped input is never resident as a whole: the line-index build, the
-/// discovery sample copy (util/sampler.h DiscoverySample) and each
-/// extraction wave release the pages behind them (Release), so only the
-/// 8-byte-per-line index grows with the file.
+/// Nothing here holds a whole input file. A plain log file is read
+/// through core/input.h's InputReader: the discovery sample is one owned
+/// Dataset of the sampled lines, and extraction scans one window-sized
+/// segment Dataset at a time, so no memory grows with the file. Only the
+/// inputs the front-end must normalize in memory (gzip members,
+/// CRLF-stripped files, multi-file --inputs stitches) are one Dataset of
+/// the whole text.
 ///
 /// `DatasetView` is a Dataset plus a set of live line indices. It is the
-/// pipeline's working currency: the discovery sample is a view (the sampled
-/// lines of the backing file), and each residual round of the iterated
+/// pipeline's working currency: the discovery sample is a view, and each residual round of the iterated
 /// structure extraction (Section 9.1) is produced by masking the matched
 /// lines out of the previous view — an O(live lines) index-only transition
 /// with zero text copies, in place of the old rebuild-the-residual-string
@@ -41,69 +35,32 @@
 
 namespace datamaran {
 
-/// Memory-mapping policy for Dataset::FromFile.
-enum class MapMode {
-  /// Map files at or above the threshold, read smaller ones.
-  kAuto,
-  /// Always try to map (still falls back to a read on mmap failure).
-  kAlways,
-  /// Always read into an owned buffer.
-  kNever,
+/// Access-pattern hint accepted by Dataset::Advise. Advisory only, and
+/// ignored: every Dataset is owned memory.
+enum class AccessHint {
+  kNormal,
+  kSequential,
+  kRandom,
 };
 
 class Dataset {
  public:
-  /// Default size cutoff for MapMode::kAuto.
-  static constexpr size_t kDefaultMmapThreshold = 8 * 1024 * 1024;
-
   /// Takes ownership of `text`. A missing final newline is appended so the
   /// last block is well formed.
   explicit Dataset(std::string text);
-
-  /// Serves the text from `region` without copying. One caveat keeps the
-  /// two backings byte-for-byte interchangeable: a read-only mapping cannot
-  /// have a missing final newline appended, so a mapped file that does not
-  /// end in '\n' is copied into an owned buffer instead (the graceful
-  /// fallback; well-formed log files are unaffected).
-  explicit Dataset(MappedRegion region);
-
-  /// Opens `path` with the given policy. Pipeline output is byte-identical
-  /// whichever backing ends up being used.
-  static Result<Dataset> FromFile(const std::string& path,
-                                  MapMode mode = MapMode::kAuto,
-                                  size_t mmap_threshold = kDefaultMmapThreshold);
 
   Dataset(const Dataset&) = delete;
   Dataset& operator=(const Dataset&) = delete;
   Dataset(Dataset&&) = default;
   Dataset& operator=(Dataset&&) = default;
 
-  std::string_view text() const {
-    return use_region_ ? region_.view() : std::string_view(owned_);
-  }
-  size_t size_bytes() const { return text().size(); }
+  std::string_view text() const { return text_; }
+  size_t size_bytes() const { return text_.size(); }
   size_t line_count() const { return line_begin_.size(); }
 
-  /// True when the text is served by a lazy memory mapping.
-  bool is_mapped() const { return use_region_; }
-
-  /// Gives back the mapped pages wholly inside bytes [begin, end) of the
-  /// text (util/file_io's MappedRegion::Release): they leave the resident
-  /// set, and a later read faults the same bytes back in. Passes call it
-  /// behind themselves — the line-index build, each copied sample chunk,
-  /// every extraction wave — so a mapped input never stays resident as a
-  /// whole. No-op for owned backings.
-  void Release(size_t begin, size_t end) const {
-    if (use_region_) region_.Release(begin, end);
-  }
-
-  /// Forwards an access-pattern hint to a mapped backing (util/file_io's
-  /// AccessHint): the pipeline advises kRandom while sampling/discovering
-  /// and kSequential for the final whole-file scan. No-op for owned
-  /// backings and platforms without madvise.
-  void Advise(AccessHint hint) const {
-    if (use_region_) region_.Advise(hint);
-  }
+  /// No-op: kept for callers written against the memory-mapped backing
+  /// this layer used to have.
+  void Advise(AccessHint /*hint*/) const {}
 
   /// Byte offset of the first character of line `i`.
   size_t line_begin(size_t i) const { return line_begin_[i]; }
@@ -129,11 +86,7 @@ class Dataset {
   size_t LineOfOffset(size_t pos) const;
 
  private:
-  void BuildLineIndex();
-
-  std::string owned_;
-  MappedRegion region_;
-  bool use_region_ = false;
+  std::string text_;
   std::vector<size_t> line_begin_;
 };
 

@@ -42,23 +42,6 @@ Status WithContext(const Status& s, const std::string& context) {
   }
 }
 
-/// First min(kCrlfProbeBytes, file size) bytes of the file; an unreadable
-/// file reports the same IoError ReadFileToString would.
-Result<std::string> ReadHead(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    return Status::IoError("cannot open for read: " + path);
-  }
-  std::string head;
-  head.resize(kCrlfProbeBytes);
-  const size_t got = std::fread(head.data(), 1, head.size(), f);
-  const bool bad = std::ferror(f) != 0;
-  std::fclose(f);
-  if (bad) return Status::IoError("read failed: " + path);
-  head.resize(got);
-  return head;
-}
-
 /// Applies the CRLF policy to an owned buffer (kAuto probes the buffer's
 /// own head — for decompressed input the probe must see plain text).
 void ApplyCrlfPolicy(std::string* text, CrlfPolicy policy) {
@@ -216,36 +199,9 @@ Result<Dataset> DatasetFromBytes(std::string bytes,
 
 Result<Dataset> OpenInput(const std::string& path,
                           const InputOptions& options) {
-  auto head = ReadHead(path);
-  if (!head.ok()) return head.status();
-
-  if (LooksGzip(head.value())) {
-    // Inflate from a lazy mapping of the compressed bytes into an owned
-    // backing. The mapping (not a whole-file read) keeps the peak at
-    // O(inflated) instead of O(compressed + inflated).
-    auto region = MmapFile(path);
-    if (!region.ok()) return region.status();
-    auto inflated =
-        GunzipToString(region.value().view(), options.max_inflate_bytes);
-    if (!inflated.ok()) return WithContext(inflated.status(), path);
-    std::string text = std::move(inflated.value());
-    ApplyCrlfPolicy(&text, options.crlf);
-    return Dataset(std::move(text));
-  }
-
-  const bool strip =
-      options.crlf == CrlfPolicy::kStrip ||
-      (options.crlf == CrlfPolicy::kAuto && DetectCrlf(head.value()));
-  if (strip) {
-    auto text = ReadFileToString(path);
-    if (!text.ok()) return text.status();
-    StripCrlfInPlace(&text.value());
-    return Dataset(std::move(text.value()));
-  }
-
-  // Clean plain file: the zero-copy mmap fast path is preserved.
-  return Dataset::FromFile(path, options.mmap_mode,
-                           options.mmap_threshold_bytes);
+  auto text = LoadMemberBytes(path, options);
+  if (!text.ok()) return text.status();
+  return Dataset(std::move(text.value()));
 }
 
 Result<Dataset> OpenInputs(const std::vector<std::string>& paths,
@@ -280,6 +236,180 @@ Result<Dataset> OpenInputs(const std::vector<std::string>& paths,
     if (!combined.empty() && combined.back() != '\n') combined += '\n';
   }
   return Dataset(std::move(combined));
+}
+
+// ------------------------------------------------------------- InputReader
+
+Result<InputReader> InputReader::Open(const std::vector<std::string>& paths,
+                                      const InputOptions& options) {
+  InputReader reader;
+  if (paths.size() == 1) {
+    auto file = RandomAccessFile::Open(paths[0]);
+    if (!file.ok()) return file.status();
+    // The head decides: gzip magic, or a CRLF the policy strips, means the
+    // text has to be normalized in memory.
+    std::string head(std::min(file.value().size(), kCrlfProbeBytes), '\0');
+    DM_RETURN_IF_ERROR(file.value().ReadAt(0, head.data(), head.size()));
+    const bool strip =
+        options.crlf == CrlfPolicy::kStrip ||
+        (options.crlf == CrlfPolicy::kAuto && DetectCrlf(head));
+    if (!LooksGzip(head) && !strip) {
+      reader.file_ = std::move(file.value());
+      const size_t size = reader.file_.size();
+      if (size > 0) {
+        char last = '\n';
+        DM_RETURN_IF_ERROR(reader.file_.ReadAt(size - 1, &last, 1));
+        reader.appends_newline_ = last != '\n';
+      }
+      return reader;
+    }
+  }
+  auto data = OpenInputs(paths, options);
+  if (!data.ok()) return data.status();
+  reader.owned_.emplace(std::move(data.value()));
+  return reader;
+}
+
+size_t InputReader::size_bytes() const {
+  return owned_.has_value() ? owned_->size_bytes()
+                            : file_.size() + (appends_newline_ ? 1 : 0);
+}
+
+Status InputReader::ReadAt(size_t offset, char* dst, size_t n) const {
+  // The appended final newline is the one logical byte past the file.
+  const size_t in_file =
+      offset < file_.size() ? std::min(n, file_.size() - offset) : 0;
+  DM_RETURN_IF_ERROR(file_.ReadAt(offset, dst, in_file));
+  if (in_file < n) dst[in_file] = '\n';
+  return Status::Ok();
+}
+
+Result<size_t> InputReader::EndOfLineAt(size_t pos, std::string* buf) const {
+  const size_t size = size_bytes();
+  while (pos < size) {
+    const size_t n = std::min(window_bytes_, size - pos);
+    buf->resize(n);
+    DM_RETURN_IF_ERROR(ReadAt(pos, buf->data(), n));
+    const size_t nl = std::string_view(*buf).find('\n');
+    if (nl != std::string_view::npos) return pos + nl + 1;
+    pos += n;
+  }
+  return size;
+}
+
+Result<DatasetView> InputReader::ReadSample(
+    const SamplerOptions& options, std::optional<Dataset>* copy) const {
+  if (owned_.has_value()) return SampleView(*owned_, options);
+  const size_t size = size_bytes();
+  std::string scratch;
+  Status failed;
+  const std::vector<SampleRange> ranges =
+      SampleRanges(size, options, [&](size_t pos) {
+        if (!failed.ok()) return size;  // stops the range walk
+        auto end = EndOfLineAt(pos, &scratch);
+        if (!end.ok()) {
+          failed = end.status();
+          return size;
+        }
+        return end.value();
+      });
+  DM_RETURN_IF_ERROR(failed);
+  const size_t cap = options.max_line_bytes;
+  const auto keep = [&](size_t line_bytes) {
+    return cap == 0 || line_bytes - 1 <= cap;
+  };
+  // Each range overruns its chunk by at most one line; a reserve past the
+  // budget plus a window would only ever hold over-cap lines, which are
+  // skipped.
+  size_t range_bytes = 0;
+  for (const SampleRange& r : ranges) range_bytes += r.end - r.begin;
+  std::string text;
+  text.reserve(std::min(range_bytes, options.max_sample_bytes + window_bytes_));
+  for (const SampleRange& r : ranges) {
+    size_t pos = r.begin;  // always a line begin
+    while (pos < r.end) {
+      // Read the block straight onto the end of the sample, then close up
+      // the over-cap lines in it and cut the partial line it ends in.
+      const size_t n = std::min(window_bytes_, r.end - pos);
+      const size_t at = text.size();
+      text.resize(at + n);
+      DM_RETURN_IF_ERROR(ReadAt(pos, text.data() + at, n));
+      size_t kept = at;
+      size_t line = at;
+      for (size_t nl; (nl = text.find('\n', line)) != std::string::npos;) {
+        const size_t len = nl + 1 - line;
+        if (keep(len)) {
+          if (kept != line) {
+            std::copy(text.begin() + line, text.begin() + nl + 1,
+                      text.begin() + kept);
+          }
+          kept += len;
+        }
+        line = nl + 1;
+      }
+      pos += line - at;
+      const bool partial = line < at + n;
+      text.resize(kept);
+      if (partial) {
+        // The line at `pos` runs past this block: find its end first, and
+        // read it only when it is within the cap.
+        auto end = EndOfLineAt(pos, &scratch);
+        if (!end.ok()) return end.status();
+        const size_t len = end.value() - pos;
+        if (keep(len)) {
+          const size_t tail = text.size();
+          text.resize(tail + len);
+          DM_RETURN_IF_ERROR(ReadAt(pos, text.data() + tail, len));
+        }
+        pos = end.value();
+      }
+    }
+  }
+  copy->emplace(std::move(text));
+  return DatasetView(**copy);
+}
+
+Result<ExtractionResult> InputReader::Scan(const Extractor& extractor,
+                                           EventSink* sink) const {
+  ExtractionResult counts;
+  counts.total_chars = size_bytes();
+  if (owned_.has_value()) {
+    counts.total_lines =
+        extractor.ExtractSegment(*owned_, /*final=*/true, 0, sink, &counts);
+    return counts;
+  }
+  const size_t size = file_.size();
+  std::string buf;  // the carried lines, then the window read after them
+  size_t next = 0;  // file offset of the next read
+  size_t line = 0;  // stream line number of buf's first line
+  for (bool final = false; !final;) {
+    const size_t carried = buf.size();
+    const size_t n = std::min(window_bytes_, size - next);
+    buf.resize(carried + n);
+    DM_RETURN_IF_ERROR(file_.ReadAt(next, buf.data() + carried, n));
+    next += n;
+    final = next == size;
+    size_t cut = buf.size();
+    if (!final) {
+      // The carry holds no unseen '\n', so only the new bytes are searched.
+      const size_t nl = std::string_view(buf.data() + carried, n).rfind('\n');
+      if (nl == std::string_view::npos) continue;  // a line past the window
+      cut = carried + nl + 1;
+    }
+    std::string partial = buf.substr(cut);
+    buf.resize(cut);
+    // At the end, Dataset appends the final newline the file may lack.
+    const Dataset segment(std::move(buf));
+    const size_t undecided =
+        extractor.ExtractSegment(segment, final, line, sink, &counts);
+    line += undecided;
+    buf.assign(segment.text().substr(undecided < segment.line_count()
+                                         ? segment.line_begin(undecided)
+                                         : segment.size_bytes()));
+    buf += partial;
+  }
+  counts.total_lines = line;
+  return counts;
 }
 
 // ------------------------------------------------------------ StreamFramer

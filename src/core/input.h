@@ -4,11 +4,15 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "core/dataset.h"
+#include "extraction/extractor.h"
+#include "util/file_io.h"
+#include "util/sampler.h"
 #include "util/status.h"
 
 /// The resilient input front-end: everything between "a path (or several)
@@ -20,9 +24,14 @@
 /// a single multi-GB line. This layer contains those hazards before any
 /// pipeline stage runs:
 ///
+///  * Windowed reading: a plain file is never held whole. InputReader
+///    reads it with pread in fixed 256 KiB blocks — the discovery sample
+///    straight from its sampled ranges, the extraction scan one
+///    window-sized segment at a time — so memory is a constant whatever
+///    the file size, and a file truncated under the reader is an IoError.
 ///  * Compression: gzip files are sniffed by magic bytes and inflated
-///    (streaming, multi-member, with a decompression-bomb cap) into the
-///    Dataset's owned backing. Plain files keep the mmap fast path.
+///    (multi-member, with a decompression-bomb cap) into an owned
+///    Dataset, which InputReader then serves from memory.
 ///  * Rotation stitching: `app.log` + `app.log.1` + `app.log.2.gz` open as
 ///    ONE logical dataset in chronological order (highest rotation index
 ///    first — that is the oldest data), each member newline-terminated so
@@ -51,8 +60,8 @@ enum class CrlfPolicy {
   /// Probe the first kCrlfProbeBytes of the (decompressed) input; if a
   /// CRLF appears there, normalize the whole input. A file whose first
   /// CRLF hides beyond the probe window is treated as kKeep — the
-  /// deterministic, documented trade for not touching every page of a
-  /// mapped multi-GB file.
+  /// deterministic, documented trade for deciding from the head alone
+  /// whether a multi-GB file can be read through the window.
   kAuto,
   /// Never normalize; '\r' stays in the line bytes.
   kKeep,
@@ -64,8 +73,6 @@ enum class CrlfPolicy {
 inline constexpr size_t kCrlfProbeBytes = 64 * 1024;
 
 struct InputOptions {
-  MapMode mmap_mode = MapMode::kAuto;
-  size_t mmap_threshold_bytes = Dataset::kDefaultMmapThreshold;
   CrlfPolicy crlf = CrlfPolicy::kAuto;
   /// Decompression-bomb guard: inflating past this many bytes is an error.
   /// 0 = unlimited.
@@ -109,9 +116,9 @@ Result<std::vector<std::string>> ExpandInputSpec(std::string_view spec);
 Result<Dataset> DatasetFromBytes(std::string bytes,
                                  const InputOptions& options);
 
-/// Opens one file through the resilient front-end. Plain files below the
-/// hazards keep Dataset::FromFile's mmap fast path; gzip input and CRLF
-/// normalization produce an owned backing.
+/// Reads one file whole through the resilient front-end: gzip input
+/// inflates and the CRLF policy applies. For callers that want the whole
+/// text in memory; the tools read through InputReader.
 Result<Dataset> OpenInput(const std::string& path,
                           const InputOptions& options);
 
@@ -225,9 +232,79 @@ class FollowReader {
 /// (callers wanting chronological rotation order sort with SortByRotation
 /// first — ExpandInputSpec already does). Every member is decompressed and
 /// normalized like OpenInput and newline-terminated before concatenation.
-/// A single path defers to OpenInput, preserving its mmap fast path.
+/// A single path is OpenInput.
 Result<Dataset> OpenInputs(const std::vector<std::string>& paths,
                            const InputOptions& options);
+
+/// The one way both tools read their input (batch datamaran_cli and all
+/// three datamaran_crawl phases): the text OpenInputs would build, served
+/// in pieces. A single plain file — no gzip magic, and no CRLF to strip
+/// under the policy, both decided from the head — is read with pread
+/// through a window of kWindowBytes and never held whole; a gzip member,
+/// a CRLF-stripped file or a multi-file stitch is normalized in memory by
+/// OpenInputs and served from that owned text through the same calls.
+/// Either way, every byte and count the reader yields equals what the
+/// same call would yield on OpenInputs' Dataset. A plain file that shrinks
+/// after Open fails the next read with an IoError naming the path and
+/// both sizes (util/file_io.h RandomAccessFile).
+class InputReader {
+ public:
+  /// Bytes one read fetches. A constant: it bounds the reader's memory,
+  /// and output does not depend on it.
+  static constexpr size_t kWindowBytes = 256 * 1024;
+
+  static Result<InputReader> Open(const std::vector<std::string>& paths,
+                                  const InputOptions& options);
+
+  /// Bytes of the logical text, a final newline the file lacks included
+  /// (OpenInputs' Dataset::size_bytes()).
+  size_t size_bytes() const;
+
+  /// True when the input is read through the window; false when it is
+  /// owned normalized text.
+  bool windowed() const { return !owned_.has_value(); }
+
+  /// The discovery sample: the lines SampleView would pick from
+  /// OpenInputs' Dataset, as a view valid while this reader and `*copy`
+  /// live. Owned text is sampled in place (SampleView, `*copy` untouched).
+  /// A windowed file's sampled lines are read into `*copy`, one owned
+  /// Dataset, and the view is its identity view: the file is read only in
+  /// the SampleRanges and the line ends they search for, and an over-cap
+  /// line is skipped without being buffered. Templates and scores are the
+  /// same either way (the copy concatenates the chunks as
+  /// DatasetView::ResolveSpan assembles a window across a gap).
+  Result<DatasetView> ReadSample(const SamplerOptions& options,
+                                 std::optional<Dataset>* copy) const;
+
+  /// Scans the input once with `extractor` into `sink` (which may be
+  /// null), one segment at a time through Extractor::ExtractSegment:
+  /// records arrive with stream line numbers and noise through
+  /// EventSink::OnNoiseText. Returns the counts ExtractEvents would return
+  /// over OpenInputs' Dataset. A windowed segment is the lines undecided
+  /// so far plus the complete lines of the next window; the reader holds
+  /// one segment and the partial line after it, and a line longer than
+  /// the window grows the segment until its '\n' arrives.
+  Result<ExtractionResult> Scan(const Extractor& extractor,
+                                EventSink* sink) const;
+
+  /// Reads `bytes` per window instead of kWindowBytes (tests only; output
+  /// is the same at every window size).
+  void set_window_bytes(size_t bytes) { window_bytes_ = bytes; }
+
+ private:
+  /// Bytes [offset, offset + n) of a windowed file's logical text.
+  Status ReadAt(size_t offset, char* dst, size_t n) const;
+
+  /// One past the '\n' ending the line that holds byte `pos` of a
+  /// windowed file's logical text; `*buf` is scratch for the blocks it
+  /// reads.
+  Result<size_t> EndOfLineAt(size_t pos, std::string* buf) const;
+
+  RandomAccessFile file_;
+  bool appends_newline_ = false;  ///< the file lacks a final '\n'
+  std::optional<Dataset> owned_;
+  size_t window_bytes_ = kWindowBytes;
+};
 
 }  // namespace datamaran
 

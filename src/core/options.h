@@ -11,6 +11,7 @@
 #include "template/match_engine.h"
 #include "util/char_class.h"
 #include "util/charset_engine.h"
+#include "util/sampler.h"
 
 /// Configuration for the Datamaran pipeline. Field names follow the paper's
 /// notation (Table 2): alpha = minimum coverage threshold, L = maximum
@@ -54,19 +55,10 @@ struct DatamaranOptions {
   int max_special_chars = 10;
 
   /// Sampling bounds for the generation and evaluation steps (Section 9.1);
-  /// the final extraction pass always scans the whole file. The sample is a
-  /// DatasetView into the backing file (line indices, no text copy).
+  /// the final extraction pass always scans the whole file. The tools read
+  /// the sample straight from the file (core/input.h InputReader).
   size_t max_sample_bytes = 256 * 1024;
   int sample_chunks = 8;
-
-  /// Input backing for ExtractFile: memory-map files at/above
-  /// mmap_threshold_bytes (kAuto), always map (kAlways, with read
-  /// fallback), or always read (kNever). Pipeline output is byte-identical
-  /// across backings; mapping keeps multi-GB extractions from requiring the
-  /// whole file in memory. The tools always run kAuto; the forced
-  /// backings are test oracles.
-  MapMode mmap_mode = MapMode::kAuto;
-  size_t mmap_threshold_bytes = Dataset::kDefaultMmapThreshold;
 
   /// Input front-end hardening (core/input.h). `crlf` controls "\r\n"
   /// normalization (kAuto probes the head of the input and strips when CRLF
@@ -76,7 +68,7 @@ struct DatamaranOptions {
   /// degraded to noise by the extraction scan instead of being indexed,
   /// tokenized, or matched (0 = unlimited). All three are pure functions
   /// of the input bytes, so output stays byte-identical across threads,
-  /// engines, and backings.
+  /// engines, and input paths.
   CrlfPolicy crlf = CrlfPolicy::kAuto;
   size_t max_inflate_bytes = 4ull * 1024 * 1024 * 1024;
   size_t max_line_bytes = 4 * 1024 * 1024;
@@ -166,14 +158,23 @@ struct DatamaranOptions {
   int num_threads = 0;
 };
 
-/// The input-layer slice of the pipeline options, for OpenInput/OpenInputs.
+/// The input-layer slice of the pipeline options, for OpenInput/OpenInputs
+/// and InputReader.
 inline InputOptions MakeInputOptions(const DatamaranOptions& options) {
   InputOptions in;
-  in.mmap_mode = options.mmap_mode;
-  in.mmap_threshold_bytes = options.mmap_threshold_bytes;
   in.crlf = options.crlf;
   in.max_inflate_bytes = options.max_inflate_bytes;
   return in;
+}
+
+/// The discovery sample's bounds (util/sampler.h), for SampleView and
+/// InputReader::ReadSample.
+inline SamplerOptions MakeSamplerOptions(const DatamaranOptions& options) {
+  SamplerOptions sampler;
+  sampler.max_sample_bytes = options.max_sample_bytes;
+  sampler.num_chunks = options.sample_chunks;
+  sampler.max_line_bytes = options.max_line_bytes;
+  return sampler;
 }
 
 /// The fingerprinting slice of the pipeline options, for MatchCatalog: the

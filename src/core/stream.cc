@@ -1,7 +1,7 @@
 #include "core/stream.h"
 
 #include <algorithm>
-#include <limits>
+#include <functional>
 #include <utility>
 
 #include "template/catalog.h"
@@ -20,29 +20,21 @@ DatamaranOptions StripCatalogPaths(DatamaranOptions options) {
 
 }  // namespace
 
-/// Per-segment EventSink the extractor drives. Forwards decided outcomes
-/// to the session's sink, holds back the undecided tail (lines without
-/// full record-span lookahead, or past an evolution trigger), and feeds
-/// the drift monitor — strictly in decision order, which is what makes
-/// the trigger point a pure function of the decided line sequence.
-class StreamSegmentAdapter : public EventSink {
+/// Where the segment scan (Extractor::ExtractSegment) delivers the
+/// session's decisions, already renumbered to stream lines: counts each
+/// one, feeds the drift monitor strictly in decision order — which is
+/// what makes the trigger point a pure function of the decided line
+/// sequence — and passes it on to the session's sink.
+class StreamDecisionSink : public EventSink {
  public:
-  static constexpr size_t kNone = std::numeric_limits<size_t>::max();
-
-  StreamSegmentAdapter(StreamingSession* session, const Dataset* segment,
-                       size_t boundary, uint64_t global_base)
-      : session_(session),
-        segment_(segment),
-        boundary_(boundary),
-        global_base_(global_base) {}
+  explicit StreamDecisionSink(StreamingSession* session)
+      : session_(session) {}
 
   void OnRecord(int template_id, size_t first_line, std::string_view text,
                 size_t pos, size_t end, const MatchEvent* events,
                 size_t num_events) override {
-    if (Suppress(first_line)) return;
-    session_->sink_->OnRecord(
-        template_id, static_cast<size_t>(global_base_) + first_line, text,
-        pos, end, events, num_events);
+    session_->sink_->OnRecord(template_id, first_line, text, pos, end, events,
+                              num_events);
     const int span =
         session_->extractor_templates_[static_cast<size_t>(template_id)]
             .line_span();
@@ -52,51 +44,21 @@ class StreamSegmentAdapter : public EventSink {
     for (int i = 0; i < span; ++i) {
       session_->ObserveDecided(/*noise=*/false, {});
     }
-    MaybeTrigger();
   }
 
-  void OnNoiseLine(size_t line_index) override {
-    if (Suppress(line_index)) return;
-    const std::string_view line = segment_->line_with_newline(line_index);
-    session_->sink_->OnNoiseText(
-        static_cast<size_t>(global_base_) + line_index, line);
+  void OnNoiseText(size_t line_index, std::string_view line) override {
+    session_->sink_->OnNoiseText(line_index, line);
     session_->stats_.noise_lines++;
     session_->stats_.lines_decided++;
     session_->stats_.decided_bytes += line.size();
     session_->stats_.noise_bytes += line.size();
     session_->ObserveDecided(/*noise=*/true, line);
-    MaybeTrigger();
   }
 
   void OnWaveEnd() override { session_->sink_->OnWaveEnd(); }
 
-  /// First undecided segment line (kNone = everything was decided).
-  size_t undecided_from() const { return undecided_from_; }
-  bool triggered() const { return triggered_; }
-
  private:
-  /// Decisions arrive in scan order, so the first one at/past the
-  /// boundary — or the first one after an evolution trigger — starts the
-  /// undecided region; everything from there on is held back.
-  bool Suppress(size_t first_line) {
-    if (undecided_from_ != kNone) return true;
-    if (first_line >= boundary_ || triggered_) {
-      undecided_from_ = first_line;
-      return true;
-    }
-    return false;
-  }
-
-  void MaybeTrigger() {
-    if (!triggered_ && session_->evolution_pending_) triggered_ = true;
-  }
-
   StreamingSession* session_;
-  const Dataset* segment_;
-  size_t boundary_;
-  uint64_t global_base_;
-  size_t undecided_from_ = kNone;
-  bool triggered_ = false;
 };
 
 StreamingSession::StreamingSession(const DatamaranOptions& options,
@@ -229,36 +191,23 @@ void StreamingSession::RunEvolution() {
 }
 
 void StreamingSession::ProcessSegment(bool final_flush) {
-  const size_t max_span =
-      options_.max_record_span > 0
-          ? static_cast<size_t>(options_.max_record_span)
-          : 1;
+  StreamDecisionSink decisions(this);
+  // An evolution trigger ends the segment's decisions: the lines after it
+  // are held back and re-extracted with the evolved set.
+  const std::function<bool()> triggered = [this] {
+    return evolution_pending_;
+  };
   while (window_line_count_ > 0) {
-    size_t boundary;
-    if (final_flush) {
-      boundary = StreamSegmentAdapter::kNone;
-    } else if (window_line_count_ >= max_span) {
-      // Decisions are final once max_span-1 lines of lookahead exist: a
-      // record starting before the boundary fits entirely in the segment,
-      // so the decided prefix equals the whole-stream greedy scan no
-      // matter where segments break.
-      boundary = window_line_count_ - (max_span - 1);
-    } else {
-      return;  // not enough lookahead to decide anything yet
-    }
-    Dataset segment{std::string(window_)};
-    StreamSegmentAdapter adapter(this, &segment, boundary,
-                                 stats_.lines_decided);
-    extractor_->ExtractEvents(segment, &adapter);
-    const size_t undecided = adapter.undecided_from();
-    if (undecided == StreamSegmentAdapter::kNone) {
-      window_.clear();
-      window_line_count_ = 0;
-    } else {
-      window_.erase(0, segment.line_begin(undecided));
-      window_line_count_ -= undecided;
-    }
-    if (adapter.triggered()) {
+    const Dataset segment{std::string(window_)};
+    const size_t undecided = extractor_->ExtractSegment(
+        segment, final_flush, static_cast<size_t>(stats_.lines_decided),
+        &decisions, nullptr, triggered);
+    if (undecided == 0) return;  // not enough lookahead to decide anything
+    window_.erase(0, undecided < segment.line_count()
+                         ? segment.line_begin(undecided)
+                         : window_.size());
+    window_line_count_ -= undecided;
+    if (evolution_pending_) {
       RunEvolution();
       continue;  // re-extract the held-back tail with the evolved set
     }

@@ -33,12 +33,13 @@
 ///      discovery *identical* to batch discovery, which is what the
 ///      streaming-vs-batch differential test pins.
 ///   2. Steady state. Lines accumulate in a segment buffer processed at
-///      window cadence: the current Extractor scans the segment and the
-///      matched records / noise lines stream straight into the caller's
-///      EventSink at wave cadence. Only decisions with full record-span
-///      lookahead are emitted — the last max_record_span-1 lines of a
-///      segment carry over to the next one — so the decided sequence is
-///      the left-to-right greedy first-match scan of the *stream*, a pure
+///      window cadence through Extractor::ExtractSegment — the segment
+///      rule batch extraction shares — and the matched records / noise
+///      lines stream straight into the caller's EventSink at wave cadence.
+///      Only decisions with full record-span lookahead are emitted — the
+///      last (longest template line_span() - 1) lines of a segment carry
+///      over to the next one — so the decided sequence is the
+///      left-to-right greedy first-match scan of the *stream*, a pure
 ///      function of the line sequence, independent of segment cadence and
 ///      chunk delivery (the determinism gate).
 ///   3. Drift. A monitor tracks the rolling noise rate over the last
@@ -204,7 +205,7 @@ class StreamingSession {
   }
 
  private:
-  friend class StreamSegmentAdapter;
+  friend class StreamDecisionSink;
 
   /// Runs batch discovery over `text`, returning accepted templates.
   std::vector<StructureTemplate> Discover(std::string text);
@@ -223,9 +224,10 @@ class StreamingSession {
   /// monitor state, checkpoint on success.
   void RunEvolution();
 
-  /// Extracts the segment buffer through the adapter. `final_flush` means
-  /// end of stream: no lookahead is held back and the loop re-processes
-  /// until every line is decided (evolution may interrupt mid-segment).
+  /// Decides the segment buffer (Extractor::ExtractSegment into a
+  /// StreamDecisionSink). `final_flush` means end of stream: no lookahead
+  /// is held back and the loop re-processes until every line is decided
+  /// (evolution may interrupt mid-segment).
   void ProcessSegment(bool final_flush);
 
   /// Decides one line as noise directly (warm-up failure path).
@@ -235,8 +237,8 @@ class StreamingSession {
   /// (locked merge). Errors are sticky in status_.
   void Checkpoint();
 
-  /// Called by the adapter for every decided line; updates the drift
-  /// monitor and the noise ring and arms the evolution trigger.
+  /// Called by the decision sink for every decided line; updates the
+  /// drift monitor and the noise ring and arms the evolution trigger.
   void ObserveDecided(bool noise, std::string_view line_with_newline);
 
   bool EvolutionArmed() const;

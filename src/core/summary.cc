@@ -21,7 +21,6 @@ FileSummary SummarizeResult(const std::string& path, const PipelineResult& r,
   FileSummary s;
   s.path = path;
   s.input_bytes = r.stats.input_bytes;
-  s.input_mapped = r.stats.input_mapped;
   for (const StructureTemplate& st : r.templates) {
     s.templates.push_back(st.Display());
   }
@@ -58,9 +57,6 @@ void AppendFileSummaryJson(const FileSummary& s, int indent,
   AppendJsonString(s.path, out);
   *out += ",\n";
   *out += field + StrFormat("\"input_bytes\": %zu,\n", s.input_bytes);
-  *out += field +
-          StrFormat("\"input_mapped\": %s,\n", s.input_mapped ? "true"
-                                                              : "false");
   *out += field + StrFormat("\"source_size\": %zu,\n", s.source_size);
   *out += field + StrFormat("\"source_mtime_ns\": %lld,\n",
                             static_cast<long long>(s.source_mtime_ns));
@@ -175,9 +171,9 @@ Result<FileSummary> FileSummaryFromJson(const JsonValue& v) {
 
   if (!str("path", &s.path)) return MissingKey("path");
   if (!u64(&v, "input_bytes", &s.input_bytes)) return MissingKey("input_bytes");
-  if (!boolean(&v, "input_mapped", &s.input_mapped)) {
-    return MissingKey("input_mapped");
-  }
+  // Manifests written while inputs could be memory-mapped also carry an
+  // "input_mapped" flag; like any unknown key it is ignored, so they still
+  // restore under --incremental.
   if (!u64(&v, "source_size", &s.source_size)) return MissingKey("source_size");
   {
     const JsonValue* m = v.Find("source_mtime_ns");

@@ -20,11 +20,10 @@ namespace datamaran {
 
 /// Everything a run knows about one input file. Timing fields are the only
 /// nondeterministic content; all counts are byte-exact across thread count,
-/// engine, and backing.
+/// engine, and input path.
 struct FileSummary {
   std::string path;
   size_t input_bytes = 0;
-  bool input_mapped = false;
   /// Change-detection identity of the source file(s) behind this summary,
   /// filled by the crawler: total on-disk size and the newest member's
   /// mtime in nanoseconds. `--incremental` re-crawls compare these against
@@ -100,9 +99,11 @@ std::string FileSummaryToJson(const FileSummary& s);
 /// Inverse of AppendFileSummaryJson: rebuilds a FileSummary from its parsed
 /// JSON object (the incremental re-crawl restores unchanged files' summaries
 /// from the previous manifest this way). Every field the writer emits is
-/// required and type-checked; unknown keys are ignored. Counters round-trip
-/// exactly and %.6f doubles re-render byte-identically, so restore +
-/// AppendFileSummaryJson reproduces the original object.
+/// required and type-checked; unknown keys are ignored (among them the
+/// "input_mapped" flag older manifests carry). Counters round-trip exactly
+/// and %.6f doubles re-render byte-identically, so restore +
+/// AppendFileSummaryJson reproduces the original object, less any
+/// ignored key.
 Result<FileSummary> FileSummaryFromJson(const JsonValue& v);
 
 }  // namespace datamaran

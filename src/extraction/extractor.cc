@@ -98,22 +98,80 @@ size_t AutoChunkLines(size_t lines, int threads) {
                     kMinLinesPerChunk, Extractor::kMaxLinesPerChunk);
 }
 
-/// At a wave end, releases a mapped input's pages before stitched view line
-/// `li` (Dataset::Release), so the scan holds about one wave of the input
-/// resident instead of everything it has read. Identity views only: their
-/// lines are the backing text in order. `*released` is the previous cut;
-/// each call restarts from it rounded down to a folio, because reading
-/// past a cut maps the cut's whole folio again, the released pages before
-/// it included. A later read of a released page (the next wave's first
-/// chunk starts before `li` when a record spilled past the wave) faults
-/// the same bytes back in.
-void ReleaseBefore(const DatasetView& data, size_t li, size_t* released) {
-  if (!data.is_identity()) return;
-  const Dataset& d = data.dataset();
-  const size_t cut = li < d.line_count() ? d.line_begin(li) : d.size_bytes();
-  d.Release(*released / kMaxFolioBytes * kMaxFolioBytes, cut);
-  *released = cut;
-}
+/// The sink ExtractSegment scans through: passes on the decided prefix of
+/// one segment with stream line numbers and holds back the rest.
+class SegmentForwarder : public EventSink {
+ public:
+  static constexpr size_t kNone = static_cast<size_t>(-1);
+
+  SegmentForwarder(const Dataset& segment, size_t boundary, size_t first_line,
+                   EventSink* sink, ExtractionResult* counts,
+                   const std::function<bool()>& stop)
+      : segment_(segment),
+        boundary_(boundary),
+        first_line_(first_line),
+        sink_(sink),
+        counts_(counts),
+        stop_(stop) {}
+
+  void OnRecord(int template_id, size_t first_line, std::string_view text,
+                size_t pos, size_t end, const MatchEvent* events,
+                size_t num_events) override {
+    if (HoldBack(first_line)) return;
+    if (counts_ != nullptr) {
+      counts_->covered_chars += end - pos;
+      counts_->matched_records += 1;
+      counts_->records_per_template[static_cast<size_t>(template_id)] += 1;
+    }
+    if (sink_ != nullptr) {
+      sink_->OnRecord(template_id, first_line_ + first_line, text, pos, end,
+                      events, num_events);
+    }
+    Poll();
+  }
+
+  void OnNoiseLine(size_t line_index) override {
+    if (HoldBack(line_index)) return;
+    if (counts_ != nullptr) counts_->noise_line_count += 1;
+    if (sink_ != nullptr) {
+      sink_->OnNoiseText(first_line_ + line_index,
+                         segment_.line_with_newline(line_index));
+    }
+    Poll();
+  }
+
+  void OnWaveEnd() override {
+    if (sink_ != nullptr) sink_->OnWaveEnd();
+  }
+
+  size_t undecided() const { return undecided_; }
+
+ private:
+  /// Decisions arrive in scan order, so the first one at or past the
+  /// boundary — or the first after `stop` fired — starts the undecided
+  /// tail, and everything from there on is held back.
+  bool HoldBack(size_t line) {
+    if (undecided_ != kNone) return true;
+    if (line >= boundary_ || stopped_) {
+      undecided_ = line;
+      return true;
+    }
+    return false;
+  }
+
+  void Poll() {
+    if (!stopped_ && stop_ && stop_()) stopped_ = true;
+  }
+
+  const Dataset& segment_;
+  size_t boundary_;
+  size_t first_line_;
+  EventSink* sink_;
+  ExtractionResult* counts_;
+  const std::function<bool()>& stop_;
+  size_t undecided_ = kNone;
+  bool stopped_ = false;
+};
 
 }  // namespace
 
@@ -215,12 +273,10 @@ ExtractionResult Extractor::ExtractSequential(const DatasetView& data,
   if (chunk_lines == 0) chunk_lines = AutoChunkLines(n, 1);
   const size_t wave_lines = chunk_lines * 2;
   size_t next_wave = wave_lines;
-  size_t released = 0;
   while (li < n) {
     li = EmitAt(data, li, sink, &stats, &scratch, &events);
     if (li >= next_wave) {
       if (sink != nullptr) sink->OnWaveEnd();
-      ReleaseBefore(data, li, &released);
       do {
         next_wave += wave_lines;
       } while (next_wave <= li);
@@ -258,7 +314,6 @@ ExtractionResult Extractor::ExtractEvents(const DatasetView& data,
 
   size_t li = 0;  // stitched (authoritative) line position
   size_t wave_start = 0;
-  size_t released = 0;
   while (wave_start < n) {
     const size_t wave_chunks = std::min(
         chunks_per_wave, (n - wave_start + chunk_lines - 1) / chunk_lines);
@@ -345,7 +400,6 @@ ExtractionResult Extractor::ExtractEvents(const DatasetView& data,
       }
     }
     if (sink != nullptr) sink->OnWaveEnd();
-    ReleaseBefore(data, li, &released);
     wave_start += wave_chunks * chunk_lines;
   }
   return stats;
@@ -375,6 +429,31 @@ ExtractionResult Extractor::Extract(const DatasetView& data) const {
                          : spans_[static_cast<size_t>(rec.template_id)];
   }
   return out;
+}
+
+size_t Extractor::ExtractSegment(const Dataset& segment, bool final,
+                                 size_t first_line, EventSink* sink,
+                                 ExtractionResult* counts,
+                                 const std::function<bool()>& stop) const {
+  const size_t n = segment.line_count();
+  // A record starting before the boundary fits in the segment whole, so
+  // its decision is the one the whole-stream scan makes.
+  const size_t longest =
+      spans_.empty()
+          ? 1
+          : static_cast<size_t>(*std::max_element(spans_.begin(), spans_.end()));
+  const size_t boundary = final ? n : (n >= longest ? n - (longest - 1) : 0);
+  if (counts != nullptr &&
+      counts->records_per_template.size() < matchers_.size()) {
+    counts->records_per_template.resize(matchers_.size(), 0);
+  }
+  if (boundary == 0) return 0;
+  SegmentForwarder forwarder(segment, boundary, first_line, sink, counts,
+                             stop);
+  ExtractEvents(DatasetView(segment), &forwarder);
+  return forwarder.undecided() == SegmentForwarder::kNone
+             ? n
+             : forwarder.undecided();
 }
 
 }  // namespace datamaran

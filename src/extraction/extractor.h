@@ -2,6 +2,7 @@
 #define DATAMARAN_EXTRACTION_EXTRACTOR_H_
 
 #include <cstddef>
+#include <functional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -19,14 +20,23 @@
 /// match emits one record and skips its span, and unmatched lines are
 /// noise. Matching runs on the configured engine (compiled bytecode by
 /// default; the tree walker reference via MatchEngine::kTree) with
-/// byte-identical output either way. The usual input is the identity view of a full (possibly
-/// mmap-backed) file, where every candidate window is matched in place on
-/// the backing buffer — extraction of a multi-GB mapping therefore streams
-/// through the file without ever materializing a copy, and releases the
-/// mapped pages behind each wave (Dataset::Release), so the input never
-/// stays resident as a whole. Gapped views (e.g. a
-/// residual) are also supported: windows that straddle a gap are assembled
-/// into a per-scan scratch buffer, exactly like the discovery stages.
+/// byte-identical output either way. The usual input is an identity view,
+/// where every candidate window is matched in place on the backing buffer.
+/// Gapped views (e.g. a residual) are also supported: windows that
+/// straddle a gap are assembled into a per-scan scratch buffer, exactly
+/// like the discovery stages.
+///
+/// Segments. The tools never scan a plain file or a stream as one buffer:
+/// batch reads a file in window-sized segments (core/input.h InputReader)
+/// and --follow cuts its stream into window-sized batches of lines
+/// (core/stream.h), and both decide each segment with ExtractSegment, the
+/// one segment rule. A record starting at line k spans at most the longest
+/// template's line_span() lines, so a decision is final once that many
+/// lines minus one follow it: ExtractSegment forwards every decision with
+/// this lookahead, renumbered to stream lines, and returns the first
+/// undecided line, which the caller carries into the next segment. The
+/// decided sequence is therefore the whole-stream scan, whatever the
+/// segment boundaries.
 ///
 /// This pass dominates total runtime for large files (Section 5.2.2) and is
 /// embarrassingly chunk-parallel; given a thread pool this implementation
@@ -43,8 +53,7 @@
 /// across a chunk boundary and desynchronizes the stream, the stitch
 /// re-matches lines one by one until the positions realign. The emitted
 /// record/noise sequence — and therefore every downstream artifact — is
-/// byte-identical for every thread count, and identical between mmap-backed
-/// and in-memory datasets.
+/// byte-identical for every thread count and every segmentation.
 ///
 /// Sink family. Records parse flat (template/matcher.h MatchEvent streams);
 /// the scan buffers nothing but those events plus span bookkeeping, so peak
@@ -56,7 +65,7 @@
 ///    CSV/NDJSON rows or the normalized multi-table CSV layout, plus a
 ///    noise-line stream, straight to disk, never materializing a
 ///    ParsedValue, which is what keeps `datamaran_cli --out` O(wave) in
-///    memory end to end on a mapped multi-GB file.
+///    memory end to end on a multi-GB file.
 ///  * RecordSink is the tree-shaped convenience: ExtractStreaming wraps it
 ///    in an adapter that replays each event stream into a ParsedValue
 ///    (BuildParsedValue) before forwarding — one scan implementation serves
@@ -101,8 +110,9 @@ struct ExtractedRecord {
 /// sink the scan drives directly. Events arrive in scan order regardless of
 /// the extractor's thread count; the emitted byte stream of any
 /// deterministic writer is therefore identical for every thread count, both
-/// match engines, and both dataset backings. Line indices are view indices
-/// (== physical line indices for the identity view).
+/// match engines, and every segmentation. Line indices are view indices
+/// (== physical line indices for the identity view); ExtractSegment
+/// renumbers them to stream lines.
 class EventSink {
  public:
   virtual ~EventSink() = default;
@@ -119,12 +129,13 @@ class EventSink {
 
   virtual void OnNoiseLine(size_t /*line_index*/) {}
 
-  /// Streaming noise hook: like OnNoiseLine, but carries the line text
-  /// (trailing '\n' included) because a streaming caller has no
-  /// whole-stream DatasetView for the index to resolve against; the view
-  /// is only valid during the callback, and `line_index` is the global
-  /// stream line number. The batch scan never calls this; the default
-  /// forwards to OnNoiseLine so index-only sinks need no change.
+  /// Segment noise hook: like OnNoiseLine, but carries the line text
+  /// (trailing '\n' included) because a segmented scan has no whole-stream
+  /// DatasetView for the index to resolve against; the view is only valid
+  /// during the callback, and `line_index` is the global stream line
+  /// number. ExtractSegment delivers all noise this way (batch windows and
+  /// --follow alike); ExtractEvents never calls it. The default forwards
+  /// to OnNoiseLine so index-only sinks need no change.
   virtual void OnNoiseText(size_t line_index,
                            std::string_view /*line_with_newline*/) {
     OnNoiseLine(line_index);
@@ -201,13 +212,10 @@ class Extractor {
   /// file scanned at n / (threads x 16) lines per chunk holds an eighth of
   /// the file's events. With it, wave state is bounded by the thread count
   /// and the record width, whatever the file size. 1024 rather than 4096:
-  /// with a mapped input's pages released behind every wave (plain
-  /// LF-terminated files of 8 MiB or more stay mapped; gzip, CRLF-stripped,
-  /// multi-file --inputs and unterminated-last-line inputs are owned
-  /// copies), the buffered events are the largest per-wave term. On three
-  /// 16 MiB batch inputs at two threads the peak RSS fell from 21.5 MB
-  /// (4096) to 14.6 MB (1024), medians of 7 runs on a 4-vCPU VM, with
-  /// total wall time within run-to-run noise.
+  /// the buffered events are the largest per-wave term. On three 16 MiB
+  /// batch inputs at two threads the peak RSS fell from 21.5 MB (4096) to
+  /// 14.6 MB (1024), medians of 7 runs on a 4-vCPU VM, with total wall time
+  /// within run-to-run noise.
   static constexpr size_t kMaxLinesPerChunk = 1024;
 
   /// `templates` in priority order (the pipeline's discovery order). The
@@ -253,6 +261,25 @@ class Extractor {
 
   /// Convenience: collects everything in memory.
   ExtractionResult Extract(const DatasetView& data) const;
+
+  /// Decides one segment of a longer line stream whose first line is
+  /// stream line `first_line` (the segment rule in the header comment).
+  /// Runs ExtractEvents over `segment` and forwards to `sink` each decision
+  /// with at least the longest template's line_span() - 1 lines after it
+  /// in the segment — every decision when `final` (the stream ends with
+  /// this segment) — with stream line
+  /// numbers: records through OnRecord, noise through OnNoiseText with the
+  /// line's text, plus every OnWaveEnd. `stop`, when set, is polled after
+  /// each forwarded decision; once it returns true nothing further is
+  /// forwarded (--follow's evolution trigger). Decided records and noise
+  /// lines are added to `*counts` when it is non-null (covered_chars,
+  /// matched_records, records_per_template, noise_line_count; the totals
+  /// are the caller's). Returns the first undecided segment line, or
+  /// segment.line_count() when all were decided; the decided lines are
+  /// exactly those before it. `sink` may be null.
+  size_t ExtractSegment(const Dataset& segment, bool final, size_t first_line,
+                        EventSink* sink, ExtractionResult* counts,
+                        const std::function<bool()>& stop = nullptr) const;
 
   /// Overrides the automatic chunk granularity (lines per parallel chunk);
   /// 0 restores the automatic choice. Exposed for tests and tuning.

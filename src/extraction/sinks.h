@@ -16,12 +16,13 @@
 /// extraction scan's flat MatchEvent stream into per-template relational
 /// files incrementally, without ever materializing ParsedValue trees or an
 /// in-memory record set. Combined with the wave-bounded parallel scan
-/// (Extractor::ExtractEvents) and an mmap-backed Dataset, `datamaran_cli
-/// --out` therefore runs a multi-GB extraction at O(wave) peak memory end
-/// to end — in both the denormalized and the normalized layout.
+/// (Extractor::ExtractEvents) over window-sized segments of the input
+/// (core/input.h InputReader), `datamaran_cli --out` therefore runs a
+/// multi-GB extraction at constant peak memory end to end — in both the
+/// denormalized and the normalized layout.
 ///
 /// Determinism is a hard contract: records and noise lines arrive in scan
-/// order regardless of thread count, match engine, or dataset backing, and
+/// order regardless of thread count, match engine, or window size, and
 /// the writers are pure functions of that sequence — the emitted files are
 /// byte-identical across all of those configurations (enforced by the CLI
 /// golden tests and the wave-determinism tests).
@@ -206,7 +207,7 @@ class ColumnarWriteSink : public WriteSinkBase {
 /// OnRecord arrives in stitched scan order, the counters — and therefore
 /// every id and parent_id cell — are byte-identical to the collecting
 /// path's NormalizedTables output for every thread count, match engine,
-/// and dataset backing.
+/// and input window size.
 class NormalizedWriteSink : public WriteSinkBase {
  public:
   /// Writes into `out_dir` (created if missing): type<t>.csv and

@@ -427,16 +427,19 @@ Status TemplateCatalog::Save(const std::string& path,
 
 CatalogMatch MatchCatalog(const TemplateCatalog& catalog, const Dataset& data,
                           const CatalogMatchOptions& options) {
-  CatalogMatch out;
-  if (catalog.empty() || data.size_bytes() == 0) return out;
   SamplerOptions sampler_opts;
   sampler_opts.max_sample_bytes = options.max_sample_bytes;
   sampler_opts.num_chunks = options.sample_chunks;
   sampler_opts.max_line_bytes = options.max_line_bytes;
-  std::optional<Dataset> sample_copy;
-  const DatasetView sample = DiscoverySample(data, sampler_opts, &sample_copy);
+  return MatchCatalog(catalog, SampleView(data, sampler_opts), options);
+}
+
+CatalogMatch MatchCatalog(const TemplateCatalog& catalog,
+                          const DatasetView& sample,
+                          const CatalogMatchOptions& options) {
+  CatalogMatch out;
   const size_t n = sample.line_count();
-  if (n == 0) return out;
+  if (catalog.empty() || n == 0) return out;
 
   // One pass over the sample's line-leading bytes; every entry's prefilter
   // is then an O(256) histogram sum instead of a match scan.

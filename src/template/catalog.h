@@ -58,8 +58,8 @@
 /// field.
 ///
 /// MatchCatalog is the fingerprint step of the catalog-hit fast path: given
-/// a new input, sample it (util/sampler.h DiscoverySample, the sample
-/// discovery runs on), prefilter entries by FIRST-byte dispatch — an entry
+/// a new input, sample it (util/sampler.h; the tools pass the sample
+/// core/input.h InputReader reads, the one discovery runs on), prefilter entries by FIRST-byte dispatch — an entry
 /// none of whose templates can start at enough sample lines is discarded
 /// without a single match attempt — then score the survivors with the MDL
 /// noise model (scoring/mdl.h) and accept the best entry that both covers
@@ -208,11 +208,18 @@ struct CatalogMatch {
   bool hit() const { return entry >= 0; }
 };
 
-/// Fingerprints `data` against `catalog`: samples, prefilters by FIRST
-/// bytes, MDL-scores surviving entries, and returns the best acceptable one
-/// (lowest MDL total; ties break to the lowest entry index). Deterministic:
-/// a pure function of the input bytes, the catalog, and the options.
+/// Fingerprints `data` against `catalog`: samples (SampleView under the
+/// options' sampling policy), then matches that sample as below.
 CatalogMatch MatchCatalog(const TemplateCatalog& catalog, const Dataset& data,
+                          const CatalogMatchOptions& options);
+
+/// Fingerprints an input by its discovery sample, used as is (the
+/// sampling fields of `options` are ignored): prefilters by FIRST bytes,
+/// MDL-scores surviving entries, and returns the best acceptable one
+/// (lowest MDL total; ties break to the lowest entry index). Deterministic:
+/// a pure function of the sample, the catalog, and the options.
+CatalogMatch MatchCatalog(const TemplateCatalog& catalog,
+                          const DatasetView& sample,
                           const CatalogMatchOptions& options);
 
 }  // namespace datamaran

@@ -3,16 +3,16 @@
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <system_error>
 #include <utility>
 
 #if defined(__unix__) || defined(__APPLE__)
-#define DM_HAVE_MMAP 1
+#define DM_HAVE_PREAD 1
 #define DM_HAVE_FLOCK 1
 #include <fcntl.h>
 #include <sys/file.h>
-#include <sys/mman.h>
 #include <sys/stat.h>
 #include <unistd.h>
 #endif
@@ -177,46 +177,73 @@ Status MakeDirs(const std::string& path) {
   return Status::Ok();
 }
 
-MappedRegion::~MappedRegion() {
-#if DM_HAVE_MMAP
-  if (mapped_ && addr_ != nullptr) {
-    ::munmap(addr_, size_);
-  }
+RandomAccessFile::~RandomAccessFile() {
+#if DM_HAVE_PREAD
+  if (fd_ >= 0) ::close(fd_);
 #endif
 }
 
-MappedRegion::MappedRegion(MappedRegion&& other) noexcept {
+RandomAccessFile::RandomAccessFile(RandomAccessFile&& other) noexcept {
   *this = std::move(other);
 }
 
-MappedRegion& MappedRegion::operator=(MappedRegion&& other) noexcept {
+RandomAccessFile& RandomAccessFile::operator=(
+    RandomAccessFile&& other) noexcept {
   if (this == &other) return *this;
-#if DM_HAVE_MMAP
-  if (mapped_ && addr_ != nullptr) {
-    ::munmap(addr_, size_);
-  }
+#if DM_HAVE_PREAD
+  if (fd_ >= 0) ::close(fd_);
 #endif
-  addr_ = other.addr_;
+  fd_ = other.fd_;
   size_ = other.size_;
-  mapped_ = other.mapped_;
-  owned_ = std::move(other.owned_);
-  other.addr_ = nullptr;
+  path_ = std::move(other.path_);
+  other.fd_ = -1;
   other.size_ = 0;
-  other.mapped_ = false;
-  other.owned_.clear();
   return *this;
 }
 
-MappedRegion MappedRegion::FromOwned(std::string text) {
-  MappedRegion region;
-  region.owned_ = std::move(text);
-  return region;
+Result<RandomAccessFile> RandomAccessFile::Open(const std::string& path) {
+#if DM_HAVE_PREAD
+  RandomAccessFile file;
+  file.path_ = path;
+  file.fd_ = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (file.fd_ < 0) return Status::IoError("cannot open for read: " + path);
+  struct stat st;
+  if (::fstat(file.fd_, &st) != 0) return Status::IoError("cannot stat: " + path);
+  file.size_ = static_cast<size_t>(st.st_size);
+  return file;
+#else
+  return Status::Internal("positioned reads need a POSIX platform: " + path);
+#endif
 }
 
-std::string MappedRegion::ReleaseOwned() {
-  std::string out = std::move(owned_);
-  owned_.clear();
-  return out;
+Status RandomAccessFile::ReadAt(size_t offset, char* dst, size_t n) const {
+#if DM_HAVE_PREAD
+  size_t got = 0;
+  while (got < n) {
+    const ssize_t r = ::pread(fd_, dst + got, n - got,
+                              static_cast<off_t>(offset + got));
+    if (r < 0 && errno == EINTR) continue;
+    if (r < 0) {
+      return Status::IoError("read failed: " + path_ + ": " +
+                             std::strerror(errno));
+    }
+    if (r == 0) {
+      struct stat st;
+      const long long now =
+          ::fstat(fd_, &st) == 0 ? static_cast<long long>(st.st_size) : -1;
+      return Status::IoError(
+          "short read: " + path_ + " is " + std::to_string(now) +
+          " bytes, was " + std::to_string(size_) + " at open");
+    }
+    got += static_cast<size_t>(r);
+  }
+  return Status::Ok();
+#else
+  (void)offset;
+  (void)dst;
+  (void)n;
+  return Status::Internal("positioned reads need a POSIX platform: " + path_);
+#endif
 }
 
 Result<size_t> FileSizeBytes(const std::string& path) {
@@ -234,84 +261,6 @@ Result<int64_t> FileMtimeNs(const std::string& path) {
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           t.time_since_epoch())
           .count());
-}
-
-void MappedRegion::Release(size_t begin, size_t end) const {
-#if DM_HAVE_MMAP && defined(MADV_DONTNEED)
-  if (!mapped_ || addr_ == nullptr || begin >= size_) return;
-  static const size_t page = static_cast<size_t>(::sysconf(_SC_PAGESIZE));
-  if (page == 0) return;
-  // Whole pages only: round the start up and the end down, except that an
-  // end at or past the size takes the last, partial page too (the mapping
-  // covers it whole and nothing else lives there).
-  begin = (begin + page - 1) / page * page;
-  end = end >= size_ ? (size_ + page - 1) / page * page : end / page * page;
-  if (begin >= end) return;
-  // Best effort: a failing madvise only leaves the pages resident.
-  (void)::madvise(static_cast<char*>(addr_) + begin, end - begin,
-                  MADV_DONTNEED);
-#else
-  (void)begin;
-  (void)end;
-#endif
-}
-
-void MappedRegion::Advise(AccessHint hint) const {
-#if DM_HAVE_MMAP && defined(MADV_NORMAL)
-  if (!mapped_ || addr_ == nullptr || size_ == 0) return;
-  int advice = MADV_NORMAL;
-  switch (hint) {
-    case AccessHint::kNormal:
-      advice = MADV_NORMAL;
-      break;
-    case AccessHint::kSequential:
-      advice = MADV_SEQUENTIAL;
-      break;
-    case AccessHint::kRandom:
-      advice = MADV_RANDOM;
-      break;
-  }
-  // Best effort: a failing madvise changes nothing but prefetch behavior.
-  (void)::madvise(addr_, size_, advice);
-#else
-  (void)hint;
-#endif
-}
-
-Result<MappedRegion> MmapFile(const std::string& path) {
-#if DM_HAVE_MMAP
-  int fd = ::open(path.c_str(), O_RDONLY);
-  if (fd < 0) {
-    return Status::IoError("cannot open for read: " + path);
-  }
-  struct stat st;
-  if (::fstat(fd, &st) != 0) {
-    ::close(fd);
-    return Status::IoError("cannot stat: " + path);
-  }
-  const size_t size = static_cast<size_t>(st.st_size);
-  if (size == 0) {
-    ::close(fd);
-    return MappedRegion::FromOwned(std::string());
-  }
-  void* addr = ::mmap(nullptr, size, PROT_READ, MAP_PRIVATE, fd, 0);
-  ::close(fd);
-  if (addr == MAP_FAILED) {
-    // Graceful fallback: serve the bytes from an owned copy instead.
-    auto text = ReadFileToString(path);
-    if (!text.ok()) return text.status();
-    return MappedRegion::FromOwned(std::move(text.value()));
-  }
-  MappedRegion region;
-  region.addr_ = addr;
-  region.size_ = size;
-  region.mapped_ = true;
-  return region;
-#else
-  auto text = ReadFileToString(path);
-  if (!text.ok()) return text.status();
-  return MappedRegion::FromOwned(std::move(text.value()));
-#endif
 }
 
 }  // namespace datamaran

@@ -7,19 +7,11 @@
 
 #include "util/status.h"
 
-/// File access helpers. Datamaran has two ways of getting a file's bytes
-/// into the pipeline: a plain whole-file read (ReadFileToString) and a
-/// read-only memory mapping (MmapFile) whose pages fault in lazily — the
-/// backing store of choice for multi-GB data-lake files. Every pass over a
-/// mapped input gives the pages behind it back (MappedRegion::Release), so
-/// the input's resident share stays a few folios whatever the file size.
-/// Which inputs are mapped is decided above this layer (core/input.h,
-/// Dataset::FromFile): plain LF-terminated files of 8 MiB or more stay
-/// mapped; gzip members, CRLF-stripped files, multi-file --inputs stitches
-/// and files without a final newline are owned copies. MmapFile degrades
-/// gracefully: on platforms without mmap, or when the mapping fails, the
-/// region falls back to an owned in-memory copy, so callers never need a
-/// second code path.
+/// File access helpers: whole-file reads and writes for small artifacts
+/// (catalogs, summaries, manifests), atomic replacement, advisory locks,
+/// and RandomAccessFile — positioned reads of fixed-size blocks, which is
+/// how the input front-end (core/input.h InputReader) reads a log file of
+/// any size through a window of constant size.
 
 namespace datamaran {
 
@@ -91,77 +83,38 @@ class FileLock {
 /// Creates directory `path` (and parents) if it does not exist.
 Status MakeDirs(const std::string& path);
 
-/// Largest page-cache folio one fault may map (the PMD size with 4 KiB
-/// pages). Reading a single byte of a file mapping can map its whole folio,
-/// so a scan that releases pages behind it rounds its cuts out to this.
-inline constexpr size_t kMaxFolioBytes = size_t{2} << 20;
-
-/// Expected access pattern for a mapped region, forwarded to the kernel as
-/// an madvise hint: kSequential readahead for the streaming extraction
-/// scan, kRandom for the scattered sampling/discovery touches, kNormal to
-/// restore the default. Purely advisory — a no-op for owned (read-fallback)
-/// regions and on platforms without madvise.
-enum class AccessHint {
-  kNormal,
-  kSequential,
-  kRandom,
-};
-
-/// A read-only view of a file's bytes, backed either by an mmap'd region
-/// (is_mapped() == true; pages fault in on demand) or by an owned string
-/// (the read fallback). Move-only; the view stays valid across moves.
-class MappedRegion {
+/// A file opened read-only for positioned reads (pread). The size is taken
+/// once, at Open; a read that comes back short of it — the file was
+/// truncated after opening, as a copytruncate rotation does — is an
+/// IoError naming the path, the size at open and the size now, never a
+/// crash or a silently shorter input. Move-only; closes on destruction.
+class RandomAccessFile {
  public:
-  MappedRegion() = default;
-  ~MappedRegion();
+  RandomAccessFile() = default;
+  ~RandomAccessFile();
 
-  MappedRegion(const MappedRegion&) = delete;
-  MappedRegion& operator=(const MappedRegion&) = delete;
-  MappedRegion(MappedRegion&& other) noexcept;
-  MappedRegion& operator=(MappedRegion&& other) noexcept;
+  RandomAccessFile(const RandomAccessFile&) = delete;
+  RandomAccessFile& operator=(const RandomAccessFile&) = delete;
+  RandomAccessFile(RandomAccessFile&& other) noexcept;
+  RandomAccessFile& operator=(RandomAccessFile&& other) noexcept;
 
-  /// The file's bytes. Valid for the lifetime of the region.
-  std::string_view view() const {
-    return mapped_ ? std::string_view(static_cast<const char*>(addr_), size_)
-                   : std::string_view(owned_);
-  }
-  size_t size() const { return mapped_ ? size_ : owned_.size(); }
+  static Result<RandomAccessFile> Open(const std::string& path);
 
-  /// True when the bytes are served by a lazy mmap rather than an owned
-  /// in-memory copy.
-  bool is_mapped() const { return mapped_; }
+  const std::string& path() const { return path_; }
+  /// Size in bytes at Open.
+  size_t size() const { return size_; }
 
-  /// Gives the mapped pages wholly inside bytes [begin, end) back to the
-  /// kernel (madvise MADV_DONTNEED), so they stop counting in the process's
-  /// resident memory. Safe at any time: the mapping is private, read-only
-  /// and never written, so a later read of a released page faults it back
-  /// from the page cache with the same bytes. The range is clamped to the
-  /// region and shrunk to whole pages (a partial page at either end is
-  /// kept, except the file's last page when `end` reaches the size). No-op
-  /// for owned regions and on platforms without madvise.
-  void Release(size_t begin, size_t end) const;
-
-  /// Advises the kernel of the expected access pattern (best effort; no-op
-  /// when the region is not a live mapping or madvise is unavailable).
-  void Advise(AccessHint hint) const;
-
-  /// Takes ownership of an in-memory copy (the read-fallback constructor).
-  static MappedRegion FromOwned(std::string text);
-
-  /// Moves the fallback buffer out of a non-mapped region (the region
-  /// becomes empty). Lets consumers adopt the bytes without a second copy.
-  std::string ReleaseOwned();
+  /// Reads bytes [offset, offset + n) into `dst`; the range must lie
+  /// within size(). Anything less than n bytes is an IoError.
+  Status ReadAt(size_t offset, char* dst, size_t n) const;
 
  private:
-  friend Result<MappedRegion> MmapFile(const std::string& path);
-
-  void* addr_ = nullptr;  // mmap base (mapped_ only)
-  size_t size_ = 0;       // mapped length
-  bool mapped_ = false;
-  std::string owned_;     // fallback storage
+  int fd_ = -1;
+  size_t size_ = 0;
+  std::string path_;
 };
 
-/// Size of the file at `path` in bytes, without opening or mapping it.
+/// Size of the file at `path` in bytes, without opening it.
 Result<size_t> FileSizeBytes(const std::string& path);
 
 /// Last-modification time of the file at `path` in nanoseconds since the
@@ -169,11 +122,6 @@ Result<size_t> FileSizeBytes(const std::string& path);
 /// value is only meaningful for equality comparison against an earlier
 /// observation on the same machine (incremental re-crawl change detection).
 Result<int64_t> FileMtimeNs(const std::string& path);
-
-/// Maps the file at `path` read-only. Falls back to ReadFileToString when
-/// mapping is unavailable (empty file, platform without mmap, mmap error),
-/// so a successful Result always carries the file's bytes.
-Result<MappedRegion> MmapFile(const std::string& path);
 
 }  // namespace datamaran
 

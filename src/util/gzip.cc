@@ -34,8 +34,7 @@ Result<std::string> GunzipToString(std::string_view compressed,
   }
   std::string out;
   // Chunked output keeps the working set bounded even though the result is
-  // one owned string; the compressed input is consumed as-is (typically a
-  // lazily-faulting mmap of the .gz file).
+  // one owned string; the compressed input is consumed as-is.
   char buf[256 * 1024];
   strm.next_in =
       reinterpret_cast<Bytef*>(const_cast<char*>(compressed.data()));

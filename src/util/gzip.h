@@ -10,7 +10,7 @@
 /// Streaming gzip/zlib decompression for the input layer. Real data lakes
 /// are full of rotated-and-compressed logs (`app.log.2.gz`); the input
 /// front-end (core/input.h) sniffs the magic bytes and inflates such files
-/// into the Dataset's owned backing, so every downstream stage sees plain
+/// into an owned Dataset, so every downstream stage sees plain
 /// text. Corrupt or truncated streams yield a descriptive error Status —
 /// never a crash — which is what lets the crawler skip a bad file and keep
 /// going. Built against zlib when available; without it, LooksGzip still

@@ -1,27 +1,21 @@
 #include "util/sampler.h"
 
 #include <algorithm>
-#include <string>
 #include <utility>
 
 #include "util/common.h"
 
 namespace datamaran {
 
-std::vector<SampleRange> SampleRanges(const Dataset& data,
-                                      const SamplerOptions& options) {
-  const size_t size = data.size_bytes();
+std::vector<SampleRange> SampleRanges(
+    size_t size, const SamplerOptions& options,
+    const std::function<size_t(size_t)>& end_of_line_at) {
   if (size <= options.max_sample_bytes) {
     return {{0, size}};
   }
   DM_CHECK(options.num_chunks > 0);
   const size_t chunk_bytes = options.max_sample_bytes / options.num_chunks;
   const size_t stride = size / options.num_chunks;
-  // Every line of a Dataset ends in '\n', so "one past the '\n' at or after
-  // byte p" is the end of the line holding p: a binary search of the index.
-  const auto end_of_line_at = [&](size_t p) {
-    return data.line_end(data.LineOfOffset(p));
-  };
   std::vector<SampleRange> ranges;
   size_t last_end = 0;  // avoid overlapping chunks
   for (int i = 0; i < options.num_chunks; ++i) {
@@ -39,13 +33,21 @@ std::vector<SampleRange> SampleRanges(const Dataset& data,
   return ranges;
 }
 
+std::vector<SampleRange> SampleRanges(const Dataset& data,
+                                      const SamplerOptions& options) {
+  // Every line of a Dataset ends in '\n', so "one past the '\n' at or after
+  // byte p" is the end of the line holding p: a binary search of the index.
+  return SampleRanges(data.size_bytes(), options, [&](size_t p) {
+    return data.line_end(data.LineOfOffset(p));
+  });
+}
+
 DatasetView SampleView(const Dataset& data, const SamplerOptions& options) {
   // Oversized-line containment: a line beyond the cap never enters the
   // sample (and with it generation's per-line token index); it can only
   // ever be noise. The check is a pure function of the line length, so the
-  // sample is identical for every backing and thread count. The length
-  // comes from the index (every Dataset line ends in '\n'), so building
-  // the view reads no text: SampleCopy then maps one chunk at a time.
+  // sample is identical for every input path and thread count. The length
+  // comes from the index (every Dataset line ends in '\n').
   const size_t cap = options.max_line_bytes;
   const auto line_ok = [&](size_t li) {
     return cap == 0 || data.line_end(li) - data.line_begin(li) - 1 <= cap;
@@ -72,37 +74,6 @@ DatasetView SampleView(const Dataset& data, const SamplerOptions& options) {
     }
   }
   return DatasetView(data, std::move(live));
-}
-
-Dataset SampleCopy(const Dataset& data, const SamplerOptions& options) {
-  const DatasetView view = SampleView(data, options);
-  std::string text;
-  text.reserve(view.size_bytes());
-  size_t run_begin = 0;  // byte offset of the current contiguous run
-  for (size_t v = 0; v < view.line_count(); ++v) {
-    const size_t li = view.physical_line(v);
-    if (v == 0 || view.physical_line(v - 1) + 1 != li) {
-      run_begin = data.line_begin(li);
-    }
-    text.append(data.line_with_newline(li));
-    if (v + 1 == view.line_count() || view.physical_line(v + 1) != li + 1) {
-      // The run is copied: release it, rounded out to whole folios, since
-      // reading it may have mapped the folios it starts and ends in.
-      data.Release(run_begin / kMaxFolioBytes * kMaxFolioBytes,
-                   (data.line_end(li) + kMaxFolioBytes - 1) / kMaxFolioBytes *
-                       kMaxFolioBytes);
-    }
-  }
-  return Dataset(std::move(text));
-}
-
-DatasetView DiscoverySample(const Dataset& data, const SamplerOptions& options,
-                            std::optional<Dataset>* copy) {
-  if (!data.is_mapped() || data.size_bytes() <= options.max_sample_bytes) {
-    return SampleView(data, options);
-  }
-  copy->emplace(SampleCopy(data, options));
-  return DatasetView(**copy);
 }
 
 }  // namespace datamaran

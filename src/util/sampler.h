@@ -2,7 +2,7 @@
 #define DATAMARAN_UTIL_SAMPLER_H_
 
 #include <cstddef>
-#include <optional>
+#include <functional>
 #include <vector>
 
 #include "core/dataset.h"
@@ -10,16 +10,12 @@
 /// Cache-aware sampling (Section 9.1, "Sampling Technique"): for large
 /// datasets the generation and evaluation steps run on a few large
 /// line-aligned chunks instead of the whole file, bounding S_data by a
-/// constant. The chunk ranges come from the line index alone, and the
-/// sample is a DatasetView of the sampled lines — no text copy — except
-/// for a mapped input larger than the budget, whose sampled lines are
-/// copied into one owned buffer (DiscoverySample). The copy is what keeps
-/// the mapping unpinned: reading one byte of a chunk can map its whole
-/// 2 MiB page-cache folio, so a view of eight chunks spread through the
-/// file keeps up to 16 MiB of it mapped while discovery re-reads the
-/// sample round after round. The copy reads each chunk once, releases its
-/// folios, and holds at most about max_sample_bytes. The final extraction
-/// pass always scans the full file.
+/// constant. SampleRanges places the chunks; for a file on disk,
+/// core/input.h's InputReader reads exactly those ranges into one owned
+/// sample Dataset (the file is never held whole), and for text already in
+/// memory SampleView is a DatasetView of the sampled lines — the same
+/// lines either way. The final extraction pass always scans the full
+/// file.
 
 namespace datamaran {
 
@@ -42,38 +38,28 @@ struct SampleRange {
   size_t end = 0;
 };
 
-/// Line-aligned, non-overlapping, ascending chunk ranges of `data`'s text
-/// totaling at most (approximately) max_sample_bytes. Each chunk starts at
-/// the line after the one holding its nominal offset and always ends on a
-/// line boundary, so every chunk is a well-formed '\n'-separated block
-/// sequence (Definition 2.4 still applies to the sampled lines). A text at
-/// or below the budget yields the single range [0, size). Computed from
-/// the line index only: finding the ranges reads no text.
+/// Line-aligned, non-overlapping, ascending chunk ranges of a text of
+/// `size` bytes that ends in '\n', totaling at most (approximately)
+/// max_sample_bytes. Each chunk starts at the line after the one holding
+/// its nominal offset and always ends on a line boundary, so every chunk is
+/// a well-formed '\n'-separated block sequence (Definition 2.4 still
+/// applies to the sampled lines). A text at or below the budget yields the
+/// single range [0, size). `end_of_line_at(p)` returns one past the '\n'
+/// ending the line that holds byte p (p < size): the only way the rule
+/// looks at the text, so the ranges can come from a line index or from a
+/// search through a file.
+std::vector<SampleRange> SampleRanges(
+    size_t size, const SamplerOptions& options,
+    const std::function<size_t(size_t)>& end_of_line_at);
+
+/// SampleRanges of `data`'s text, from the line index alone: finding the
+/// ranges reads no text.
 std::vector<SampleRange> SampleRanges(const Dataset& data,
                                       const SamplerOptions& options);
 
-/// View of the sampled lines of `data` (no text copy). The whole-file case
-/// returns the identity view.
+/// View of the sampled lines of `data` (no text copy), over-cap lines
+/// left out. The whole-file case returns the identity view.
 DatasetView SampleView(const Dataset& data, const SamplerOptions& options);
-
-/// An owned Dataset holding exactly SampleView's lines, in order, as one
-/// contiguous text (at most about max_sample_bytes). Each contiguous run of
-/// sampled lines is released from a mapped `data` (Dataset::Release,
-/// rounded out to whole folios) once it is copied. The copy's identity
-/// view matches the gapped SampleView for every stage: a record window
-/// that crosses a chunk boundary reads the same concatenated lines that
-/// DatasetView::ResolveSpan would assemble, and the text ends after the
-/// last sampled line just as the assembled window does.
-Dataset SampleCopy(const Dataset& data, const SamplerOptions& options);
-
-/// The sample discovery and catalog fingerprinting run on. A mapped input
-/// larger than max_sample_bytes is copied (SampleCopy into `*copy`, which
-/// must outlive the returned view); any other input gets SampleView and
-/// `*copy` is left untouched. Templates and scores are identical either
-/// way; view counters that count assembled cross-gap windows (such as
-/// residual_copy_bytes) may differ between the two backings.
-DatasetView DiscoverySample(const Dataset& data, const SamplerOptions& options,
-                            std::optional<Dataset>* copy);
 
 }  // namespace datamaran
 

@@ -22,12 +22,14 @@
 #include <cstddef>
 #include <cstdio>
 #include <filesystem>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <thread>
 #include <vector>
 
 #include "core/dataset.h"
+#include "core/input.h"
 #include "extraction/extractor.h"
 #include "template/catalog.h"
 #include "template/compiled.h"
@@ -35,6 +37,7 @@
 #include "template/template.h"
 #include "util/file_io.h"
 #include "util/rng.h"
+#include "util/sampler.h"
 #include "util/status.h"
 
 namespace datamaran {
@@ -470,23 +473,33 @@ TEST(MatchCatalogTest, MinMatchThresholdGovernsDriftedInputs) {
   EXPECT_NEAR(m.match_rate, 0.4, 0.05);
 }
 
-TEST(MatchCatalogTest, MappedInputOverTheSampleBudgetHitsLikeOwned) {
-  // A mapped input larger than the 256 KB sample budget is fingerprinted
-  // on an owned copy of its sampled lines (util/sampler.h
-  // DiscoverySample); the owned input is read through a gapped view. Both
-  // must pick the same entry at the same rates, including a two-line
-  // entry whose windows cross the sample's chunk boundaries.
+TEST(MatchCatalogTest, FileReadSampleOverTheBudgetHitsLikeOwned) {
+  // An input larger than the 256 KB sample budget is fingerprinted by the
+  // tools on the sample InputReader reads from the file, one owned copy of
+  // the sampled lines; the in-memory input is read through a gapped
+  // SampleView. Both must pick the same entry at the same rates,
+  // including a two-line entry whose windows cross the sample's chunk
+  // boundaries.
   Rng rng(4);
   std::string text;
   while (text.size() < 400 * 1024) {
     text += KvLines(40, &rng);
     text += ProseLines(3);
   }
-  const std::string path = ::testing::TempDir() + "dm_catalog_mapped.log";
+  const std::string path = ::testing::TempDir() + "dm_catalog_sampled.log";
   ASSERT_TRUE(WriteStringToFile(path, text).ok());
-  auto mapped = Dataset::FromFile(path, MapMode::kAlways);
-  ASSERT_TRUE(mapped.ok());
-  ASSERT_TRUE(mapped->is_mapped());
+  auto reader = InputReader::Open({path}, InputOptions{});
+  ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+  ASSERT_TRUE(reader->windowed());
+  const CatalogMatchOptions options;
+  SamplerOptions sampler;
+  sampler.max_sample_bytes = options.max_sample_bytes;
+  sampler.num_chunks = options.sample_chunks;
+  sampler.max_line_bytes = options.max_line_bytes;
+  std::optional<Dataset> copy;
+  auto sample = reader->ReadSample(sampler, &copy);
+  ASSERT_TRUE(sample.ok()) << sample.status().ToString();
+  ASSERT_TRUE(copy.has_value());
   const Dataset owned{std::string(text)};
 
   TemplateCatalog catalog = KvCatalog();
@@ -497,8 +510,8 @@ TEST(MatchCatalogTest, MappedInputOverTheSampleBudgetHitsLikeOwned) {
   pairs.meta.emplace_back();
   catalog.AddEntry(std::move(pairs));
 
-  const CatalogMatch want = MatchCatalog(catalog, owned, {});
-  const CatalogMatch got = MatchCatalog(catalog, mapped.value(), {});
+  const CatalogMatch want = MatchCatalog(catalog, owned, options);
+  const CatalogMatch got = MatchCatalog(catalog, sample.value(), options);
   ASSERT_TRUE(want.hit());
   EXPECT_LT(want.match_rate, 1.0);
   EXPECT_EQ(got.entry, want.entry);

@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -26,11 +27,11 @@
 // (full pipeline: discovery + streaming columnar extraction) on small
 // committed corpora and compares the output directory byte-for-byte against
 // checked-in goldens at threads {1,4}, for CSV, plus both formats at one
-// representative configuration. The engine x backing half of the
-// determinism matrix — the reference tree matcher and forced mmap/read
-// backings, which are test oracles reachable only through DatamaranOptions
-// — runs in process through the CLI's own library sequence against the
-// same goldens (CliEngineMatrixTest). Any divergence in discovery, scan
+// representative configuration. The engine x input half of the
+// determinism matrix — the reference tree matcher, a test oracle
+// reachable only through DatamaranOptions, and the windowed InputReader
+// against one whole-buffer scan — runs in process through the CLI's own
+// library sequence against the same goldens (CliEngineMatrixTest). Any divergence in discovery, scan
 // order, stitching, or writer bytes fails with the offending file named.
 //
 // DM_CLI_PATH and DM_SOURCE_DIR are injected by CMake.
@@ -194,7 +195,7 @@ void WriteGzipped(const std::string& path, const std::string& text) {
 /// oldest, app.log.1, app.log newest) opened via --inputs must produce
 /// output byte-identical to a plain pre-concatenated file of the same bytes
 /// in chronological order, for every thread count (every engine and
-/// backing: CliEngineMatrixTest.RotatedGzipStitch).
+/// input path: CliEngineMatrixTest.RotatedGzipStitch).
 TEST(CliInputsTest, RotatedGzipMatchesConcatenatedMatrix) {
   if (!HaveGzipTool()) GTEST_SKIP() << "no gzip tool on PATH";
   const std::string dir = ::testing::TempDir() + "dm_cli_rotated";
@@ -303,7 +304,7 @@ TEST(CliInputsTest, MissingInputsSpecFailsCleanly) {
 
 /// The headline catalog invariant: a warm (catalog-hit) run must produce
 /// byte-identical output to the cold discovery run that built the catalog,
-/// for every thread count (every engine and backing:
+/// for every thread count (every engine and input path:
 /// CliEngineMatrixTest.CatalogHit) — the golden directory pins all of them
 /// at once. The cold run writes the catalog; the warm runs reload it with
 /// discovery skipped.
@@ -1138,33 +1139,34 @@ TEST(CliGoldenTest, NormalizedNdjsonConflictExitsBeforeOutput) {
 }
 
 
-// ----------------------------------------------- engine x backing matrix ---
+// ------------------------------------------------- engine x input matrix ---
 
-/// The engine and backing settings the tools no longer expose, kept as
-/// test oracles: the reference tree matcher next to the compiled engine,
-/// each on a forced mmap and a forced read backing.
-struct EngineBacking {
+/// The engine settings the tools no longer expose, kept as test oracles —
+/// the reference tree matcher next to the compiled engine — each reading
+/// the input as the CLI does (InputReader: the sample read from the file,
+/// a windowed scan) and as one whole owned buffer (OpenInputs, one
+/// ExtractEvents pass).
+struct EngineInput {
   MatchEngine engine;
-  MapMode backing;
+  bool reader;
 };
-constexpr EngineBacking kEngineBackings[] = {
-    {MatchEngine::kTree, MapMode::kAlways},
-    {MatchEngine::kTree, MapMode::kNever},
-    {MatchEngine::kCompiled, MapMode::kAlways},
-    {MatchEngine::kCompiled, MapMode::kNever},
+constexpr EngineInput kEngineInputs[] = {
+    {MatchEngine::kTree, true},
+    {MatchEngine::kTree, false},
+    {MatchEngine::kCompiled, true},
+    {MatchEngine::kCompiled, false},
 };
 
-std::string Describe(const EngineBacking& cell, int threads) {
-  return StrFormat("threads=%d engine=%s backing=%s", threads,
+std::string Describe(const EngineInput& cell, int threads) {
+  return StrFormat("threads=%d engine=%s input=%s", threads,
                    cell.engine == MatchEngine::kTree ? "tree" : "compiled",
-                   cell.backing == MapMode::kAlways ? "mmap" : "read");
+                   cell.reader ? "reader" : "whole");
 }
 
-DatamaranOptions CellOptions(const EngineBacking& cell, int threads) {
+DatamaranOptions CellOptions(const EngineInput& cell, int threads) {
   DatamaranOptions options;
   options.num_threads = threads;
   options.match_engine = cell.engine;
-  options.mmap_mode = cell.backing;
   return options;
 }
 
@@ -1179,46 +1181,77 @@ void ExpectSameCounts(const FileSummary& want, const FileSummary& got) {
   EXPECT_EQ(want.coverage, got.coverage);
 }
 
-/// datamaran_cli's batch `--out` sequence, in process: OpenInputs ->
-/// Datamaran::ResolveTemplates -> one Extractor::ExtractEvents pass on the
-/// instance's pool into the columnar (or normalized) write sink. The
-/// summary counts of that single pass must equal those of the collecting
-/// Datamaran::ExtractDataset. Reports whether the catalog hit.
+std::unique_ptr<WriteSinkBase> MakeWriteSink(
+    const std::vector<StructureTemplate>* templates, const DatasetView& view,
+    bool normalized, const std::string& out) {
+  if (normalized) {
+    return std::make_unique<NormalizedWriteSink>(templates, view, out);
+  }
+  return std::make_unique<ColumnarWriteSink>(templates, view, out,
+                                             OutputFormat::kCsv);
+}
+
+/// datamaran_cli's batch `--out` sequence, in process. With `reader`, the
+/// CLI's own: InputReader::Open -> ReadSample -> Datamaran::ResolveTemplates
+/// on that sample -> one InputReader::Scan on the instance's pool into the
+/// columnar (or normalized) write sink. Otherwise the whole-buffer
+/// sequence: OpenInputs -> ResolveTemplates on the Dataset -> one
+/// Extractor::ExtractEvents pass. The summary counts of that single pass
+/// must equal those of the collecting Datamaran::ExtractDataset. Reports
+/// whether the catalog hit.
 void ExtractLikeCli(const std::vector<std::string>& inputs,
                     const DatamaranOptions& options, bool normalized,
-                    const std::string& out, bool* catalog_hit = nullptr) {
+                    const std::string& out, bool* catalog_hit = nullptr,
+                    bool reader = true) {
   Datamaran dm(options);
   ASSERT_TRUE(dm.catalog_status().ok()) << dm.catalog_status().ToString();
   auto opened = OpenInputs(inputs, MakeInputOptions(options));
   ASSERT_TRUE(opened.ok()) << opened.status().ToString();
   const Dataset& data = opened.value();
   std::vector<std::string> programs;
-  PipelineResult result = dm.ResolveTemplates(data, &programs);
-  ASSERT_FALSE(result.templates.empty());
+  PipelineResult result;
+  if (reader) {
+    auto input = InputReader::Open(inputs, MakeInputOptions(options));
+    ASSERT_TRUE(input.ok()) << input.status().ToString();
+    std::optional<Dataset> sample_copy;
+    auto sample = input->ReadSample(MakeSamplerOptions(options), &sample_copy);
+    ASSERT_TRUE(sample.ok()) << sample.status().ToString();
+    result = dm.ResolveTemplates(sample.value(), &programs);
+    ASSERT_FALSE(result.templates.empty());
+    const Dataset no_data{std::string()};
+    auto sink = MakeWriteSink(&result.templates, DatasetView(no_data),
+                              normalized, out);
+    ASSERT_TRUE(sink->status().ok()) << sink->status().ToString();
+    const Extractor extractor(&result.templates, dm.pool(),
+                              options.match_engine, options.charset_engine,
+                              options.max_line_bytes,
+                              programs.empty() ? nullptr : &programs);
+    auto scanned = input->Scan(extractor, sink.get());
+    ASSERT_TRUE(scanned.ok()) << scanned.status().ToString();
+    result.extraction = std::move(scanned.value());
+    ASSERT_TRUE(sink->Finish().ok());
+  } else {
+    result = dm.ResolveTemplates(data, &programs);
+    ASSERT_FALSE(result.templates.empty());
+    const DatasetView view(data);
+    auto sink = MakeWriteSink(&result.templates, view, normalized, out);
+    ASSERT_TRUE(sink->status().ok()) << sink->status().ToString();
+    const Extractor extractor(&result.templates, dm.pool(),
+                              options.match_engine, options.charset_engine,
+                              options.max_line_bytes,
+                              programs.empty() ? nullptr : &programs);
+    result.extraction = extractor.ExtractEvents(view, sink.get());
+    ASSERT_TRUE(sink->Finish().ok());
+  }
   if (catalog_hit != nullptr) *catalog_hit = result.stats.catalog_hit;
   EXPECT_EQ(programs.empty(), !result.stats.catalog_hit);
-  const Extractor extractor(&result.templates, dm.pool(),
-                            options.match_engine, options.charset_engine,
-                            options.max_line_bytes,
-                            programs.empty() ? nullptr : &programs);
-  DatasetView view(data);
-  std::unique_ptr<WriteSinkBase> sink;
-  if (normalized) {
-    sink = std::make_unique<NormalizedWriteSink>(&result.templates, view, out);
-  } else {
-    sink = std::make_unique<ColumnarWriteSink>(&result.templates, view, out,
-                                               OutputFormat::kCsv);
-  }
-  ASSERT_TRUE(sink->status().ok()) << sink->status().ToString();
-  result.extraction = extractor.ExtractEvents(view, sink.get());
-  ASSERT_TRUE(sink->Finish().ok());
 
   const PipelineResult collected = dm.ExtractDataset(data);
   ExpectSameCounts(SummarizeResult("", collected, options),
                    SummarizeResult("", result, options));
 }
 
-/// Every threads x engine x backing cell of `inputs` must reproduce the
+/// Every threads x engine x input cell of `inputs` must reproduce the
 /// golden directory byte for byte. With `catalog_in`, every cell must be
 /// served by a catalog hit.
 void RunEngineMatrix(const std::vector<std::string>& inputs,
@@ -1227,14 +1260,14 @@ void RunEngineMatrix(const std::vector<std::string>& inputs,
                      const std::string& catalog_in = "") {
   const std::string out = ::testing::TempDir() + "dm_matrix_" + tag;
   for (const int threads : {1, 4}) {
-    for (const EngineBacking& cell : kEngineBackings) {
+    for (const EngineInput& cell : kEngineInputs) {
       DatamaranOptions options = CellOptions(cell, threads);
       options.catalog_in = catalog_in;
       fs::remove_all(out);
       const std::string context = tag + " " + Describe(cell, threads);
       bool hit = false;
-      ASSERT_NO_FATAL_FAILURE(
-          ExtractLikeCli(inputs, options, normalized, out, &hit))
+      ASSERT_NO_FATAL_FAILURE(ExtractLikeCli(inputs, options, normalized, out,
+                                             &hit, cell.reader))
           << context;
       EXPECT_EQ(hit, !catalog_in.empty()) << context;
       ExpectDirsEqual(SourcePath("tests/golden/" + golden), out, context);

@@ -1,20 +1,25 @@
 // Tests for the resilient input front-end (core/input.h + util/gzip.h):
 // gzip round trips and failure Statuses, CRLF normalization policies,
 // rotation ordering and spec expansion, multi-file stitching parity, the
-// oversized-line guard, and atomic artifact writes.
+// windowed InputReader (every input path against OpenInputs, truncation
+// under the reader), the oversized-line guard, and atomic artifact writes.
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <filesystem>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/datamaran.h"
 #include "core/input.h"
+#include "extraction/extractor.h"
 #include "template/catalog.h"
 #include "util/file_io.h"
 #include "util/gzip.h"
+#include "util/sampler.h"
 #include "util/strings.h"
 
 namespace datamaran {
@@ -221,7 +226,6 @@ TEST(OpenInput, GzipFileAndErrors) {
   auto inflated = OpenInput(dir + "/ok.log.gz", InputOptions{});
   ASSERT_TRUE(inflated.ok());
   EXPECT_EQ(inflated->text(), "g,1\ng,2\n");
-  EXPECT_FALSE(inflated->is_mapped());  // owned backing after inflate
 
   // Truncated member: error Status names the file.
   WriteOrDie(dir + "/cut.log.gz", gz.value().substr(0, gz.value().size() - 4));
@@ -229,6 +233,169 @@ TEST(OpenInput, GzipFileAndErrors) {
   ASSERT_FALSE(cut.ok());
   EXPECT_EQ(cut.status().code(), StatusCode::kIoError);
   EXPECT_NE(cut.status().ToString().find("cut.log.gz"), std::string::npos);
+}
+
+// ----------------------------------------------------------- InputReader ---
+
+/// Every decision a scan emits, with its stream line and bytes.
+class TranscriptSink : public EventSink {
+ public:
+  void OnRecord(int template_id, size_t first_line, std::string_view text,
+                size_t pos, size_t end, const MatchEvent* /*events*/,
+                size_t /*num_events*/) override {
+    log += StrFormat("R%d@%zu:", template_id, first_line);
+    log.append(text.data() + pos, end - pos);
+  }
+  void OnNoiseLine(size_t line_index) override {
+    log += StrFormat("N@%zu:<index only>", line_index);
+  }
+  void OnNoiseText(size_t line_index, std::string_view line) override {
+    log += StrFormat("N@%zu:", line_index);
+    log.append(line.data(), line.size());
+  }
+  std::string log;
+};
+
+/// The transcript and counts ExtractEvents yields over the whole text,
+/// with noise resolved against it as the reader delivers it.
+std::pair<std::string, ExtractionResult> WholeBufferScan(
+    const Extractor& extractor, const Dataset& data) {
+  class Resolve : public TranscriptSink {
+   public:
+    explicit Resolve(const Dataset& data) : data_(data) {}
+    void OnNoiseLine(size_t line_index) override {
+      OnNoiseText(line_index, data_.line_with_newline(line_index));
+    }
+
+   private:
+    const Dataset& data_;
+  } sink(data);
+  ExtractionResult counts = extractor.ExtractEvents(DatasetView(data), &sink);
+  return {std::move(sink.log), std::move(counts)};
+}
+
+TEST(InputReader, EveryPathServesOpenInputsText) {
+  // Windowed plain files (with and without a final newline, empty) and
+  // owned ones (CRLF-stripped, gzip, a stitch) must all yield the size,
+  // sample and scan OpenInputs' Dataset would.
+  const std::string dir = MakeCaseDir("reader");
+  std::string body;
+  for (int i = 0; i < 300; ++i) {
+    body += i % 7 == 3 ? "# comment " + std::to_string(i) + "\n"
+                       : std::to_string(i) + "," + std::to_string(i * 3) +
+                             "\n";
+  }
+  WriteOrDie(dir + "/plain.log", body);
+  WriteOrDie(dir + "/noeol.log", body.substr(0, body.size() - 1));
+  WriteOrDie(dir + "/empty.log", "");
+  std::string crlf;
+  for (char c : body) crlf += c == '\n' ? std::string("\r\n") : std::string(1, c);
+  WriteOrDie(dir + "/crlf.log", crlf);
+  WriteOrDie(dir + "/part.log.1", body.substr(0, 400));
+  WriteOrDie(dir + "/part.log", body.substr(400));
+  struct Case {
+    std::vector<std::string> paths;
+    bool windowed;
+  };
+  std::vector<Case> cases = {
+      {{dir + "/plain.log"}, true},
+      {{dir + "/noeol.log"}, true},
+      {{dir + "/empty.log"}, true},
+      {{dir + "/crlf.log"}, false},
+      {{dir + "/part.log.1", dir + "/part.log"}, false},
+  };
+  if (GzipSupported()) {
+    auto gz = GzipCompress(body);
+    ASSERT_TRUE(gz.ok());
+    WriteOrDie(dir + "/plain.log.gz", gz.value());
+    cases.push_back({{dir + "/plain.log.gz"}, false});
+  }
+  auto st = StructureTemplate::FromCanonical("F,F\n");
+  ASSERT_TRUE(st.ok());
+  std::vector<StructureTemplate> templates;
+  templates.push_back(std::move(st.value()));
+  const Extractor extractor(&templates);
+  SamplerOptions sampler;
+  sampler.max_sample_bytes = 512;
+  sampler.num_chunks = 3;
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.paths.back());
+    auto data = OpenInputs(c.paths, InputOptions{});
+    ASSERT_TRUE(data.ok()) << data.status().ToString();
+    for (const size_t window : {size_t{1}, size_t{13}, InputReader::kWindowBytes}) {
+      SCOPED_TRACE(window);
+      auto reader = InputReader::Open(c.paths, InputOptions{});
+      ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+      EXPECT_EQ(reader->windowed(), c.windowed);
+      reader->set_window_bytes(window);
+      EXPECT_EQ(reader->size_bytes(), data->size_bytes());
+
+      std::optional<Dataset> copy;
+      auto sample = reader->ReadSample(sampler, &copy);
+      ASSERT_TRUE(sample.ok()) << sample.status().ToString();
+      EXPECT_EQ(copy.has_value(), c.windowed);
+      const DatasetView want_view = SampleView(data.value(), sampler);
+      ASSERT_EQ(sample->line_count(), want_view.line_count());
+      for (size_t v = 0; v < want_view.line_count(); ++v) {
+        ASSERT_EQ(sample->line_with_newline(v),
+                  want_view.line_with_newline(v))
+            << "line " << v;
+      }
+
+      TranscriptSink sink;
+      auto scanned = reader->Scan(extractor, &sink);
+      ASSERT_TRUE(scanned.ok()) << scanned.status().ToString();
+      const auto [want_log, want] = WholeBufferScan(extractor, data.value());
+      EXPECT_EQ(sink.log, want_log);
+      EXPECT_EQ(scanned->total_lines, want.total_lines);
+      EXPECT_EQ(scanned->total_chars, want.total_chars);
+      EXPECT_EQ(scanned->covered_chars, want.covered_chars);
+      EXPECT_EQ(scanned->matched_records, want.matched_records);
+      EXPECT_EQ(scanned->noise_line_count, want.noise_line_count);
+      EXPECT_EQ(scanned->records_per_template, want.records_per_template);
+    }
+  }
+  EXPECT_FALSE(InputReader::Open({dir + "/absent.log"}, InputOptions{}).ok());
+}
+
+TEST(InputReader, TruncatedFileIsAnErrorNotACrash) {
+  // A copytruncate rotation cuts the file after it was opened. Reading
+  // the sample and scanning must both fail with an IoError naming the
+  // path and both sizes — no crash, and no partial success.
+  const std::string dir = MakeCaseDir("truncated");
+  const std::string path = dir + "/app.log";
+  std::string body;
+  for (int i = 0; body.size() < (size_t{2} << 20); ++i) {
+    body += std::to_string(i) + "," + std::to_string(i % 97) + "\n";
+  }
+  WriteOrDie(path, body);
+  auto st = StructureTemplate::FromCanonical("F,F\n");
+  ASSERT_TRUE(st.ok());
+  std::vector<StructureTemplate> templates;
+  templates.push_back(std::move(st.value()));
+  const Extractor extractor(&templates);
+
+  auto reader = InputReader::Open({path}, InputOptions{});
+  ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+  ASSERT_TRUE(reader->windowed());
+  fs::resize_file(path, body.size() / 2);
+
+  std::optional<Dataset> copy;
+  auto sample = reader->ReadSample(SamplerOptions{}, &copy);
+  ASSERT_FALSE(sample.ok());
+  TranscriptSink sink;
+  auto scanned = reader->Scan(extractor, &sink);
+  ASSERT_FALSE(scanned.ok());
+  for (const Status& error : {sample.status(), scanned.status()}) {
+    EXPECT_EQ(error.code(), StatusCode::kIoError);
+    const std::string message = error.ToString();
+    EXPECT_NE(message.find(path), std::string::npos) << message;
+    EXPECT_NE(message.find(std::to_string(body.size())), std::string::npos)
+        << message;
+    EXPECT_NE(message.find(std::to_string(body.size() / 2)),
+              std::string::npos)
+        << message;
+  }
 }
 
 // -------------------------------------------------------- oversized lines ---

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <map>
+#include <memory>
 #include <numeric>
 #include <string>
 #include <utility>
@@ -11,12 +12,14 @@
 
 #include "core/datamaran.h"
 #include "core/dataset.h"
+#include "core/input.h"
 #include "core/options.h"
 #include "core/stream.h"
 #include "datagen/github_corpus.h"
 #include "extraction/extractor.h"
 #include "extraction/sinks.h"
 #include "generation/generator.h"
+#include "template/catalog.h"
 #include "scoring/field_stats.h"
 #include "template/matcher.h"
 #include "util/file_io.h"
@@ -444,9 +447,9 @@ TEST(StreamingSinkDeterminismTest, CappedAutoChunksAreByteIdentical) {
   // Extractor::kMaxLinesPerChunk binds at every thread count below: many
   // full-size waves, with 3-line records straddling their boundaries. The
   // streamed tables and counts must be byte-identical for every thread
-  // count and both backings. The mapped file is released behind every
-  // wave, so it also checks that later reads of released pages (the next
-  // wave's first chunk, noise lines, record fields) see the same bytes.
+  // count, whether the whole buffer is scanned at once or the file is read
+  // through InputReader's window — many windows here, each segment with
+  // waves of its own, and records straddling the window cuts too.
   auto st = StructureTemplate::FromCanonical("F F\n F=F\nF\n");
   ASSERT_TRUE(st.ok());
   std::vector<StructureTemplate> templates;
@@ -455,32 +458,45 @@ TEST(StreamingSinkDeterminismTest, CappedAutoChunksAreByteIdentical) {
   const std::string path = ::testing::TempDir() + "dm_capped_wave_input.log";
   ASSERT_TRUE(WriteStringToFile(path, text).ok());
   const Dataset owned{std::string(text)};
-  auto mapped = Dataset::FromFile(path, MapMode::kAlways);
-  ASSERT_TRUE(mapped.ok());
-  ASSERT_TRUE(mapped->is_mapped());
   ASSERT_GT(owned.line_count() / (7 * 16), Extractor::kMaxLinesPerChunk);
+  ASSERT_GT(text.size(), 8 * InputReader::kWindowBytes);
+  const Dataset no_data{std::string()};
 
   std::map<std::string, std::string> want_files;
   ExtractionResult want;
-  const Dataset* const backings[] = {&owned, &mapped.value()};
-  for (const Dataset* data : backings) {
-    const DatasetView view(*data);
+  for (const bool windowed : {false, true}) {
     for (const int threads : {1, 2, 4, 7}) {
       SCOPED_TRACE(StrFormat("%s threads=%d",
-                             data->is_mapped() ? "mapped" : "owned", threads));
+                             windowed ? "windowed" : "whole", threads));
       ThreadPool pool(threads);
       const std::string dir = ::testing::TempDir() + "dm_capped_wave_run";
       std::filesystem::remove_all(dir);
       Extractor ex(&templates, &pool);
-      ColumnarWriteSink sink(&templates, view, dir, OutputFormat::kCsv);
-      const ExtractionResult stats = ex.ExtractEvents(view, &sink);
-      ASSERT_TRUE(sink.Finish().ok());
-      if (data == &owned && threads == 1) {
+      ExtractionResult stats;
+      if (windowed) {
+        auto reader = InputReader::Open({path}, InputOptions{});
+        ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+        ASSERT_TRUE(reader->windowed());
+        ColumnarWriteSink sink(&templates, DatasetView(no_data), dir,
+                               OutputFormat::kCsv);
+        auto scanned = reader->Scan(ex, &sink);
+        ASSERT_TRUE(scanned.ok()) << scanned.status().ToString();
+        ASSERT_TRUE(sink.Finish().ok());
+        stats = std::move(scanned.value());
+      } else {
+        const DatasetView view(owned);
+        ColumnarWriteSink sink(&templates, view, dir, OutputFormat::kCsv);
+        stats = ex.ExtractEvents(view, &sink);
+        ASSERT_TRUE(sink.Finish().ok());
+      }
+      if (!windowed && threads == 1) {
         want_files = SlurpDir(dir);
         want = stats;
         EXPECT_GT(want.matched_records, 100000u);
       } else {
         EXPECT_EQ(SlurpDir(dir), want_files);
+        EXPECT_EQ(stats.total_lines, want.total_lines);
+        EXPECT_EQ(stats.total_chars, want.total_chars);
         EXPECT_EQ(stats.matched_records, want.matched_records);
         EXPECT_EQ(stats.noise_line_count, want.noise_line_count);
         EXPECT_EQ(stats.covered_chars, want.covered_chars);
@@ -641,39 +657,135 @@ TEST(ParallelPipelineTest, GithubCorpusDatasetParity) {
 }
 
 // ---------------------------------------------------------------------------
-// Backing parity: mmap vs in-memory, across thread counts
+// Window parity: InputReader's windowed scan vs the whole buffer
 // ---------------------------------------------------------------------------
 
-TEST(MmapParityTest, ExtractionIdenticalAcrossBackingsAndThreads) {
-  // The acceptance contract of the zero-copy dataset layer: pipeline output
-  // is byte-identical whether the input is mmap-backed or read into memory,
-  // for every thread count.
-  const std::string text = InterleavedLog(4000, 41);
-  const std::string path = ::testing::TempDir() + "dm_parallel_mmap.log";
-  ASSERT_TRUE(WriteStringToFile(path, text).ok());
-
-  PipelineResult reference;
-  bool have_reference = false;
-  for (const MapMode mode : {MapMode::kNever, MapMode::kAlways}) {
-    for (const int threads : {1, 4}) {
-      DatamaranOptions opts;
-      opts.max_special_chars = 6;
-      opts.max_sample_bytes = 64 * 1024;
-      opts.num_threads = threads;
-      opts.mmap_mode = mode;
-      Datamaran dm(opts);
-      auto result = dm.ExtractFile(path);
-      ASSERT_TRUE(result.ok());
-      EXPECT_EQ(result->stats.input_mapped, mode == MapMode::kAlways);
-      if (!have_reference) {
-        reference = std::move(result.value());
-        have_reference = true;
-        ASSERT_GE(reference.templates.size(), 1u);
-        continue;
+/// A corpus for the window cuts to land on: 12-line records (longer than
+/// the default max_record_span of 10), 2-line records, single-line array
+/// records, truncated records and noise lines, with NUL and invalid UTF-8
+/// bytes inside fields and noise.
+std::string WindowCorpus(int items, uint64_t seed, bool final_newline) {
+  Rng rng(seed);
+  const auto field = [&]() {
+    std::string f = std::to_string(rng.Uniform(0, 99999));
+    if (rng.Bernoulli(0.05)) f += std::string(1, '\0');
+    if (rng.Bernoulli(0.05)) f += "\xff\xc3";
+    return f;
+  };
+  std::string text;
+  for (int i = 0; i < items; ++i) {
+    const int kind = static_cast<int>(rng.Uniform(0, 5));
+    if (kind == 0 || kind == 1) {
+      // A 12-line record; one in five stops early and is decided as noise.
+      const int lines = rng.Bernoulli(0.2)
+                            ? static_cast<int>(rng.Uniform(1, 11))
+                            : 12;
+      text += "<" + field() + "\n";
+      for (int k = 1; k < lines && k < 11; ++k) {
+        text += "|" + field() + "|" + field() + "\n";
       }
-      ExpectSamePipelineResult(reference, result.value());
+      if (lines == 12) text += ">" + field() + "\n";
+    } else if (kind == 2) {
+      text += "@" + field() + "\n";
+      if (rng.Bernoulli(0.8)) text += "#" + field() + "\n";
+    } else if (kind == 3) {
+      const int reps = static_cast<int>(rng.Uniform(1, 6));
+      for (int r = 0; r < reps; ++r) {
+        text += field();
+        text += r + 1 < reps ? "," : ";";
+      }
+      text += "\n";
+    } else {
+      text += rng.Bernoulli(0.5) ? ",noise " + field() + "\n"
+                                 : std::string("\0\xfe~\n", 4);
     }
   }
+  if (!final_newline && text.back() == '\n') {
+    text.pop_back();
+    text += "tail" + field();
+  }
+  return text;
+}
+
+TEST(WindowParityTest, WindowedScanEqualsWholeBufferScan) {
+  // Every window size from a single byte up, thread count and output
+  // layout: the tables, noise.txt and every count of InputReader::Scan
+  // must equal ExtractEvents over the whole owned Dataset. The 12-line
+  // template is longer than max_record_span, as a catalog entry's may be:
+  // the lookahead held back between windows has to come from the
+  // templates, not from that option.
+  CatalogEntry entry;
+  for (const char* canonical : {"<F\n|F|F\n|F|F\n|F|F\n|F|F\n|F|F\n"
+                                "|F|F\n|F|F\n|F|F\n|F|F\n|F|F\n>F\n",
+                                "@F\n#F\n", "(F,)*F;\n"}) {
+    auto st = StructureTemplate::FromCanonical(canonical);
+    ASSERT_TRUE(st.ok()) << canonical;
+    entry.templates.push_back(std::move(st.value()));
+  }
+  const std::vector<StructureTemplate>& templates = entry.templates;
+  ASSERT_GT(templates[0].line_span(), DatamaranOptions{}.max_record_span);
+  const Dataset no_data{std::string()};
+  enum class Layout { kCsv, kNdjson, kNormalized };
+  const auto make_sink = [&](Layout layout, const DatasetView& view,
+                             const std::string& dir)
+      -> std::unique_ptr<WriteSinkBase> {
+    if (layout == Layout::kNormalized) {
+      return std::make_unique<NormalizedWriteSink>(&templates, view, dir);
+    }
+    return std::make_unique<ColumnarWriteSink>(
+        &templates, view, dir,
+        layout == Layout::kCsv ? OutputFormat::kCsv : OutputFormat::kNdjson);
+  };
+  const std::string path = ::testing::TempDir() + "dm_window_parity.log";
+  const std::string dir = ::testing::TempDir() + "dm_window_parity_out";
+  for (const bool final_newline : {true, false}) {
+    const std::string text = WindowCorpus(1500, final_newline ? 51 : 52,
+                                          final_newline);
+    ASSERT_TRUE(WriteStringToFile(path, text).ok());
+    auto opened = OpenInputs({path}, InputOptions{});
+    ASSERT_TRUE(opened.ok());
+    const Dataset& whole = opened.value();
+    for (const Layout layout :
+         {Layout::kCsv, Layout::kNdjson, Layout::kNormalized}) {
+      std::filesystem::remove_all(dir);
+      const Extractor reference(&templates);
+      auto ref_sink = make_sink(layout, DatasetView(whole), dir);
+      const ExtractionResult want =
+          reference.ExtractEvents(DatasetView(whole), ref_sink.get());
+      ASSERT_TRUE(ref_sink->Finish().ok());
+      const std::map<std::string, std::string> want_files = SlurpDir(dir);
+      ASSERT_GT(want.records_per_template[0], 100u);
+      ASSERT_GT(want.noise_line_count, 100u);
+      for (const size_t window : {size_t{1}, size_t{7}, size_t{4096},
+                                  InputReader::kWindowBytes}) {
+        for (const int threads : {1, 2, 4, 7}) {
+          SCOPED_TRACE(StrFormat("final_newline=%d layout=%d window=%zu "
+                                 "threads=%d",
+                                 final_newline, static_cast<int>(layout),
+                                 window, threads));
+          auto reader = InputReader::Open({path}, InputOptions{});
+          ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+          ASSERT_TRUE(reader->windowed());
+          reader->set_window_bytes(window);
+          ThreadPool pool(threads);
+          const Extractor ex(&templates, &pool);
+          std::filesystem::remove_all(dir);
+          auto sink = make_sink(layout, DatasetView(no_data), dir);
+          auto got = reader->Scan(ex, sink.get());
+          ASSERT_TRUE(got.ok()) << got.status().ToString();
+          ASSERT_TRUE(sink->Finish().ok());
+          EXPECT_EQ(SlurpDir(dir), want_files);
+          EXPECT_EQ(got->total_lines, want.total_lines);
+          EXPECT_EQ(got->total_chars, want.total_chars);
+          EXPECT_EQ(got->covered_chars, want.covered_chars);
+          EXPECT_EQ(got->matched_records, want.matched_records);
+          EXPECT_EQ(got->noise_line_count, want.noise_line_count);
+          EXPECT_EQ(got->records_per_template, want.records_per_template);
+        }
+      }
+    }
+  }
+  std::filesystem::remove_all(dir);
   std::remove(path.c_str());
 }
 

@@ -253,6 +253,37 @@ TEST(StreamDrift, EvolutionRecoversMatchRate) {
   EXPECT_LE(stats.noise_lines, 200u);
 }
 
+// The evolution trigger ends a segment's decisions wherever the segment
+// ends: the decision that arms it is the last one the old template set
+// makes, and the lines after it are re-extracted with the evolved set. So
+// once every warm-up window sees format A only, the transcript must not
+// depend on the segment cadence (the window size).
+TEST(StreamDrift, TriggerPointIsIndependentOfSegmentCadence) {
+  const std::string bytes =
+      MustRead(SourcePath("tests/data/stream_drift.log"));
+  DatamaranOptions options;
+  options.num_threads = 1;
+  StreamOptions stream_options;
+  stream_options.drift_window_lines = 64;
+  stream_options.drift_threshold = 0.5;
+  stream_options.min_epoch_lines = 128;
+  stream_options.min_noise_lines = 32;
+  StreamRun want;
+  for (const size_t window_lines : {128u, 333u, 1000u}) {
+    SCOPED_TRACE(window_lines);
+    stream_options.window_lines = window_lines;
+    StreamRun run = RunStream(bytes, options, stream_options);
+    EXPECT_GE(run.stats.evolutions, 1u);
+    if (window_lines == 128) {
+      want = std::move(run);
+      continue;
+    }
+    EXPECT_EQ(run.templates, want.templates);
+    EXPECT_EQ(run.transcript, want.transcript);
+    EXPECT_EQ(run.stats.evolutions, want.stats.evolutions);
+  }
+}
+
 // --no-evolve: the monitor runs but the template set never changes, so the
 // B-phase stays noise.
 TEST(StreamDrift, EvolveDisabledKeepsInitialTemplates) {

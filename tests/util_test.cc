@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "core/dataset.h"
+#include "core/input.h"
 #include "util/char_class.h"
 #include "util/file_io.h"
 #include "util/hashing.h"
@@ -356,8 +357,11 @@ TEST(SamplerTest, SampleRangesMatchTextSearch) {
   // Finding the ranges from the line index must reproduce every range the
   // text search found: single-byte lines, empty lines, lines longer than a
   // chunk or a stride, budgets below the chunk count, and sizes on both
-  // sides of the whole-file threshold.
+  // sides of the whole-file threshold. The sample InputReader reads from a
+  // file must hold exactly the lines of those ranges, less the over-cap
+  // ones, at any window size and with or without a final newline on disk.
   Rng rng(3);
+  const std::string path = ::testing::TempDir() + "dm_util_sample.log";
   for (int trial = 0; trial < 300; ++trial) {
     SCOPED_TRACE(trial);
     const size_t bytes = static_cast<size_t>(rng.Uniform(1, 20000));
@@ -387,77 +391,39 @@ TEST(SamplerTest, SampleRangesMatchTextSearch) {
       EXPECT_EQ(got[i].begin, want[i].begin) << "range " << i;
       EXPECT_EQ(got[i].end, want[i].end) << "range " << i;
     }
-  }
-}
 
-void ExpectCopyMatchesView(const Dataset& data, const SamplerOptions& opts) {
-  const DatasetView view = SampleView(data, opts);
-  const Dataset copy = SampleCopy(data, opts);
-  EXPECT_FALSE(copy.is_mapped());
-  ASSERT_EQ(copy.line_count(), view.line_count());
-  EXPECT_EQ(copy.size_bytes(), view.size_bytes());
-  for (size_t v = 0; v < view.line_count(); ++v) {
-    ASSERT_EQ(copy.line_with_newline(v), view.line_with_newline(v))
-        << "line " << v;
-  }
-}
-
-TEST(SamplerTest, SampleCopyHoldsSampleViewLinesInOrder) {
-  // Over-cap lines sit inside the chunks; both the view and the copy drop
-  // them. The budgets straddle the whole-file threshold.
-  std::string text;
-  for (int i = 0; i < 4000; ++i) {
-    text += i % 97 == 5 ? std::string(300, 'Z') + "\n"
-                        : "k=" + std::to_string(i) + ";v=" +
-                              std::to_string(i * 13) + "\n";
-  }
-  const Dataset data{std::string(text)};
-  for (const size_t cap : {size_t{0}, size_t{64}}) {
-    for (const size_t budget :
-         {text.size(), text.size() - 1, size_t{8192}, size_t{100}}) {
-      SCOPED_TRACE(StrFormat("cap=%zu budget=%zu", cap, budget));
-      SamplerOptions opts;
-      opts.max_sample_bytes = budget;
-      opts.max_line_bytes = cap;
-      ExpectCopyMatchesView(data, opts);
+    opts.max_line_bytes =
+        trial % 3 == 0 ? 0 : static_cast<size_t>(rng.Uniform(0, 200));
+    std::string expect;
+    for (const SampleRange& r : want) {
+      for (size_t b = r.begin; b < r.end;) {
+        const size_t e = text.find('\n', b) + 1;
+        if (opts.max_line_bytes == 0 || e - b - 1 <= opts.max_line_bytes) {
+          expect.append(text, b, e - b);
+        }
+        b = e;
+      }
     }
+    // The reader appends a final newline the file lacks, so dropping a
+    // non-empty last line's '\n' on disk leaves the logical text as is.
+    const bool drop_newline = trial % 2 == 1 && text.size() >= 2 &&
+                              text[text.size() - 2] != '\n';
+    ASSERT_TRUE(WriteStringToFile(
+                    path, drop_newline ? text.substr(0, text.size() - 1)
+                                       : text)
+                    .ok());
+    auto reader = InputReader::Open({path}, InputOptions{});
+    ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+    ASSERT_TRUE(reader->windowed());
+    EXPECT_EQ(reader->size_bytes(), text.size());
+    reader->set_window_bytes(static_cast<size_t>(rng.Uniform(1, 300)));
+    std::optional<Dataset> copy;
+    auto sample = reader->ReadSample(opts, &copy);
+    ASSERT_TRUE(sample.ok()) << sample.status().ToString();
+    ASSERT_TRUE(copy.has_value());
+    EXPECT_TRUE(sample->is_identity());
+    EXPECT_EQ(copy->text(), expect);
   }
-}
-
-TEST(SamplerTest, DiscoverySampleCopiesOnlyLargeMappedInputs) {
-  std::string text;
-  for (int i = 0; i < 3000; ++i) {
-    text += "id=" + std::to_string(i) + " status=" +
-            std::to_string(200 + i % 5) + "\n";
-  }
-  const std::string path = ::testing::TempDir() + "dm_util_sampler.log";
-  ASSERT_TRUE(WriteStringToFile(path, text).ok());
-  auto mapped = Dataset::FromFile(path, MapMode::kAlways);
-  ASSERT_TRUE(mapped.ok());
-  ASSERT_TRUE(mapped->is_mapped());
-  const Dataset owned{std::string(text)};
-  SamplerOptions opts;
-  opts.max_sample_bytes = 4096;
-  opts.max_line_bytes = 20;
-  ExpectCopyMatchesView(mapped.value(), opts);
-
-  std::optional<Dataset> copy;
-  const DatasetView from_owned = DiscoverySample(owned, opts, &copy);
-  EXPECT_FALSE(copy.has_value());
-  const DatasetView from_mapped = DiscoverySample(mapped.value(), opts, &copy);
-  ASSERT_TRUE(copy.has_value());
-  EXPECT_TRUE(from_mapped.is_identity());
-  EXPECT_EQ(&from_mapped.dataset(), &copy.value());
-  ASSERT_EQ(from_mapped.line_count(), from_owned.line_count());
-  for (size_t v = 0; v < from_owned.line_count(); ++v) {
-    ASSERT_EQ(from_mapped.line_with_newline(v), from_owned.line_with_newline(v));
-  }
-  // Within the budget the mapped input is used whole, in place.
-  std::optional<Dataset> none;
-  opts.max_sample_bytes = text.size();
-  const DatasetView whole = DiscoverySample(mapped.value(), opts, &none);
-  EXPECT_FALSE(none.has_value());
-  EXPECT_EQ(&whole.dataset(), &mapped.value());
   std::remove(path.c_str());
 }
 

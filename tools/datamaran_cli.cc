@@ -10,19 +10,23 @@
 // `datamaran_cli --help` prints the usage generated from it.
 //
 // Batch mode opens the input through the resilient front-end
-// (core/input.h: gzip, CRLF, rotation stitching for --inputs), resolves
-// the templates (Datamaran::ResolveTemplates: catalog hit or discovery),
-// and scans the file exactly once: with --out that pass streams the tables
-// through the flat-event writers in extraction/sinks.h, and the same pass
-// yields the printed summary and --summary-json, at O(wave) memory on top
-// of the input. --follow switches to online streaming (core/stream.h) at O(window)
-// memory: a live file or stdin is decided line by line, and format drift
-// re-runs discovery over recent noise. Corrupt or truncated input exits 1
-// with a descriptive error, also recorded in the --summary-json "error"
-// field; bad flags exit 2.
+// (core/input.h InputReader: gzip, CRLF, rotation stitching for --inputs),
+// reads the discovery sample straight from the file, resolves the
+// templates on it (Datamaran::ResolveTemplates: catalog hit or discovery),
+// and scans the file exactly once, a 256 KiB window at a time: with --out
+// that pass streams the tables through the flat-event writers in
+// extraction/sinks.h, and the same pass yields the printed summary and
+// --summary-json. Memory is a constant whatever the size of a plain input
+// file. --follow switches to online streaming (core/stream.h) at
+// O(window) memory: a live file or stdin is decided line by line, and
+// format drift re-runs discovery over recent noise. Corrupt or truncated
+// input — a file cut short while it is read included — exits 1 with a
+// descriptive error, also recorded in the --summary-json "error" field;
+// bad flags exit 2.
 
 #include <cstdio>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -326,47 +330,55 @@ int main(int argc, char** argv) {
 
   Datamaran dm(options);
   if (!dm.catalog_status().ok()) return fail(dm.catalog_status());
-  auto opened = OpenInputs(input_paths, MakeInputOptions(options));
+  auto opened = InputReader::Open(input_paths, MakeInputOptions(options));
   if (!opened.ok()) return fail(opened.status());
-  const Dataset data = std::move(opened.value());
+  const InputReader& reader = opened.value();
   Timer total_timer;
-  // Batch is one streaming pass: resolve the templates (catalog hit or
-  // cold discovery), then a single whole-file scan feeds the --out writers
-  // (or no sink) and yields every count and timing reported below, at
-  // O(wave) memory.
+  // Batch is one streaming pass: resolve the templates on the sample (a
+  // catalog hit or cold discovery), then a single windowed scan of the
+  // file feeds the --out writers (or no sink) and yields every count and
+  // timing reported below.
   std::vector<std::string> programs;
-  PipelineResult result = dm.ResolveTemplates(data, &programs);
+  PipelineResult result;
+  {
+    std::optional<Dataset> sample_copy;
+    auto sample = reader.ReadSample(MakeSamplerOptions(options), &sample_copy);
+    if (!sample.ok()) return fail(sample.status());
+    result = dm.ResolveTemplates(sample.value(), &programs);
+  }
 
-  // Both layouts stream through the same WriteSinkBase machinery. No
+  // Both layouts stream through the same WriteSinkBase machinery; noise
+  // arrives with its text, so the writers need no view of the input. No
   // output directory is created when no template was accepted.
   Timer extract_timer;
-  const DatasetView view(data);
+  const Dataset no_data{std::string()};
+  const DatasetView no_view(no_data);
   std::unique_ptr<WriteSinkBase> sink;
   if (!out_dir.empty() && !result.templates.empty()) {
     if (normalized) {
-      sink = std::make_unique<NormalizedWriteSink>(&result.templates, view,
+      sink = std::make_unique<NormalizedWriteSink>(&result.templates, no_view,
                                                    out_dir);
     } else {
-      sink = std::make_unique<ColumnarWriteSink>(&result.templates, view,
+      sink = std::make_unique<ColumnarWriteSink>(&result.templates, no_view,
                                                  out_dir, format);
     }
     // An unwritable out dir fails before the scan.
     if (!sink->status().ok()) return fail(sink->status());
   }
-  data.Advise(AccessHint::kSequential);
   const Extractor extractor(&result.templates, dm.pool(),
                             options.match_engine, options.charset_engine,
                             options.max_line_bytes,
                             programs.empty() ? nullptr : &programs);
-  result.extraction = extractor.ExtractEvents(view, sink.get());
+  auto scanned = reader.Scan(extractor, sink.get());
+  if (!scanned.ok()) return fail(scanned.status());
+  result.extraction = std::move(scanned.value());
   if (sink != nullptr) {
     Status finished = sink->Finish();
     if (!finished.ok()) return fail(finished);
   }
   result.timings.extraction_s = extract_timer.Seconds();
   result.timings.total_s = total_timer.Seconds();
-  result.stats.input_bytes = data.size_bytes();
-  result.stats.input_mapped = data.is_mapped();
+  result.stats.input_bytes = reader.size_bytes();
 
   std::printf("%zu structure template(s):\n", result.templates.size());
   for (size_t t = 0; t < result.templates.size(); ++t) {
@@ -413,10 +425,11 @@ int main(int argc, char** argv) {
               "bound\n",
               result.stats.candidates_evaluated,
               result.stats.candidates_pruned);
-  if (result.stats.input_mapped) {
-    std::printf("input: %zu bytes mmap-backed\n", result.stats.input_bytes);
+  if (reader.windowed()) {
+    std::printf("input: %zu bytes read through a %zu KiB window\n",
+                result.stats.input_bytes, InputReader::kWindowBytes / 1024);
   } else {
-    std::printf("input: %zu bytes read into memory\n",
+    std::printf("input: %zu bytes normalized in memory\n",
                 result.stats.input_bytes);
   }
   if (sink != nullptr) {

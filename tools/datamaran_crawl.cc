@@ -7,13 +7,15 @@
 // `datamaran_crawl --help` lists the flags: the crawl-only ones declared
 // in main, plus those shared with datamaran_cli (tools/flag_parse.h).
 //
-// Every file opens through the resilient input front-end (core/input.h):
-// gzip'd files inflate transparently, CRLF line endings normalize per
-// --crlf, and rotation siblings (app.log, app.log.1, app.log.2.gz) are
-// stitched into ONE logical dataset in chronological order — one manifest
-// entry, one fingerprint, one extraction — unless --no-stitch-rotated.
-// Failure containment is per file: an unreadable or corrupt member never
-// aborts the crawl; its Status lands in the manifest's "errors" section
+// Every file opens through the resilient input front-end (core/input.h
+// InputReader): a plain file is read through a 256 KiB window and never
+// held whole, gzip'd files inflate transparently, CRLF line endings
+// normalize per --crlf, and rotation siblings (app.log, app.log.1,
+// app.log.2.gz) are stitched into ONE logical dataset in chronological
+// order — one manifest entry, one fingerprint, one extraction — unless
+// --no-stitch-rotated.
+// Failure containment is per file: an unreadable or corrupt member, or a
+// file cut short while it is read, never aborts the crawl; its Status lands in the manifest's "errors" section
 // (and the per-file summary's "error" field), the crawl continues, and the
 // process exits 1 so automation still notices.
 //
@@ -24,20 +26,20 @@
 // phases, each deterministic (files are processed in sorted relative-path
 // order; every per-file artifact is byte-identical for any --threads):
 //
-//   1. Fingerprint (parallel over files): sample each file and match it
-//      against the catalog (template/catalog.h MatchCatalog — FIRST-byte
-//      prefilter, then MDL acceptance).
+//   1. Fingerprint (parallel over files): read each file's discovery
+//      sample and match it against the catalog (template/catalog.h
+//      MatchCatalog — FIRST-byte prefilter, then MDL acceptance).
 //   2. Discover-on-miss (sequential, sorted order): each missed file is
 //      re-fingerprinted against the catalog *as grown so far* — so the
 //      second and later files of a new format cluster without discovery —
-//      and only a genuine miss pays cold discovery; its accepted templates
-//      fold into the catalog as a new entry.
-//   3. Extract (parallel over files): each structured file streams its
-//      tables through the O(wave) columnar sinks into
-//      <out>/<relative-path>.tables/. Parallelism is per *file* here (the
-//      wave-bounded extractor runs sequentially within each file): the
-//      pool cannot nest, and with many files the outer level is the right
-//      grain — peak memory stays O(threads x wave).
+//      and only a genuine miss pays cold discovery on its sample; its
+//      accepted templates fold into the catalog as a new entry.
+//   3. Extract (parallel over files): each structured file is scanned a
+//      window at a time and streams its tables through the O(wave)
+//      columnar sinks into <out>/<relative-path>.tables/. Parallelism is
+//      per *file* here (the wave-bounded extractor runs sequentially within
+//      each file): the pool cannot nest, and with many files the outer
+//      level is the right grain — peak memory stays O(threads x window).
 //
 // The crawl ends with a lake manifest (JSON): format -> file clusters with
 // per-file summaries (the same FileSummary object --summary-json emits),
@@ -63,6 +65,7 @@
 #include <filesystem>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -287,11 +290,12 @@ int main(int argc, char** argv) {
 
   const CatalogMatchOptions match_opts = MakeCatalogMatchOptions(options);
   const InputOptions input_opts = MakeInputOptions(options);
+  const SamplerOptions sampler_opts = MakeSamplerOptions(options);
   auto open_file = [&](const CrawlFile& f) {
     std::vector<std::string> paths;
     paths.reserve(f.members.size());
     for (const std::string& m : f.members) paths.push_back(root + "/" + m);
-    return OpenInputs(paths, input_opts);
+    return InputReader::Open(paths, input_opts);
   };
 
   Timer total_timer;
@@ -304,12 +308,18 @@ int main(int argc, char** argv) {
     CrawlFile& f = files[k];
     if (f.summary.skipped) return;  // restored from the previous manifest
     Timer t;
-    auto data = open_file(f);
-    if (!data.ok()) {
-      f.error = data.status();
+    auto reader = open_file(f);
+    if (!reader.ok()) {
+      f.error = reader.status();
       return;
     }
-    const CatalogMatch m = MatchCatalog(catalog, data.value(), match_opts);
+    std::optional<Dataset> sample_copy;
+    auto sample = reader.value().ReadSample(sampler_opts, &sample_copy);
+    if (!sample.ok()) {
+      f.error = sample.status();
+      return;
+    }
+    const CatalogMatch m = MatchCatalog(catalog, sample.value(), match_opts);
     f.summary.timings.catalog_match_s = t.Seconds();
     if (m.hit()) {
       f.entry = m.entry;
@@ -334,14 +344,21 @@ int main(int argc, char** argv) {
     Datamaran dm(discover_opts);
     for (CrawlFile& f : files) {
       if (f.summary.skipped || f.entry >= 0 || !f.error.ok()) continue;
-      auto data = open_file(f);
-      if (!data.ok()) {
-        f.error = data.status();
+      auto reader = open_file(f);
+      if (!reader.ok()) {
+        f.error = reader.status();
         continue;
       }
+      std::optional<Dataset> sample_copy;
+      auto sample = reader.value().ReadSample(sampler_opts, &sample_copy);
+      if (!sample.ok()) {
+        f.error = sample.status();
+        continue;
+      }
+      const DatasetView& sample_view = sample.value();
       if (!catalog.empty()) {
         Timer t;
-        const CatalogMatch m = MatchCatalog(catalog, data.value(), match_opts);
+        const CatalogMatch m = MatchCatalog(catalog, sample_view, match_opts);
         f.summary.timings.catalog_match_s += t.Seconds();
         if (m.hit()) {
           f.entry = m.entry;
@@ -353,7 +370,7 @@ int main(int argc, char** argv) {
       StepTimings timings;
       PipelineStats stats;
       std::vector<TemplateReport> reports;
-      dm.DiscoverTemplates(data.value(), &timings, &stats, &reports);
+      dm.DiscoverTemplates(sample_view, &timings, &stats, &reports);
       f.summary.timings.generation_s = timings.generation_s;
       f.summary.timings.pruning_s = timings.pruning_s;
       f.summary.timings.evaluation_s = timings.evaluation_s;
@@ -373,6 +390,10 @@ int main(int argc, char** argv) {
   Timer extract_timer;
   const std::string resolved_charset =
       CharsetEngineName(ResolveCharsetEngine(options.charset_engine));
+  const std::vector<StructureTemplate> no_templates;
+  // Noise reaches the writers with its text, so they need no input view.
+  const Dataset no_data{std::string()};
+  const DatasetView no_view(no_data);
   pool.ParallelFor(files.size(), [&](size_t k) {
     CrawlFile& f = files[k];
     FileSummary& s = f.summary;
@@ -387,50 +408,57 @@ int main(int argc, char** argv) {
     s.catalog_entry = f.entry;
     s.catalog_match_rate = f.fingerprint_rate;
     if (!f.error.ok()) return;
-    auto data = open_file(f);
-    if (!data.ok()) {
-      f.error = data.status();
+    auto reader = open_file(f);
+    if (!reader.ok()) {
+      f.error = reader.status();
       return;
     }
-    s.input_bytes = data->size_bytes();
-    s.input_mapped = data->is_mapped();
-    if (f.entry < 0) {
-      // Unstructured: every line is noise; nothing to extract.
-      s.total_lines = data->line_count();
-      s.noise_lines = s.total_lines;
-      s.match_rate = s.total_lines == 0 ? 1.0 : 0.0;
-      return;
-    }
-    const CatalogEntry& entry = catalog.entry(static_cast<size_t>(f.entry));
-    for (const StructureTemplate& st : entry.templates) {
+    s.input_bytes = reader.value().size_bytes();
+    // An unstructured file is scanned with no templates: every line is
+    // noise, and the scan only counts them.
+    const CatalogEntry* entry =
+        f.entry >= 0 ? &catalog.entry(static_cast<size_t>(f.entry)) : nullptr;
+    const std::vector<StructureTemplate>& templates =
+        entry != nullptr ? entry->templates : no_templates;
+    for (const StructureTemplate& st : templates) {
       s.templates.push_back(st.Display());
     }
     Timer t;
-    data->Advise(AccessHint::kSequential);
     // Warm path: entries loaded from a v2 catalog carry precompiled
     // programs, so the matchers deserialize instead of recompiling.
-    Extractor extractor(&entry.templates, /*pool=*/nullptr,
-                        options.match_engine, options.charset_engine,
-                        options.max_line_bytes,
-                        entry.programs.empty() ? nullptr : &entry.programs);
-    DatasetView view(data.value());
-    ExtractionResult stats;
-    if (!out_dir.empty()) {
-      ColumnarWriteSink sink(&entry.templates, view,
-                             out_dir + "/" + f.rel_path + ".tables",
-                             shared.format);
-      if (!sink.status().ok()) {
-        f.error = sink.status();
+    Extractor extractor(&templates, /*pool=*/nullptr, options.match_engine,
+                        options.charset_engine, options.max_line_bytes,
+                        entry != nullptr && !entry->programs.empty()
+                            ? &entry->programs
+                            : nullptr);
+    std::unique_ptr<ColumnarWriteSink> sink;
+    if (entry != nullptr && !out_dir.empty()) {
+      sink = std::make_unique<ColumnarWriteSink>(
+          &entry->templates, no_view, out_dir + "/" + f.rel_path + ".tables",
+          shared.format);
+      if (!sink->status().ok()) {
+        f.error = sink->status();
         return;
       }
-      stats = extractor.ExtractEvents(view, &sink);
-      Status finished = sink.Finish();
+    }
+    auto scanned = reader.value().Scan(extractor, sink.get());
+    if (!scanned.ok()) {
+      f.error = scanned.status();
+      return;
+    }
+    if (sink != nullptr) {
+      Status finished = sink->Finish();
       if (!finished.ok()) {
         f.error = finished;
         return;
       }
-    } else {
-      stats = extractor.ExtractEvents(view, nullptr);  // count only
+    }
+    ExtractionResult& stats = scanned.value();
+    if (entry == nullptr) {
+      s.total_lines = stats.total_lines;
+      s.noise_lines = s.total_lines;
+      s.match_rate = s.total_lines == 0 ? 1.0 : 0.0;
+      return;
     }
     s.records_per_template = std::move(stats.records_per_template);
     s.timings.extraction_s = t.Seconds();

@@ -12,17 +12,16 @@
 # budget.
 #
 # Batch mode (--batch): write the generator's output to a file (default
-# 64 MiB) and run `datamaran_cli FILE --out --summary-json --threads=2`
-# once. Batch extraction is one streaming pass over the mapped input, and
-# every pass (the line-index build, the discovery sample copy, each
-# extraction wave) releases the input's pages behind it, so the only
-# memory that grows with the file is its line index (8 bytes per line,
-# 33 MiB of the default file's ~4.3M lines). Discovery, one extraction
-# wave, the few folios of input a pass holds and the writers' buffers fit
-# a fixed budget on top (default 24 MiB; measured ~8 MiB). The file's own
-# size is not part of the limit: a pass that pins the mapped input fails.
-# Fails on a nonzero CLI exit, a summary error, no extracted records, or
-# peak RSS above index + budget.
+# 64 MiB) and to one a quarter that size (16 MiB), and run
+# `datamaran_cli FILE --out --summary-json --threads=2` once on each.
+# Batch reads the file through a 256 KiB window — the discovery sample
+# straight from its sampled ranges, extraction one window-sized segment at
+# a time — so no memory grows with the file: the peak must stay under a
+# fixed budget (default 16 MiB; measured ~7.5 MB at both sizes), and the
+# large file's peak may exceed the small one's by at most 2 MiB, so any
+# term that grows with the file fails even below the budget. Fails on a
+# nonzero CLI exit, a summary error, no extracted records, a peak over the
+# budget, or a large-file peak over the small-file peak + 2 MiB.
 #
 #   tools/stream_soak.sh [total_bytes] [rss_budget_kb]
 #   tools/stream_soak.sh --batch [file_bytes] [budget_kb]
@@ -39,11 +38,12 @@ if [ "${1:-}" = "--batch" ]; then
   shift
 fi
 if [ "$MODE" = batch ]; then
-  TOTAL_BYTES="${1:-67108864}"  # 64 MiB
-  BUDGET_KB="${2:-24576}"       # 24 MiB over the input's line index
+  TOTAL_BYTES="${1:-67108864}"  # 64 MiB; the small run is a quarter of it
+  BUDGET_KB="${2:-16384}"       # 16 MiB, whatever the file size
+  GROWTH_KB=2048                # large-file peak over the small-file peak
 else
   TOTAL_BYTES="${1:-200000000}"
-  BUDGET_KB="${2:-65536}"   # 64 MiB — measured peak is ~11 MB, flat in stream length
+  BUDGET_KB="${2:-65536}"   # 64 MiB — measured peak is ~6 MB, flat in stream length
 fi
 
 if [ ! -x build/datamaran_cli ]; then
@@ -54,8 +54,9 @@ fi
 workdir="$(mktemp -d)"
 trap 'rm -rf "$workdir"' EXIT
 
+# Writes the generator's output for a total of $1 bytes to stdout.
 generate() {
-  awk -v total="$TOTAL_BYTES" 'BEGIN {
+  awk -v total="$1" 'BEGIN {
     b = 0; i = 0;
     a_end = total * 0.45; mix_end = total * 0.55;
     while (b < total) {
@@ -72,17 +73,26 @@ generate() {
 
 # Runs the CLI with the given arguments and this function's stdin, writing
 # its stdout to $workdir/stdout.txt; the python3 wrapper reports the child's
-# peak RSS (getrusage RUSAGE_CHILDREN ru_maxrss, in kB on Linux) as
-# peak_rss_kb=N in $workdir/rss.txt. Sets $peak_kb; exits on a CLI failure.
+# peak RSS (wait4's ru_maxrss, in kB on Linux) as peak_rss_kb=N in
+# $workdir/rss.txt. ru_maxrss also counts the RSS of the address space the
+# child was exec'd from, so the wrapper forks from a bare interpreter (-I
+# -S, only `os` imported, ~5 MB) rather than through `subprocess`, which
+# would put a floor of ~10-14 MB under every measurement. Sets $peak_kb;
+# exits on a CLI failure.
 run_cli() {
   local status
   set +e
-  python3 -c '
-import resource, subprocess, sys
-status = subprocess.call(sys.argv[1:])
-peak_kb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
-print(f"peak_rss_kb={peak_kb}", file=sys.stderr)
-sys.exit(status)
+  python3 -I -S -c '
+import os, sys
+pid = os.fork()
+if pid == 0:
+    try:
+        os.execv(sys.argv[1], sys.argv[1:])
+    finally:
+        os._exit(127)
+_, status, usage = os.wait4(pid, 0)
+print(f"peak_rss_kb={usage.ru_maxrss}", file=sys.stderr)
+sys.exit(os.waitstatus_to_exitcode(status))
 ' ./build/datamaran_cli "$@" > "$workdir/stdout.txt" 2> "$workdir/rss.txt"
   status=$?
   set -e
@@ -100,39 +110,54 @@ sys.exit(status)
   fi
 }
 
-if [ "$MODE" = batch ]; then
-  generate > "$workdir/input.log"
+# Batch extraction of a generated file of $1 bytes; sets $peak_kb and
+# exits on a failed run, a summary error or no extracted records.
+run_batch() {
+  generate "$1" > "$workdir/input.log"
+  local file_bytes
   file_bytes="$(wc -c < "$workdir/input.log")"
-  file_lines="$(wc -l < "$workdir/input.log")"
-  echo "stream_soak: batch extraction of ${file_bytes} bytes," \
-       "${file_lines} lines ..."
+  echo "stream_soak: batch extraction of ${file_bytes} bytes ..."
+  rm -rf "$workdir/out"
   run_cli "$workdir/input.log" --out="$workdir/out" \
     --summary-json="$workdir/summary.json" --threads=2 < /dev/null
-  index_kb=$(( file_lines * 8 / 1024 ))
-  limit_kb=$(( index_kb + BUDGET_KB ))
-  echo "stream_soak: peak RSS ${peak_kb} kB (limit ${limit_kb} kB = line" \
-       "index ${index_kb} + budget ${BUDGET_KB})"
-  if [ "$peak_kb" -gt "$limit_kb" ]; then
-    echo "stream_soak: FAIL — peak RSS over line index + budget" >&2
-    exit 1
-  fi
+  rm -f "$workdir/input.log"
   if ! grep -q '"error": ""' "$workdir/summary.json"; then
     echo "stream_soak: FAIL — summary reports an error" >&2
     cat "$workdir/summary.json" >&2
     exit 1
   fi
+  local records
   records="$(sed -n 's/^ *"records": \([0-9]*\).*/\1/p' "$workdir/summary.json")"
   if [ "${records:-0}" -lt 1 ]; then
     echo "stream_soak: FAIL — no records extracted" >&2
     cat "$workdir/summary.json" >&2
     exit 1
   fi
-  echo "stream_soak: OK (${records} records)"
+  echo "stream_soak: peak RSS ${peak_kb} kB (${records} records;" \
+       "budget ${BUDGET_KB} kB)"
+  if [ "$peak_kb" -gt "$BUDGET_KB" ]; then
+    echo "stream_soak: FAIL — peak RSS over budget" >&2
+    exit 1
+  fi
+}
+
+if [ "$MODE" = batch ]; then
+  run_batch $(( TOTAL_BYTES / 4 ))
+  small_kb="$peak_kb"
+  run_batch "$TOTAL_BYTES"
+  echo "stream_soak: large-file peak ${peak_kb} kB, small-file peak" \
+       "${small_kb} kB (allowed growth ${GROWTH_KB} kB)"
+  if [ "$peak_kb" -gt $(( small_kb + GROWTH_KB )) ]; then
+    echo "stream_soak: FAIL — peak RSS grows with the file" >&2
+    exit 1
+  fi
+  echo "stream_soak: OK"
   exit 0
 fi
 
 echo "stream_soak: streaming ${TOTAL_BYTES} bytes through --follow=- ..."
-run_cli --follow=- --summary-json="$workdir/summary.json" < <(generate)
+run_cli --follow=- --summary-json="$workdir/summary.json" \
+  < <(generate "$TOTAL_BYTES")
 echo "stream_soak: peak RSS ${peak_kb} kB (budget ${BUDGET_KB} kB)"
 if [ "$peak_kb" -gt "$BUDGET_KB" ]; then
   echo "stream_soak: FAIL — peak RSS over budget" >&2
