@@ -1,25 +1,51 @@
 #include "core/dataset.h"
 
 #include <algorithm>
+#include <bit>
 #include <utility>
 
+#include "util/byte_class.h"
 #include "util/common.h"
 
 namespace datamaran {
 
+namespace {
+
+/// Classifies '\n' 64 bytes at a time on the widest vector tier the CPU
+/// has (util/byte_class.h).
+const ByteClassifier& NewlineClassifier() {
+  static const ByteClassifier classifier = [] {
+    CharSet newline;
+    newline.Add('\n');
+    return ByteClassifier(newline, CharsetEngine::kSimd);
+  }();
+  return classifier;
+}
+
+}  // namespace
+
 Dataset::Dataset(std::string text) : text_(std::move(text)) {
-  if (!text_.empty() && text_.back() != '\n') text_.push_back('\n');
-  // Sized exactly before filling: growing by doubling would hold the old
-  // and the new array at once.
-  line_begin_.reserve(
-      static_cast<size_t>(std::count(text_.begin(), text_.end(), '\n')));
-  size_t begin = 0;
-  for (size_t i = 0; i < text_.size(); ++i) {
-    if (text_[i] == '\n') {
-      line_begin_.push_back(begin);
-      begin = i + 1;
+  if (text_.empty()) return;
+  if (text_.back() != '\n') text_.push_back('\n');
+  // Two passes over 64-byte newline masks: the first counts, so the index
+  // is sized before it is filled (growing by doubling would hold the old
+  // and the new array at once); the second writes one past each '\n' as
+  // the begin of the line after it, line 0 beginning at 0. The final '\n'
+  // ends the text, so its slot is the one spare entry, dropped at the end.
+  const ByteClassifier& newline = NewlineClassifier();
+  const size_t size = text_.size();
+  size_t lines = 0;
+  for (size_t pos = 0; pos < size; pos += 64) {
+    lines += static_cast<size_t>(std::popcount(newline.MaskBlock(text_, pos)));
+  }
+  line_begin_.resize(lines + 1);
+  size_t* next = line_begin_.data() + 1;
+  for (size_t pos = 0; pos < size; pos += 64) {
+    for (uint64_t m = newline.MaskBlock(text_, pos); m != 0; m &= m - 1) {
+      *next++ = pos + static_cast<size_t>(std::countr_zero(m)) + 1;
     }
   }
+  line_begin_.pop_back();
 }
 
 size_t Dataset::LineOfOffset(size_t pos) const {

@@ -243,7 +243,8 @@ Result<Dataset> OpenInputs(const std::vector<std::string>& paths,
 Result<InputReader> InputReader::Open(const std::vector<std::string>& paths,
                                       const InputOptions& options) {
   InputReader reader;
-  if (paths.size() == 1) {
+  // Without positioned reads every input is served from OpenInputs' text.
+  if (paths.size() == 1 && RandomAccessFile::kSupported) {
     auto file = RandomAccessFile::Open(paths[0]);
     if (!file.ok()) return file.status();
     // The head decides: gzip magic, or a CRLF the policy strips, means the
@@ -373,9 +374,10 @@ Result<ExtractionResult> InputReader::Scan(const Extractor& extractor,
                                            EventSink* sink) const {
   ExtractionResult counts;
   counts.total_chars = size_bytes();
+  Extractor::ScanBuffers buffers;
   if (owned_.has_value()) {
-    counts.total_lines =
-        extractor.ExtractSegment(*owned_, /*final=*/true, 0, sink, &counts);
+    counts.total_lines = extractor.ExtractSegment(*owned_, /*final=*/true, 0,
+                                                  sink, &counts, &buffers);
     return counts;
   }
   const size_t size = file_.size();
@@ -401,7 +403,8 @@ Result<ExtractionResult> InputReader::Scan(const Extractor& extractor,
     // At the end, Dataset appends the final newline the file may lack.
     const Dataset segment(std::move(buf));
     const size_t undecided =
-        extractor.ExtractSegment(segment, final, line, sink, &counts);
+        extractor.ExtractSegment(segment, final, line, sink, &counts,
+                                 &buffers);
     line += undecided;
     buf.assign(segment.text().substr(undecided < segment.line_count()
                                          ? segment.line_begin(undecided)

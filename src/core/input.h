@@ -246,7 +246,10 @@ Result<Dataset> OpenInputs(const std::vector<std::string>& paths,
 /// Either way, every byte and count the reader yields equals what the
 /// same call would yield on OpenInputs' Dataset. A plain file that shrinks
 /// after Open fails the next read with an IoError naming the path and
-/// both sizes (util/file_io.h RandomAccessFile).
+/// both sizes, and a single path that is not a regular file (a FIFO, a
+/// pipe, a device, a directory) fails Open with an IoError naming it
+/// (util/file_io.h RandomAccessFile). On a platform without positioned
+/// reads every input is owned text.
 class InputReader {
  public:
   /// Bytes one read fetches. A constant: it bounds the reader's memory,

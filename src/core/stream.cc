@@ -197,11 +197,12 @@ void StreamingSession::ProcessSegment(bool final_flush) {
   const std::function<bool()> triggered = [this] {
     return evolution_pending_;
   };
+  Extractor::ScanBuffers buffers;
   while (window_line_count_ > 0) {
     const Dataset segment{std::string(window_)};
     const size_t undecided = extractor_->ExtractSegment(
         segment, final_flush, static_cast<size_t>(stats_.lines_decided),
-        &decisions, nullptr, triggered);
+        &decisions, nullptr, &buffers, triggered);
     if (undecided == 0) return;  // not enough lookahead to decide anything
     window_.erase(0, undecided < segment.line_count()
                          ? segment.line_begin(undecided)

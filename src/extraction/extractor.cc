@@ -60,33 +60,6 @@ class CollectingSink : public RecordSink {
   ExtractionResult* out_;
 };
 
-/// Speculative scan of one line-range chunk: every attempted line with its
-/// outcome, in increasing line order, plus the first line the scan did NOT
-/// consume (>= end_line when a record spills past the chunk boundary).
-/// Record attempts buffer only their flat events (ranges into the chunk's
-/// shared event store) and window bookkeeping — no ParsedValue trees — so a
-/// wave's buffered state is a few machine words plus field/array events per
-/// record.
-struct ChunkScan {
-  struct Attempt {
-    size_t line = 0;
-    int template_id = -1;  // -1 = noise line
-    size_t pos = 0;        // records: match begin within the window text
-    size_t end = 0;        // records: one past the match
-    uint32_t event_begin = 0;  // records: event range in ChunkScan::events
-    uint32_t event_count = 0;
-    /// A cross-gap record's window text, owned here so the event spans stay
-    /// valid until the stitcher flushes the attempt to the sink (empty for
-    /// in-place matches — always, on identity views).
-    std::string assembled_text;
-  };
-  size_t begin_line = 0;
-  size_t end_line = 0;
-  size_t final_line = 0;
-  std::vector<Attempt> attempts;
-  std::vector<MatchEvent> events;  // concatenated per-record event ranges
-};
-
 /// Minimum lines per chunk: below this the per-chunk bookkeeping outweighs
 /// the matching work.
 constexpr size_t kMinLinesPerChunk = 256;
@@ -175,6 +148,51 @@ class SegmentForwarder : public EventSink {
 
 }  // namespace
 
+/// The wave state of one scan. Speculative chunk results are ChunkScans:
+/// every attempted line of one line-range chunk with its outcome, in
+/// increasing line order, plus the first line the scan did NOT consume
+/// (>= end_line when a record spills past the chunk boundary). Record
+/// attempts buffer only their flat events (ranges into the chunk's shared
+/// event store) and window bookkeeping — no ParsedValue trees — so a wave's
+/// buffered state is a few machine words plus field/array events per
+/// record. Each vector is cleared, never shrunk, between waves and between
+/// the scans that share these buffers.
+struct Extractor::ScanBuffers::Slots {
+  struct ChunkScan {
+    struct Attempt {
+      size_t line = 0;
+      int template_id = -1;  // -1 = noise line
+      size_t pos = 0;        // records: match begin within the window text
+      size_t end = 0;        // records: one past the match
+      uint32_t event_begin = 0;  // records: event range in ChunkScan::events
+      uint32_t event_count = 0;
+      /// A cross-gap record's window text, owned here so the event spans
+      /// stay valid until the stitcher flushes the attempt to the sink
+      /// (empty for in-place matches — always, on identity views).
+      std::string assembled_text;
+    };
+    size_t begin_line = 0;
+    size_t end_line = 0;
+    size_t final_line = 0;
+    std::vector<Attempt> attempts;
+    std::vector<MatchEvent> events;  // concatenated per-record event ranges
+  };
+
+  /// One per chunk of a wave, grown to the widest wave seen.
+  std::vector<ChunkScan> scans;
+  std::vector<std::string> chunk_scratch;
+  std::vector<std::vector<MatchEvent>> chunk_events;
+  /// The sequential scan's and the stitcher's re-match buffers.
+  std::string scratch;
+  std::vector<MatchEvent> events;
+};
+
+Extractor::ScanBuffers::ScanBuffers() : slots_(std::make_unique<Slots>()) {}
+Extractor::ScanBuffers::~ScanBuffers() = default;
+Extractor::ScanBuffers::ScanBuffers(ScanBuffers&&) noexcept = default;
+Extractor::ScanBuffers& Extractor::ScanBuffers::operator=(
+    ScanBuffers&&) noexcept = default;
+
 Extractor::Extractor(const std::vector<StructureTemplate>* templates,
                      ThreadPool* pool, MatchEngine engine,
                      CharsetEngine charset_engine, size_t max_line_bytes,
@@ -255,13 +273,14 @@ size_t Extractor::EmitAt(const DatasetView& data, size_t li, EventSink* sink,
 }
 
 ExtractionResult Extractor::ExtractSequential(const DatasetView& data,
-                                              EventSink* sink) const {
+                                              EventSink* sink,
+                                              ScanBuffers* buffers) const {
   ExtractionResult stats;
   stats.total_chars = data.size_bytes();
   stats.total_lines = data.line_count();
   stats.records_per_template.assign(matchers_.size(), 0);
-  std::string scratch;
-  std::vector<MatchEvent> events;
+  std::string& scratch = buffers->slots_->scratch;
+  std::vector<MatchEvent>& events = buffers->slots_->events;
   size_t li = 0;
   const size_t n = data.line_count();
   // The wave-flush invariant holds for the sequential scan too: OnWaveEnd
@@ -288,12 +307,19 @@ ExtractionResult Extractor::ExtractSequential(const DatasetView& data,
 
 ExtractionResult Extractor::ExtractEvents(const DatasetView& data,
                                           EventSink* sink) const {
+  ScanBuffers buffers;
+  return ExtractEvents(data, sink, &buffers);
+}
+
+ExtractionResult Extractor::ExtractEvents(const DatasetView& data,
+                                          EventSink* sink,
+                                          ScanBuffers* buffers) const {
   const size_t n = data.line_count();
   const int threads = pool_ != nullptr ? pool_->thread_count() : 1;
   size_t chunk_lines = lines_per_chunk_;
   if (chunk_lines == 0) chunk_lines = AutoChunkLines(n, threads);
   if (threads <= 1 || matchers_.empty() || n < 2 * chunk_lines) {
-    return ExtractSequential(data, sink);
+    return ExtractSequential(data, sink, buffers);
   }
 
   ExtractionResult stats;
@@ -305,11 +331,18 @@ ExtractionResult Extractor::ExtractEvents(const DatasetView& data,
   // buffered events are alive at once, flushed to the sink in order before
   // the next wave is scanned.
   const size_t chunks_per_wave = static_cast<size_t>(threads) * 2;
-  std::vector<ChunkScan> scans(chunks_per_wave);
-  std::vector<std::string> chunk_scratch(chunks_per_wave);
-  std::vector<std::vector<MatchEvent>> chunk_events(chunks_per_wave);
-  std::string stitch_scratch;
-  std::vector<MatchEvent> stitch_events;
+  using ChunkScan = ScanBuffers::Slots::ChunkScan;
+  ScanBuffers::Slots& slots = *buffers->slots_;
+  if (slots.scans.size() < chunks_per_wave) {
+    slots.scans.resize(chunks_per_wave);
+    slots.chunk_scratch.resize(chunks_per_wave);
+    slots.chunk_events.resize(chunks_per_wave);
+  }
+  std::vector<ChunkScan>& scans = slots.scans;
+  std::vector<std::string>& chunk_scratch = slots.chunk_scratch;
+  std::vector<std::vector<MatchEvent>>& chunk_events = slots.chunk_events;
+  std::string& stitch_scratch = slots.scratch;
+  std::vector<MatchEvent>& stitch_events = slots.events;
   const std::string_view backing = data.dataset().text();
 
   size_t li = 0;  // stitched (authoritative) line position
@@ -434,6 +467,7 @@ ExtractionResult Extractor::Extract(const DatasetView& data) const {
 size_t Extractor::ExtractSegment(const Dataset& segment, bool final,
                                  size_t first_line, EventSink* sink,
                                  ExtractionResult* counts,
+                                 ScanBuffers* buffers,
                                  const std::function<bool()>& stop) const {
   const size_t n = segment.line_count();
   // A record starting before the boundary fits in the segment whole, so
@@ -450,7 +484,7 @@ size_t Extractor::ExtractSegment(const Dataset& segment, bool final,
   if (boundary == 0) return 0;
   SegmentForwarder forwarder(segment, boundary, first_line, sink, counts,
                              stop);
-  ExtractEvents(DatasetView(segment), &forwarder);
+  ExtractEvents(DatasetView(segment), &forwarder, buffers);
   return forwarder.undecided() == SegmentForwarder::kNone
              ? n
              : forwarder.undecided();

@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <functional>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -206,6 +207,24 @@ struct ExtractionResult {
 
 class Extractor {
  public:
+  /// The buffers a scan works in: each wave's per-chunk attempts and flat
+  /// events, and the window scratch. ExtractEvents allocates a fresh set
+  /// per call; a caller deciding many segments keeps one set and passes it
+  /// to every ExtractSegment, so the capacity grown in one segment serves
+  /// the next. One scan at a time per set; output never depends on it.
+  class ScanBuffers {
+   public:
+    ScanBuffers();
+    ~ScanBuffers();
+    ScanBuffers(ScanBuffers&&) noexcept;
+    ScanBuffers& operator=(ScanBuffers&&) noexcept;
+
+   private:
+    friend class Extractor;
+    struct Slots;
+    std::unique_ptr<Slots> slots_;
+  };
+
   /// Cap on the automatic chunk size. A wave buffers threads x 2 chunks of
   /// attempts and MatchEvents (40 bytes per field or array event, often
   /// several times the text they describe), so without a cap one wave of a
@@ -276,9 +295,11 @@ class Extractor {
   /// matched_records, records_per_template, noise_line_count; the totals
   /// are the caller's). Returns the first undecided segment line, or
   /// segment.line_count() when all were decided; the decided lines are
-  /// exactly those before it. `sink` may be null.
+  /// exactly those before it. `sink` may be null; `buffers` is the
+  /// caller's scan state, kept from one segment to the next.
   size_t ExtractSegment(const Dataset& segment, bool final, size_t first_line,
                         EventSink* sink, ExtractionResult* counts,
+                        ScanBuffers* buffers,
                         const std::function<bool()>& stop = nullptr) const;
 
   /// Overrides the automatic chunk granularity (lines per parallel chunk);
@@ -308,8 +329,10 @@ class Extractor {
                 ExtractionResult* stats, std::string* scratch,
                 std::vector<MatchEvent>* events) const;
 
-  ExtractionResult ExtractSequential(const DatasetView& data,
-                                     EventSink* sink) const;
+  ExtractionResult ExtractEvents(const DatasetView& data, EventSink* sink,
+                                 ScanBuffers* buffers) const;
+  ExtractionResult ExtractSequential(const DatasetView& data, EventSink* sink,
+                                     ScanBuffers* buffers) const;
 
   const std::vector<StructureTemplate>* templates_;
   ThreadPool* pool_;

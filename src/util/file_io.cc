@@ -205,10 +205,18 @@ Result<RandomAccessFile> RandomAccessFile::Open(const std::string& path) {
 #if DM_HAVE_PREAD
   RandomAccessFile file;
   file.path_ = path;
-  file.fd_ = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-  if (file.fd_ < 0) return Status::IoError("cannot open for read: " + path);
+  // O_NONBLOCK so that opening a FIFO returns at once instead of waiting
+  // for a writer; regular-file reads ignore it.
+  file.fd_ = ::open(path.c_str(), O_RDONLY | O_NONBLOCK | O_CLOEXEC);
+  if (file.fd_ < 0) {
+    return Status::IoError("cannot open for read: " + path + ": " +
+                           std::strerror(errno));
+  }
   struct stat st;
   if (::fstat(file.fd_, &st) != 0) return Status::IoError("cannot stat: " + path);
+  if (!S_ISREG(st.st_mode)) {
+    return Status::IoError("not a regular file: " + path);
+  }
   file.size_ = static_cast<size_t>(st.st_size);
   return file;
 #else

@@ -83,13 +83,24 @@ class FileLock {
 /// Creates directory `path` (and parents) if it does not exist.
 Status MakeDirs(const std::string& path);
 
-/// A file opened read-only for positioned reads (pread). The size is taken
-/// once, at Open; a read that comes back short of it — the file was
-/// truncated after opening, as a copytruncate rotation does — is an
+/// A regular file opened read-only for positioned reads (pread). The size
+/// is taken once, at Open; a read that comes back short of it — the file
+/// was truncated after opening, as a copytruncate rotation does — is an
 /// IoError naming the path, the size at open and the size now, never a
-/// crash or a silently shorter input. Move-only; closes on destruction.
+/// crash or a silently shorter input. Anything but a regular file (a FIFO,
+/// a pipe such as `<(cmd)` or a piped /dev/stdin, a device, a directory)
+/// has no size to take and is an IoError at Open. Move-only; closes on
+/// destruction.
 class RandomAccessFile {
  public:
+  /// False on platforms without pread, where Open always fails; callers
+  /// then read whole files instead.
+#if defined(__unix__) || defined(__APPLE__)
+  static constexpr bool kSupported = true;
+#else
+  static constexpr bool kSupported = false;
+#endif
+
   RandomAccessFile() = default;
   ~RandomAccessFile();
 

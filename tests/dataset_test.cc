@@ -51,6 +51,41 @@ TEST(DatasetTest, LineOfOffsetAtBoundaries) {
   EXPECT_EQ(data.LineOfOffset(8), 2u);
 }
 
+TEST(DatasetTest, LineIndexMatchesByteScan) {
+  // The index is built from 64-byte newline masks. Against a byte loop:
+  // newlines on and around block edges, runs of empty lines, bytes one
+  // bit away from '\n' (0x0b, 0x08, 0x8a) and NUL/0xff, with and without
+  // a final newline.
+  const char alphabet[] = {'\n', '\n', 'a', '\x0b', '\x08', '\x8a', '\0',
+                           '\xff'};
+  Rng rng(7);
+  std::vector<std::string> texts = {std::string(63, 'x') + "\n",
+                                    std::string(64, 'x') + "\n",
+                                    std::string(127, '\n'),
+                                    std::string(130, 'x')};
+  for (int i = 0; i < 200; ++i) {
+    std::string text(static_cast<size_t>(rng.Uniform(0, 300)), 'a');
+    for (char& c : text) c = alphabet[rng.Uniform(0, 7)];
+    texts.push_back(std::move(text));
+  }
+  for (const std::string& text : texts) {
+    std::string want_text = text;
+    if (!want_text.empty() && want_text.back() != '\n') want_text += '\n';
+    std::vector<size_t> want;
+    for (size_t i = 0, begin = 0; i < want_text.size(); ++i) {
+      if (want_text[i] != '\n') continue;
+      want.push_back(begin);
+      begin = i + 1;
+    }
+    const Dataset data{std::string(text)};
+    ASSERT_EQ(data.text(), want_text);
+    ASSERT_EQ(data.line_count(), want.size());
+    for (size_t i = 0; i < want.size(); ++i) {
+      ASSERT_EQ(data.line_begin(i), want[i]) << "line " << i;
+    }
+  }
+}
+
 // --------------------------------------------------------- DatasetView ----
 
 TEST(DatasetViewTest, IdentityViewCoversEverything) {

@@ -2,7 +2,8 @@
 // gzip round trips and failure Statuses, CRLF normalization policies,
 // rotation ordering and spec expansion, multi-file stitching parity, the
 // windowed InputReader (every input path against OpenInputs, truncation
-// under the reader), the oversized-line guard, and atomic artifact writes.
+// under the reader, missing and non-regular paths), the oversized-line
+// guard, and atomic artifact writes.
 
 #include <gtest/gtest.h>
 
@@ -21,6 +22,10 @@
 #include "util/gzip.h"
 #include "util/sampler.h"
 #include "util/strings.h"
+
+#if defined(__unix__) || defined(__APPLE__)
+#include <sys/stat.h>
+#endif
 
 namespace datamaran {
 namespace {
@@ -355,7 +360,6 @@ TEST(InputReader, EveryPathServesOpenInputsText) {
       EXPECT_EQ(scanned->records_per_template, want.records_per_template);
     }
   }
-  EXPECT_FALSE(InputReader::Open({dir + "/absent.log"}, InputOptions{}).ok());
 }
 
 TEST(InputReader, TruncatedFileIsAnErrorNotACrash) {
@@ -395,6 +399,28 @@ TEST(InputReader, TruncatedFileIsAnErrorNotACrash) {
     EXPECT_NE(message.find(std::to_string(body.size() / 2)),
               std::string::npos)
         << message;
+  }
+}
+
+TEST(InputReader, MissingOrNonRegularPathIsAnError) {
+  // Only a regular file has a size to read up to. A missing path, a FIFO
+  // (what `<(cmd)` and a piped /dev/stdin are) and a directory must each
+  // fail Open with an IoError naming the path — never open as an empty
+  // input, and never wait for a FIFO writer.
+  if (!RandomAccessFile::kSupported) GTEST_SKIP() << "no positioned reads";
+  const std::string dir = MakeCaseDir("nonregular");
+  std::vector<std::string> paths = {dir + "/absent.log", dir};
+#if defined(__unix__) || defined(__APPLE__)
+  const std::string fifo = dir + "/pipe.log";
+  ASSERT_EQ(::mkfifo(fifo.c_str(), 0600), 0);
+  paths.push_back(fifo);
+#endif
+  for (const std::string& path : paths) {
+    auto reader = InputReader::Open({path}, InputOptions{});
+    ASSERT_FALSE(reader.ok()) << path;
+    EXPECT_EQ(reader.status().code(), StatusCode::kIoError) << path;
+    const std::string message = reader.status().ToString();
+    EXPECT_NE(message.find(path), std::string::npos) << message;
   }
 }
 

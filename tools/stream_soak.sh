@@ -7,9 +7,9 @@
 # Stream mode (default): pipe a large drifting stream (default 200 MB)
 # through `datamaran_cli --follow=-`. The run must survive a
 # drift-triggered template evolution mid-stream, and peak RSS must stay
-# O(window), independent of stream length, far below the bytes streamed.
-# Fails on a nonzero CLI exit, a missing evolution, or peak RSS above the
-# budget.
+# O(window), independent of stream length, far below the bytes streamed:
+# under a fixed budget (default 32 MiB; measured ~6 MB). Fails on a
+# nonzero CLI exit, a missing evolution, or peak RSS above the budget.
 #
 # Batch mode (--batch): write the generator's output to a file (default
 # 64 MiB) and to one a quarter that size (16 MiB), and run
@@ -43,7 +43,7 @@ if [ "$MODE" = batch ]; then
   GROWTH_KB=2048                # large-file peak over the small-file peak
 else
   TOTAL_BYTES="${1:-200000000}"
-  BUDGET_KB="${2:-65536}"   # 64 MiB — measured peak is ~6 MB, flat in stream length
+  BUDGET_KB="${2:-32768}"   # 32 MiB — measured peak is ~6 MB, flat in stream length
 fi
 
 if [ ! -x build/datamaran_cli ]; then
