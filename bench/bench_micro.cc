@@ -17,6 +17,10 @@
 // through a 256 KiB window — and from one whole owned buffer, each in its
 // own forked child, and fails the process unless the templates, records and
 // noise lines hash identically; the windowed child's peak RSS is reported.
+// A rotated four-member stitch with a gzip'd member is read the same way
+// in its own child: its peak RSS past the child's start must stay under a
+// constant 4 MiB whatever the stitch size, and its sample and scan must
+// hash identically to OpenInputs' whole buffer, or the process fails.
 // A third section compares the two match engines (reference tree walker vs
 // compiled bytecode + TemplateSetIndex dispatch) on the discovered
 // templates: records/s each, the speedup, and an engine-parity bit; parity
@@ -71,6 +75,8 @@
 #include "extraction/sinks.h"
 #include "template/catalog.h"
 #include "util/file_io.h"
+#include "util/gzip.h"
+#include "util/sampler.h"
 #include "core/dataset.h"
 #include "core/input.h"
 #include "core/options.h"
@@ -1621,99 +1627,128 @@ bool ReportStreamingBench(FILE* f, const StreamingRuns& runs) {
 }
 
 // ---------------------------------------------------------------------------
-// Rotated-stitch memory case: OpenInputs pre-sizes the combined buffer from
-// the on-disk member sizes and adopts the first member's buffer wholesale,
-// so stitching N members peaks near combined + one member — not 2x combined
-// from geometric reallocation growth plus a copied first member. A forked
-// child writes a newline-aligned rotated set and stitches it; the gate is
-// the child's peak RSS (RunInChild) past its peak just before the stitch,
-// against the stitched size.
+// Rotated-stitch memory case: a four-member rotated set, its oldest member
+// gzip'd, read the way the tools read it — InputReader: the discovery
+// sample, then one scan — in a forked child. The child's peak RSS past its
+// peak at start must stay under a constant budget that does not depend on
+// the stitch size, and the sample and scan must hash identically to
+// OpenInputs' whole buffer (a second child); either failure fails the
+// process.
 // ---------------------------------------------------------------------------
 struct StitchedPeakCase {
   size_t bytes = 0;
   size_t members = 0;
-  double stitch_s = 0;
+  double read_s = 0;
   size_t peak_delta = 0;
   bool rss_gated = false;
-  bool bytes_match = false;
+  bool identical = false;
   bool ok = false;
 };
 
-/// The stitch as reported back from its child process.
-struct StitchRun {
-  size_t bytes = 0;
-  size_t members = 0;
-  size_t baseline_peak = 0;  // the child's peak RSS just before the stitch
-  double stitch_s = 0;
-  bool bytes_match = false;
+/// Bytes the reader's child may add to its starting peak RSS: a few
+/// windows, the sample and one segment's scan state, whatever the size.
+constexpr size_t kStitchPeakBudget = 4u << 20;
+
+/// One side of the stitch case, as reported back from its child process.
+struct StitchPhase {
+  uint64_t sig = 0;
+  size_t baseline_peak = 0;  // the child's peak RSS when it started
+  double seconds = 0;
+  bool ok = false;
 };
 
-StitchRun StitchRotatedSet(bool quick) {
-  StitchRun out;
-  const std::string text = MakeSinkCorpus(13, quick);
-  constexpr size_t kMembers = 4;
-  std::vector<std::string> paths;
-  size_t begin = 0;
-  for (size_t m = 0; m < kMembers; ++m) {
-    size_t end = m + 1 < kMembers
-                     ? text.find('\n', (m + 1) * (text.size() / kMembers)) + 1
-                     : text.size();
-    const std::string path =
-        "bench_micro_stitch_" + std::to_string(m) + ".tmp";
-    paths.push_back(path);
-    if (!WriteStringToFile(path, std::string_view(text).substr(
-                                     begin, end - begin))
-             .ok()) {
-      for (const std::string& p : paths) std::remove(p.c_str());
-      return out;
-    }
-    begin = end;
+/// Hashes the sample's lines into `*sig`.
+void HashSample(const DatasetView& sample, uint64_t* sig) {
+  for (size_t v = 0; v < sample.line_count(); ++v) {
+    *sig = Fnv1a(sample.line_with_newline(v), *sig);
   }
-  out.bytes = text.size();
-  out.members = kMembers;
-  out.baseline_peak = PeakRssBytes();
-  {
-    Timer timer;
-    auto stitched = OpenInputs(paths, InputOptions{});
-    out.stitch_s = timer.Seconds();
-    // Members end on line boundaries, so the stitch adds no terminators
-    // and the combined dataset is byte-for-byte the original corpus.
-    out.bytes_match =
-        stitched.ok() && stitched.value().size_bytes() == text.size();
-  }
-  for (const std::string& path : paths) std::remove(path.c_str());
-  return out;
 }
 
 StitchedPeakCase RunStitchedPeakCase(bool quick) {
-  const auto run =
-      RunInChild<StitchRun>([&] { return StitchRotatedSet(quick); });
   StitchedPeakCase out;
-  out.bytes = run.result.bytes;
-  out.members = run.result.members;
-  out.stitch_s = run.result.stitch_s;
-  out.bytes_match = run.result.bytes_match;
-  out.rss_gated = run.isolated;
-  out.peak_delta = run.peak_rss > run.result.baseline_peak
-                       ? run.peak_rss - run.result.baseline_peak
+  constexpr size_t kMembers = 4;
+  std::vector<std::string> paths;
+  {
+    const std::string text = MakeSinkCorpus(13, quick);
+    size_t begin = 0;
+    for (size_t m = 0; m < kMembers; ++m) {
+      const size_t end =
+          m + 1 < kMembers
+              ? text.find('\n', (m + 1) * (text.size() / kMembers)) + 1
+              : text.size();
+      const std::string_view member =
+          std::string_view(text).substr(begin, end - begin);
+      // Rotation order is oldest first, and the oldest generation is the
+      // one logrotate compresses.
+      std::string bytes(member);
+      if (m == 0 && GzipSupported()) {
+        auto gz = GzipCompress(member);
+        if (!gz.ok()) return out;
+        bytes = std::move(gz.value());
+      }
+      paths.push_back("bench_micro_stitch_" + std::to_string(m) + ".tmp");
+      if (!WriteStringToFile(paths.back(), bytes).ok()) {
+        for (const std::string& p : paths) std::remove(p.c_str());
+        return out;
+      }
+      begin = end;
+    }
+    out.bytes = text.size();
+    out.members = kMembers;
+  }  // freed before forking: a child's peak counts the parent's pages
+  const std::vector<StructureTemplate> templates = SinkTemplates();
+  const Extractor extractor(&templates);
+  const SamplerOptions sampler;
+  const auto windowed = RunInChild<StitchPhase>([&] {
+    StitchPhase p;
+    p.baseline_peak = PeakRssBytes();
+    Timer timer;
+    auto reader = InputReader::Open(paths, InputOptions{});
+    if (!reader.ok()) return p;
+    HashingSink sink(nullptr);
+    {
+      std::optional<Dataset> sample_copy;
+      auto sample = reader->ReadSample(sampler, &sample_copy);
+      if (!sample.ok()) return p;
+      HashSample(sample.value(), &sink.sig);
+    }
+    if (!reader->Scan(extractor, &sink).ok()) return p;
+    p.seconds = timer.Seconds();
+    p.sig = sink.sig;
+    p.ok = true;
+    return p;
+  });
+  const auto whole = RunInChild<StitchPhase>([&] {
+    StitchPhase p;
+    auto data = OpenInputs(paths, InputOptions{});
+    if (!data.ok()) return p;
+    HashingSink sink(&data.value());
+    HashSample(SampleView(data.value(), sampler), &sink.sig);
+    extractor.ExtractEvents(DatasetView(data.value()), &sink);
+    p.sig = sink.sig;
+    p.ok = true;
+    return p;
+  });
+  for (const std::string& path : paths) std::remove(path.c_str());
+  out.read_s = windowed.result.seconds;
+  out.identical = windowed.result.ok && whole.result.ok &&
+                  windowed.result.sig == whole.result.sig;
+  out.rss_gated = windowed.isolated;
+  out.peak_delta = windowed.peak_rss > windowed.result.baseline_peak
+                       ? windowed.peak_rss - windowed.result.baseline_peak
                        : 0;
-
-  const double ratio =
-      out.bytes > 0
-          ? static_cast<double>(out.peak_delta) / static_cast<double>(out.bytes)
-          : 0;
-  // Expected ~1.3x (combined buffer + one member in flight); geometric
-  // growth without the reserve lands at 2x+. 8 MB of slack absorbs
-  // allocator noise at the quick corpus size.
-  const bool under_budget =
-      out.peak_delta <= out.bytes + out.bytes / 2 + (8u << 20);
-  std::printf("stitched open (%zu members, %zu MB): %.3fs, peak delta "
-              "%zu MB (%.2fx)%s, bytes %s\n",
-              out.members, out.bytes >> 20, out.stitch_s,
-              out.peak_delta >> 20, ratio,
-              out.rss_gated ? "" : " [peak not isolated; gate skipped]",
-              out.bytes_match ? "match" : "MISMATCH — STITCH BUG");
-  out.ok = out.bytes_match && (!out.rss_gated || under_budget);
+  const bool under_budget = out.peak_delta <= kStitchPeakBudget;
+  std::printf("stitched read (%zu members, one gzip'd, %zu MB): %.3fs "
+              "(%.2f MB/s), peak delta %.1f MB (budget %zu MB)%s, "
+              "OpenInputs digest %s\n",
+              out.members, out.bytes >> 20, out.read_s,
+              MbPerSec(out.bytes, out.read_s),
+              static_cast<double>(out.peak_delta) / (1 << 20),
+              kStitchPeakBudget >> 20,
+              out.rss_gated ? (under_budget ? "" : " OVER BUDGET")
+                            : " [peak not isolated; gate skipped]",
+              out.identical ? "match" : "MISMATCH — STITCH BUG");
+  out.ok = out.identical && (!out.rss_gated || under_budget);
   return out;
 }
 
@@ -1849,10 +1884,11 @@ int RunPipelineBench() {
                "  \"stitched_peak\": {\n"
                "    \"bytes\": %zu,\n"
                "    \"members\": %zu,\n"
-               "    \"stitch_s\": %.6f,\n"
+               "    \"read_s\": %.6f,\n"
                "    \"peak_delta_bytes\": %zu,\n"
+               "    \"peak_budget_bytes\": %zu,\n"
                "    \"rss_gated\": %s,\n"
-               "    \"bytes_match\": %s\n"
+               "    \"identical\": %s\n"
                "  }\n"
                "}\n",
                speedup, identical ? "true" : "false",
@@ -1873,10 +1909,10 @@ int RunPipelineBench() {
                norm_case.collecting_peak,
                norm_case.rss_gated ? "true" : "false",
                norm_case.counts_match ? "true" : "false", stitch_case.bytes,
-               stitch_case.members, stitch_case.stitch_s,
-               stitch_case.peak_delta,
+               stitch_case.members, stitch_case.read_s,
+               stitch_case.peak_delta, kStitchPeakBudget,
                stitch_case.rss_gated ? "true" : "false",
-               stitch_case.bytes_match ? "true" : "false");
+               stitch_case.identical ? "true" : "false");
   std::fclose(f);
   std::printf("wrote %s\n\n", out_path);
   return identical && window_case.identical && match_ok && charset_ok && eval_ok &&

@@ -31,8 +31,8 @@
 ///   unexplained residual (Section 9.1) until nothing else clears alpha%.
 ///   Finally the whole file is extracted with the accepted template set.
 ///
-/// Memory model: the tools never hold a plain input file whole. They read
-/// the discovery sample straight from the file into one owned Dataset
+/// Memory model: the tools never hold an input whole. They read the
+/// discovery sample straight from the input into one owned Dataset
 /// (core/input.h InputReader::ReadSample) and resolve templates on it with
 /// the sample overloads below; the Dataset overloads take the sample
 /// themselves (util/sampler.h SampleView). Each residual round is produced

@@ -16,13 +16,12 @@
 /// line index, and records always start at a line begin and end at a line
 /// end.
 ///
-/// Nothing here holds a whole input file. A plain log file is read
-/// through core/input.h's InputReader: the discovery sample is one owned
-/// Dataset of the sampled lines, and extraction scans one window-sized
-/// segment Dataset at a time, so no memory grows with the file. Only the
-/// inputs the front-end must normalize in memory (gzip members,
-/// CRLF-stripped files, multi-file --inputs stitches) are one Dataset of
-/// the whole text.
+/// Nothing here holds a whole input file. The tools read every input —
+/// plain, gzip'd, CRLF-stripped or stitched — through core/input.h's
+/// InputReader: the discovery sample is one owned Dataset of the sampled
+/// lines, and extraction scans one window-sized segment Dataset at a time,
+/// so no memory grows with the input. Only library callers and the
+/// whole-buffer reference OpenInputs build one Dataset of a whole text.
 ///
 /// `DatasetView` is a Dataset plus a set of live line indices. It is the
 /// pipeline's working currency: the discovery sample is a view, and each residual round of the iterated

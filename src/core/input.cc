@@ -208,29 +208,11 @@ Result<Dataset> OpenInputs(const std::vector<std::string>& paths,
                            const InputOptions& options) {
   if (paths.empty()) return Status::InvalidArgument("no input files");
   if (paths.size() == 1) return OpenInput(paths[0], options);
-  // Pre-size the stitch buffer from the on-disk member sizes (+1 newline
-  // terminator each) so appending never reallocates mid-stitch: peak
-  // memory stays at one member plus the combined buffer, not 2x combined.
-  // Gzip members inflate larger than their file size — the reserve is then
-  // only a hint and growth proceeds as usual, never incorrectly.
-  size_t reserve_hint = 0;
-  for (const std::string& path : paths) {
-    auto size = FileSizeBytes(path);
-    if (size.ok()) reserve_hint += size.value() + 1;
-  }
   std::string combined;
-  bool first = true;
   for (const std::string& path : paths) {
     auto member = LoadMemberBytes(path, options);
     if (!member.ok()) return member.status();
-    if (first) {
-      // Adopt the first member's buffer wholesale instead of copying it.
-      combined = std::move(member.value());
-      if (combined.capacity() < reserve_hint) combined.reserve(reserve_hint);
-      first = false;
-    } else {
-      combined += member.value();
-    }
+    combined += member.value();
     // Newline-terminate each member so a truncated final line cannot merge
     // with the first line of the next rotation generation.
     if (!combined.empty() && combined.back() != '\n') combined += '\n';
@@ -240,53 +222,310 @@ Result<Dataset> OpenInputs(const std::vector<std::string>& paths,
 
 // ------------------------------------------------------------- InputReader
 
-Result<InputReader> InputReader::Open(const std::vector<std::string>& paths,
-                                      const InputOptions& options) {
-  InputReader reader;
-  // Without positioned reads every input is served from OpenInputs' text.
-  if (paths.size() == 1 && RandomAccessFile::kSupported) {
-    auto file = RandomAccessFile::Open(paths[0]);
-    if (!file.ok()) return file.status();
-    // The head decides: gzip magic, or a CRLF the policy strips, means the
-    // text has to be normalized in memory.
-    std::string head(std::min(file.value().size(), kCrlfProbeBytes), '\0');
-    DM_RETURN_IF_ERROR(file.value().ReadAt(0, head.data(), head.size()));
-    const bool strip =
-        options.crlf == CrlfPolicy::kStrip ||
-        (options.crlf == CrlfPolicy::kAuto && DetectCrlf(head));
-    if (!LooksGzip(head) && !strip) {
-      reader.file_ = std::move(file.value());
-      const size_t size = reader.file_.size();
-      if (size > 0) {
-        char last = '\n';
-        DM_RETURN_IF_ERROR(reader.file_.ReadAt(size - 1, &last, 1));
-        reader.appends_newline_ = last != '\n';
+namespace {
+
+/// One member's decoded bytes on their way into the logical text: the CRLF
+/// policy applied as StripCrlfInPlace applies it to the whole member, then
+/// the '\n' OpenInputs gives a non-empty member that lacks one. kAuto is
+/// decided at the member's first "\r\n": the bytes before it read the same
+/// either way, and it strips when its '\n' lies within the first
+/// kCrlfProbeBytes (DetectCrlf on the head), keeps otherwise. A '\r' at
+/// the end of a block is held until the next byte shows whether it ends a
+/// CRLF.
+class MemberText {
+ public:
+  explicit MemberText(CrlfPolicy policy)
+      : mode_(policy == CrlfPolicy::kAuto    ? Mode::kUndecided
+              : policy == CrlfPolicy::kStrip ? Mode::kStrip
+                                             : Mode::kKeep) {}
+
+  /// True once every further byte passes unchanged, so the caller may
+  /// read straight into the text and report the bytes with Passed.
+  bool verbatim() const { return mode_ == Mode::kKeep; }
+
+  void Passed(std::string_view bytes) {
+    Note(bytes);
+    seen_ += bytes.size();
+  }
+
+  /// Appends the member's next decoded bytes to `*out`.
+  void Append(std::string_view in, std::string* out) {
+    if (cr_held_ && !in.empty()) {
+      cr_held_ = false;
+      Carriage(seen_, in[0] == '\n', out);
+    }
+    for (size_t i = 0; i < in.size();) {
+      // Past the probe no CRLF can decide kAuto for stripping.
+      if (mode_ == Mode::kUndecided && seen_ + i >= kCrlfProbeBytes) {
+        mode_ = Mode::kKeep;
       }
-      return reader;
+      const size_t cr =
+          mode_ == Mode::kKeep ? std::string_view::npos : in.find('\r', i);
+      if (cr == std::string_view::npos) {
+        Emit(in.substr(i), out);
+        break;
+      }
+      Emit(in.substr(i, cr - i), out);
+      if (cr + 1 == in.size()) {
+        cr_held_ = true;
+        break;
+      }
+      Carriage(seen_ + cr + 1, in[cr + 1] == '\n', out);
+      i = cr + 1;
+    }
+    seen_ += in.size();
+  }
+
+  /// Ends the member: a held '\r', then the '\n' a non-empty member lacks.
+  void Finish(std::string* out) {
+    if (cr_held_) Emit("\r", out);
+    if (last_ != '\n') Emit("\n", out);
+  }
+
+ private:
+  enum class Mode { kUndecided, kStrip, kKeep };
+
+  /// A '\r' whose next byte, at member offset `next_at`, is a '\n' or
+  /// not: the member's first CRLF decides kAuto, and the '\r' is emitted
+  /// unless it is stripped.
+  void Carriage(size_t next_at, bool crlf, std::string* out) {
+    if (crlf && mode_ == Mode::kUndecided) {
+      mode_ = next_at < kCrlfProbeBytes ? Mode::kStrip : Mode::kKeep;
+    }
+    if (!crlf || mode_ != Mode::kStrip) Emit("\r", out);
+  }
+
+  void Emit(std::string_view bytes, std::string* out) {
+    out->append(bytes.data(), bytes.size());
+    Note(bytes);
+  }
+
+  void Note(std::string_view bytes) {
+    if (!bytes.empty()) last_ = bytes.back();
+  }
+
+  Mode mode_;
+  bool cr_held_ = false;
+  size_t seen_ = 0;   ///< decoded member bytes before the current block
+  char last_ = '\n';  ///< the last byte out; an empty member needs no '\n'
+};
+
+/// Appends whole lines to a sample text, leaving out each line whose
+/// content passes `cap` (0 = no cap), the rule SampleView applies. A line
+/// is held only up to the cap, so an over-cap line is dropped without
+/// being buffered whole.
+class LineCollector {
+ public:
+  LineCollector(size_t cap, std::string* text)
+      : cap_(cap), text_(text), line_(text->size()) {}
+
+  /// `bytes` continue the text.
+  void Append(std::string_view bytes) {
+    while (!bytes.empty()) {
+      const size_t nl = bytes.find('\n');
+      const bool ends = nl != std::string_view::npos;
+      const size_t take = ends ? nl + 1 : bytes.size();
+      if (!dropping_) {
+        text_->append(bytes.data(), take);
+        if (cap_ != 0 && text_->size() - line_ - (ends ? 1 : 0) > cap_) {
+          text_->resize(line_);
+          dropping_ = !ends;
+        }
+      } else if (ends) {
+        dropping_ = false;
+      }
+      if (ends) line_ = text_->size();
+      bytes.remove_prefix(take);
     }
   }
-  auto data = OpenInputs(paths, options);
-  if (!data.ok()) return data.status();
-  reader.owned_.emplace(std::move(data.value()));
-  return reader;
-}
 
-size_t InputReader::size_bytes() const {
-  return owned_.has_value() ? owned_->size_bytes()
-                            : file_.size() + (appends_newline_ ? 1 : 0);
+ private:
+  size_t cap_;
+  std::string* text_;
+  size_t line_;            ///< where the current line begins in *text_
+  bool dropping_ = false;  ///< the current line is over the cap
+};
+
+}  // namespace
+
+/// One forward pass over the logical text: the members in order, each
+/// read (plain) or inflated (gzip) a window at a time and passed through
+/// its MemberText.
+class InputReader::Pass {
+ public:
+  explicit Pass(const InputReader& reader) : reader_(reader) { Start(); }
+
+  /// Appends the next bytes of the logical text to `*out`, about one
+  /// window of them, and sets `*end` once no more follow.
+  Status Next(std::string* out, bool* end) {
+    const size_t before = out->size();
+    const size_t members = reader_.members_.size();
+    while (member_ < members && out->size() == before) {
+      bool member_end = false;
+      DM_RETURN_IF_ERROR(Decode(out, &member_end));
+      if (member_end) {
+        text_->Finish(out);
+        ++member_;
+        Start();
+      }
+    }
+    position_ += out->size() - before;
+    *end = member_ == members;
+    return Status::Ok();
+  }
+
+  /// Logical bytes passed so far.
+  size_t position() const { return position_; }
+
+  /// Reads on from where the last Consume stopped: up to logical offset
+  /// `to`, or through the next '\n' when `to` is npos, handing the bytes
+  /// to `*lines` unless it is null. Returns the offset reached (the size,
+  /// when the text ends first).
+  Result<size_t> Consume(size_t to, LineCollector* lines) {
+    for (;;) {
+      const size_t reached = position_ - (block_.size() - at_);
+      if (reached == to) return reached;
+      if (at_ == block_.size()) {
+        if (ended_) return reached;
+        block_.clear();
+        at_ = 0;
+        DM_RETURN_IF_ERROR(Next(&block_, &ended_));
+        continue;
+      }
+      const std::string_view avail(block_.data() + at_, block_.size() - at_);
+      size_t take = std::min(avail.size(), to - reached);
+      bool done = false;
+      if (to == std::string_view::npos) {
+        const size_t nl = avail.find('\n');
+        done = nl != std::string_view::npos;
+        take = done ? nl + 1 : avail.size();
+      }
+      if (lines != nullptr) lines->Append(avail.substr(0, take));
+      at_ += take;
+      if (done) return reached + take;
+    }
+  }
+
+ private:
+  /// Resets the per-member state for member_.
+  void Start() {
+    offset_ = 0;
+    pending_ = {};
+    if (member_ == reader_.members_.size()) return;
+    // The single plain file's head already showed nothing to strip.
+    text_.emplace(reader_.positioned_ ? CrlfPolicy::kKeep
+                                      : reader_.options_.crlf);
+    if (reader_.members_[member_].gzip) {
+      inflater_.emplace(reader_.options_.max_inflate_bytes);
+    }
+  }
+
+  /// Decodes the next block of member_ into `*out`; `*member_end` once
+  /// the member is used up.
+  Status Decode(std::string* out, bool* member_end) {
+    const Member& m = reader_.members_[member_];
+    const size_t size = m.file.size();
+    const size_t window = reader_.window_bytes_;
+    if (!m.gzip) {
+      const size_t n = std::min(window, size - offset_);
+      if (text_->verbatim()) {
+        const size_t at = out->size();
+        out->resize(at + n);
+        DM_RETURN_IF_ERROR(m.file.ReadAt(offset_, out->data() + at, n));
+        text_->Passed(std::string_view(out->data() + at, n));
+      } else {
+        decoded_.resize(n);
+        DM_RETURN_IF_ERROR(m.file.ReadAt(offset_, decoded_.data(), n));
+        text_->Append(decoded_, out);
+      }
+      offset_ += n;
+      *member_end = offset_ == size;
+      return Status::Ok();
+    }
+    if (pending_.empty() && offset_ < size) {
+      const size_t n = std::min(window, size - offset_);
+      compressed_.resize(n);
+      DM_RETURN_IF_ERROR(m.file.ReadAt(offset_, compressed_.data(), n));
+      offset_ += n;
+      pending_ = compressed_;
+    }
+    decoded_.resize(window);
+    auto n = inflater_->Inflate(&pending_, offset_ == size, decoded_.data(),
+                                window);
+    if (!n.ok()) return WithContext(n.status(), m.file.path());
+    text_->Append(std::string_view(decoded_.data(), n.value()), out);
+    *member_end = inflater_->finished();
+    return Status::Ok();
+  }
+
+  const InputReader& reader_;
+  size_t member_ = 0;
+  size_t position_ = 0;
+  // The member being decoded.
+  size_t offset_ = 0;  ///< bytes of its file read so far
+  std::optional<MemberText> text_;
+  std::optional<GzipInflater> inflater_;
+  std::string compressed_;
+  std::string_view pending_;  ///< compressed bytes read, not yet inflated
+  std::string decoded_;       ///< a block on its way through text_
+  // Consume's block: bytes [at_, size) are passed but not yet consumed.
+  std::string block_;
+  size_t at_ = 0;
+  bool ended_ = false;
+};
+
+Result<InputReader> InputReader::Open(const std::vector<std::string>& paths,
+                                      const InputOptions& options) {
+  if (paths.empty()) return Status::InvalidArgument("no input files");
+  InputReader reader;
+  if (!RandomAccessFile::kSupported) {
+    // Without positioned reads every input is served from OpenInputs' text.
+    auto data = OpenInputs(paths, options);
+    if (!data.ok()) return data.status();
+    reader.size_ = data.value().size_bytes();
+    reader.owned_.emplace(std::move(data.value()));
+    return reader;
+  }
+  reader.options_ = options;
+  std::string head;
+  for (const std::string& path : paths) {
+    auto file = RandomAccessFile::Open(path);
+    if (!file.ok()) return file.status();
+    // The magic bytes decide gzip; a single file's head also decides the
+    // CRLF policy.
+    head.resize(std::min(file.value().size(),
+                         paths.size() == 1 ? kCrlfProbeBytes : size_t{2}));
+    DM_RETURN_IF_ERROR(file.value().ReadAt(0, head.data(), head.size()));
+    reader.members_.push_back({std::move(file.value()), LooksGzip(head)});
+  }
+  Member& only = reader.members_.front();
+  const bool strip = options.crlf == CrlfPolicy::kStrip ||
+                     (options.crlf == CrlfPolicy::kAuto && DetectCrlf(head));
+  if (paths.size() == 1 && !only.gzip && !strip) {
+    reader.positioned_ = true;
+    const size_t size = only.file.size();
+    if (size > 0) {
+      char last = '\n';
+      DM_RETURN_IF_ERROR(only.file.ReadAt(size - 1, &last, 1));
+      reader.appends_newline_ = last != '\n';
+    }
+    reader.size_ = size + (reader.appends_newline_ ? 1 : 0);
+  }
+  return reader;
 }
 
 Status InputReader::ReadAt(size_t offset, char* dst, size_t n) const {
   // The appended final newline is the one logical byte past the file.
+  const RandomAccessFile& file = members_.front().file;
   const size_t in_file =
-      offset < file_.size() ? std::min(n, file_.size() - offset) : 0;
-  DM_RETURN_IF_ERROR(file_.ReadAt(offset, dst, in_file));
+      offset < file.size() ? std::min(n, file.size() - offset) : 0;
+  DM_RETURN_IF_ERROR(file.ReadAt(offset, dst, in_file));
   if (in_file < n) dst[in_file] = '\n';
   return Status::Ok();
 }
 
 Result<size_t> InputReader::EndOfLineAt(size_t pos, std::string* buf) const {
-  const size_t size = size_bytes();
+  const size_t size = *size_;
   while (pos < size) {
     const size_t n = std::min(window_bytes_, size - pos);
     buf->resize(n);
@@ -298,72 +537,80 @@ Result<size_t> InputReader::EndOfLineAt(size_t pos, std::string* buf) const {
   return size;
 }
 
-Result<DatasetView> InputReader::ReadSample(
-    const SamplerOptions& options, std::optional<Dataset>* copy) const {
+Result<DatasetView> InputReader::ReadSample(const SamplerOptions& options,
+                                            std::optional<Dataset>* copy) {
   if (owned_.has_value()) return SampleView(*owned_, options);
-  const size_t size = size_bytes();
-  std::string scratch;
-  Status failed;
-  const std::vector<SampleRange> ranges =
-      SampleRanges(size, options, [&](size_t pos) {
-        if (!failed.ok()) return size;  // stops the range walk
-        auto end = EndOfLineAt(pos, &scratch);
-        if (!end.ok()) {
-          failed = end.status();
-          return size;
-        }
-        return end.value();
-      });
-  DM_RETURN_IF_ERROR(failed);
-  const size_t cap = options.max_line_bytes;
-  const auto keep = [&](size_t line_bytes) {
-    return cap == 0 || line_bytes - 1 <= cap;
-  };
-  // Each range overruns its chunk by at most one line; a reserve past the
-  // budget plus a window would only ever hold over-cap lines, which are
-  // skipped.
-  size_t range_bytes = 0;
-  for (const SampleRange& r : ranges) range_bytes += r.end - r.begin;
   std::string text;
-  text.reserve(std::min(range_bytes, options.max_sample_bytes + window_bytes_));
-  for (const SampleRange& r : ranges) {
-    size_t pos = r.begin;  // always a line begin
-    while (pos < r.end) {
-      // Read the block straight onto the end of the sample, then close up
-      // the over-cap lines in it and cut the partial line it ends in.
-      const size_t n = std::min(window_bytes_, r.end - pos);
-      const size_t at = text.size();
-      text.resize(at + n);
-      DM_RETURN_IF_ERROR(ReadAt(pos, text.data() + at, n));
-      size_t kept = at;
-      size_t line = at;
-      for (size_t nl; (nl = text.find('\n', line)) != std::string::npos;) {
-        const size_t len = nl + 1 - line;
-        if (keep(len)) {
-          if (kept != line) {
-            std::copy(text.begin() + line, text.begin() + nl + 1,
-                      text.begin() + kept);
+  if (!size_.has_value()) {
+    // The first pass over a stream: the whole sample when the text ends
+    // inside the budget; past it, the pass only learns the size.
+    LineCollector lines(options.max_line_bytes, &text);
+    Pass pass(*this);
+    std::string block;
+    for (bool end = false; !end;) {
+      block.clear();
+      DM_RETURN_IF_ERROR(pass.Next(&block, &end));
+      if (pass.position() <= options.max_sample_bytes) {
+        lines.Append(block);
+      } else if (text.capacity() > 0) {
+        std::string().swap(text);
+      }
+    }
+    size_ = pass.position();
+    if (*size_ <= options.max_sample_bytes) {
+      copy->emplace(std::move(text));
+      return DatasetView(**copy);
+    }
+  }
+  const size_t size = *size_;
+  LineCollector lines(options.max_line_bytes, &text);
+  Status failed;
+  if (positioned_) {
+    std::string scratch;
+    const std::vector<SampleRange> ranges =
+        SampleRanges(size, options, [&](size_t pos) {
+          if (!failed.ok()) return size;  // stops the range walk
+          auto end = EndOfLineAt(pos, &scratch);
+          if (!end.ok()) {
+            failed = end.status();
+            return size;
           }
-          kept += len;
-        }
-        line = nl + 1;
+          return end.value();
+        });
+    DM_RETURN_IF_ERROR(failed);
+    for (const SampleRange& r : ranges) {
+      for (size_t pos = r.begin; pos < r.end;) {
+        const size_t n = std::min(window_bytes_, r.end - pos);
+        scratch.resize(n);
+        DM_RETURN_IF_ERROR(ReadAt(pos, scratch.data(), n));
+        lines.Append(scratch);
+        pos += n;
       }
-      pos += line - at;
-      const bool partial = line < at + n;
-      text.resize(kept);
-      if (partial) {
-        // The line at `pos` runs past this block: find its end first, and
-        // read it only when it is within the cap.
-        auto end = EndOfLineAt(pos, &scratch);
-        if (!end.ok()) return end.status();
-        const size_t len = end.value() - pos;
-        if (keep(len)) {
-          const size_t tail = text.size();
-          text.resize(tail + len);
-          DM_RETURN_IF_ERROR(ReadAt(pos, text.data() + tail, len));
-        }
-        pos = end.value();
+    }
+  } else {
+    // One forward pass answers the range walk's line-end queries, which
+    // only move forward, and collects each chunk on the way: the queries
+    // alternate between a chunk's end and the next chunk's begin, starting
+    // with the end of chunk 0, which begins at byte 0.
+    Pass pass(*this);
+    bool in_chunk = true;
+    SampleRanges(size, options, [&](size_t pos) {
+      if (!failed.ok()) return size;  // stops the range walk
+      LineCollector* into = in_chunk ? &lines : nullptr;
+      auto reached = pass.Consume(pos, into);
+      if (reached.ok()) reached = pass.Consume(std::string_view::npos, into);
+      if (!reached.ok()) {
+        failed = reached.status();
+        return size;
       }
+      in_chunk = !in_chunk;
+      return reached.value();
+    });
+    DM_RETURN_IF_ERROR(failed);
+    if (in_chunk) {
+      // The last chunk runs to the end of the text.
+      auto reached = pass.Consume(size, &lines);
+      if (!reached.ok()) return reached.status();
     }
   }
   copy->emplace(std::move(text));
@@ -371,36 +618,30 @@ Result<DatasetView> InputReader::ReadSample(
 }
 
 Result<ExtractionResult> InputReader::Scan(const Extractor& extractor,
-                                           EventSink* sink) const {
+                                           EventSink* sink) {
   ExtractionResult counts;
-  counts.total_chars = size_bytes();
   Extractor::ScanBuffers buffers;
   if (owned_.has_value()) {
+    counts.total_chars = owned_->size_bytes();
     counts.total_lines = extractor.ExtractSegment(*owned_, /*final=*/true, 0,
                                                   sink, &counts, &buffers);
     return counts;
   }
-  const size_t size = file_.size();
-  std::string buf;  // the carried lines, then the window read after them
-  size_t next = 0;  // file offset of the next read
+  Pass pass(*this);
+  std::string buf;  // the carried lines, then the bytes passed after them
   size_t line = 0;  // stream line number of buf's first line
   for (bool final = false; !final;) {
     const size_t carried = buf.size();
-    const size_t n = std::min(window_bytes_, size - next);
-    buf.resize(carried + n);
-    DM_RETURN_IF_ERROR(file_.ReadAt(next, buf.data() + carried, n));
-    next += n;
-    final = next == size;
+    DM_RETURN_IF_ERROR(pass.Next(&buf, &final));
     size_t cut = buf.size();
     if (!final) {
       // The carry holds no unseen '\n', so only the new bytes are searched.
-      const size_t nl = std::string_view(buf.data() + carried, n).rfind('\n');
+      const size_t nl = std::string_view(buf).substr(carried).rfind('\n');
       if (nl == std::string_view::npos) continue;  // a line past the window
       cut = carried + nl + 1;
     }
     std::string partial = buf.substr(cut);
     buf.resize(cut);
-    // At the end, Dataset appends the final newline the file may lack.
     const Dataset segment(std::move(buf));
     const size_t undecided =
         extractor.ExtractSegment(segment, final, line, sink, &counts,
@@ -411,7 +652,9 @@ Result<ExtractionResult> InputReader::Scan(const Extractor& extractor,
                                          : segment.size_bytes()));
     buf += partial;
   }
+  counts.total_chars = pass.position();
   counts.total_lines = line;
+  size_ = counts.total_chars;
   return counts;
 }
 

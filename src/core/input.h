@@ -24,22 +24,24 @@
 /// a single multi-GB line. This layer contains those hazards before any
 /// pipeline stage runs:
 ///
-///  * Windowed reading: a plain file is never held whole. InputReader
-///    reads it with pread in fixed 256 KiB blocks — the discovery sample
-///    straight from its sampled ranges, the extraction scan one
-///    window-sized segment at a time — so memory is a constant whatever
-///    the file size, and a file truncated under the reader is an IoError.
-///  * Compression: gzip files are sniffed by magic bytes and inflated
-///    (multi-member, with a decompression-bomb cap) into an owned
-///    Dataset, which InputReader then serves from memory.
+///  * Windowed reading: no input is ever held whole. InputReader reads
+///    every input through fixed 256 KiB blocks — a plain file with pread,
+///    the discovery sample from its sampled ranges and the extraction scan
+///    one window-sized segment at a time — so memory is a constant
+///    whatever the input's size or kind, and a file truncated under the
+///    reader is an IoError.
+///  * Compression: gzip members are sniffed by magic bytes and inflated
+///    (multi-member, with a decompression-bomb cap) a window at a time by
+///    util/gzip.h's GzipInflater as the reader passes over them.
 ///  * Rotation stitching: `app.log` + `app.log.1` + `app.log.2.gz` open as
-///    ONE logical dataset in chronological order (highest rotation index
+///    ONE logical input in chronological order (highest rotation index
 ///    first — that is the oldest data), each member newline-terminated so
-///    records never merge across a file boundary.
+///    records never merge across a file boundary. The reader decodes the
+///    members one after another, holding one descriptor per member.
 ///  * CRLF normalization: "\r\n" line endings are rewritten to "\n"
 ///    (policy-controlled; kAuto engages when a CRLF appears in the probe
-///    window at the head of the file), so templates and goldens are
-///    identical whether a producer ran on Windows or not.
+///    window at the head of each member, decompressed), so templates and
+///    goldens are identical whether a producer ran on Windows or not.
 ///  * Failure containment: every hazard — unreadable file, corrupt or
 ///    truncated gzip stream, decompression bomb — surfaces as a
 ///    descriptive error Status, never a crash. The CLI turns that into a
@@ -57,15 +59,15 @@ namespace datamaran {
 
 /// What to do about "\r\n" line endings.
 enum class CrlfPolicy {
-  /// Probe the first kCrlfProbeBytes of the (decompressed) input; if a
-  /// CRLF appears there, normalize the whole input. A file whose first
+  /// Probe the first kCrlfProbeBytes of each (decompressed) member; if a
+  /// CRLF appears there, normalize that whole member. A member whose first
   /// CRLF hides beyond the probe window is treated as kKeep — the
-  /// deterministic, documented trade for deciding from the head alone
-  /// whether a multi-GB file can be read through the window.
+  /// deterministic, documented trade for deciding from the head alone, so
+  /// a multi-GB member is normalized as it streams past.
   kAuto,
   /// Never normalize; '\r' stays in the line bytes.
   kKeep,
-  /// Always scan and normalize the whole input (forces an owned backing).
+  /// Always normalize every member.
   kStrip,
 };
 
@@ -232,24 +234,34 @@ class FollowReader {
 /// (callers wanting chronological rotation order sort with SortByRotation
 /// first — ExpandInputSpec already does). Every member is decompressed and
 /// normalized like OpenInput and newline-terminated before concatenation.
-/// A single path is OpenInput.
+/// A single path is OpenInput. The whole-buffer reference InputReader is
+/// held to; the tools read through InputReader.
 Result<Dataset> OpenInputs(const std::vector<std::string>& paths,
                            const InputOptions& options);
 
 /// The one way both tools read their input (batch datamaran_cli and all
 /// three datamaran_crawl phases): the text OpenInputs would build, served
-/// in pieces. A single plain file — no gzip magic, and no CRLF to strip
-/// under the policy, both decided from the head — is read with pread
-/// through a window of kWindowBytes and never held whole; a gzip member,
-/// a CRLF-stripped file or a multi-file stitch is normalized in memory by
-/// OpenInputs and served from that owned text through the same calls.
-/// Either way, every byte and count the reader yields equals what the
-/// same call would yield on OpenInputs' Dataset. A plain file that shrinks
-/// after Open fails the next read with an IoError naming the path and
-/// both sizes, and a single path that is not a regular file (a FIFO, a
-/// pipe, a device, a directory) fails Open with an IoError naming it
-/// (util/file_io.h RandomAccessFile). On a platform without positioned
-/// reads every input is owned text.
+/// through a window of kWindowBytes and never held whole, whatever the
+/// input. Open opens every member, checks that it is a regular file and
+/// keeps its descriptor for the reader's lifetime (so a stitch past the
+/// descriptor limit fails Open); it reads only each member's head — the
+/// gzip magic, and a single file's CRLF probe — and decodes nothing.
+/// Each pass then decodes the members in order: a plain member is read
+/// with pread, a gzip member is inflated by GzipInflater (with the
+/// max_inflate_bytes cap), each member's CRLF policy is decided from its
+/// own first kCrlfProbeBytes decoded bytes — a '\r' at a block end waits
+/// for the next block — and a member that lacks a final '\n' gets one.
+/// Every byte and count the reader yields, and every error, equals what
+/// the same call would yield on OpenInputs' Dataset. A member that
+/// shrinks after Open fails the next read with an IoError naming it and
+/// both sizes, and a missing member, or one that is not a regular file (a
+/// FIFO, a pipe, a device, a directory), fails Open with an IoError naming
+/// it (util/file_io.h RandomAccessFile).
+/// A single plain file with nothing to strip (no gzip magic, and no CRLF
+/// the policy strips, both decided from its head at Open) is its own text,
+/// so its size is known at Open and its sample is read with positioned
+/// reads; any other input is a stream, read front to back. On a platform
+/// without positioned reads every input is OpenInputs' owned text.
 class InputReader {
  public:
   /// Bytes one read fetches. A constant: it bounds the reader's memory,
@@ -259,52 +271,68 @@ class InputReader {
   static Result<InputReader> Open(const std::vector<std::string>& paths,
                                   const InputOptions& options);
 
-  /// Bytes of the logical text, a final newline the file lacks included
-  /// (OpenInputs' Dataset::size_bytes()).
-  size_t size_bytes() const;
+  /// Bytes of the logical text (OpenInputs' Dataset::size_bytes()): known
+  /// at Open for a single plain file or owned text, and for a stream once
+  /// a pass has reached its end; nullopt before.
+  std::optional<size_t> size_bytes() const { return size_; }
 
-  /// True when the input is read through the window; false when it is
-  /// owned normalized text.
+  /// True when the input is read through the window; false only where
+  /// positioned reads are missing and the input is owned text.
   bool windowed() const { return !owned_.has_value(); }
 
   /// The discovery sample: the lines SampleView would pick from
   /// OpenInputs' Dataset, as a view valid while this reader and `*copy`
   /// live. Owned text is sampled in place (SampleView, `*copy` untouched).
-  /// A windowed file's sampled lines are read into `*copy`, one owned
-  /// Dataset, and the view is its identity view: the file is read only in
-  /// the SampleRanges and the line ends they search for, and an over-cap
-  /// line is skipped without being buffered. Templates and scores are the
-  /// same either way (the copy concatenates the chunks as
+  /// Otherwise the sampled lines are read into `*copy`, one owned Dataset,
+  /// and the view is its identity view; an over-cap line is dropped without
+  /// being buffered whole. A single plain file is read only in the
+  /// SampleRanges and the line ends they search for. A stream takes one
+  /// forward pass, holding at most the sample budget plus a window, which
+  /// is the whole sample when the text ends inside the budget; otherwise
+  /// that pass only learns the size, and a second forward pass collects
+  /// the SampleRanges (their line-end queries only move forward). Once
+  /// the size is known, only the second pass runs. Templates and scores
+  /// are the same either way (the copy concatenates the chunks as
   /// DatasetView::ResolveSpan assembles a window across a gap).
   Result<DatasetView> ReadSample(const SamplerOptions& options,
-                                 std::optional<Dataset>* copy) const;
+                                 std::optional<Dataset>* copy);
 
   /// Scans the input once with `extractor` into `sink` (which may be
   /// null), one segment at a time through Extractor::ExtractSegment:
   /// records arrive with stream line numbers and noise through
   /// EventSink::OnNoiseText. Returns the counts ExtractEvents would return
-  /// over OpenInputs' Dataset. A windowed segment is the lines undecided
-  /// so far plus the complete lines of the next window; the reader holds
-  /// one segment and the partial line after it, and a line longer than
-  /// the window grows the segment until its '\n' arrives.
-  Result<ExtractionResult> Scan(const Extractor& extractor,
-                                EventSink* sink) const;
+  /// over OpenInputs' Dataset (total_chars is the logical size). A segment
+  /// is the lines undecided so far plus the complete lines of the next
+  /// window; the reader holds one segment and the partial line after it,
+  /// and a line longer than the window grows the segment until its '\n'
+  /// arrives.
+  Result<ExtractionResult> Scan(const Extractor& extractor, EventSink* sink);
 
   /// Reads `bytes` per window instead of kWindowBytes (tests only; output
   /// is the same at every window size).
   void set_window_bytes(size_t bytes) { window_bytes_ = bytes; }
 
  private:
-  /// Bytes [offset, offset + n) of a windowed file's logical text.
+  class Pass;
+
+  /// One input file, open for the reader's lifetime.
+  struct Member {
+    RandomAccessFile file;
+    bool gzip = false;
+  };
+
+  /// Bytes [offset, offset + n) of a single plain file's logical text.
   Status ReadAt(size_t offset, char* dst, size_t n) const;
 
-  /// One past the '\n' ending the line that holds byte `pos` of a
-  /// windowed file's logical text; `*buf` is scratch for the blocks it
-  /// reads.
+  /// One past the '\n' ending the line that holds byte `pos` of a single
+  /// plain file's logical text; `*buf` is scratch for the blocks it reads.
   Result<size_t> EndOfLineAt(size_t pos, std::string* buf) const;
 
-  RandomAccessFile file_;
-  bool appends_newline_ = false;  ///< the file lacks a final '\n'
+  std::vector<Member> members_;
+  bool positioned_ = false;  ///< a single plain file with nothing to strip
+  bool appends_newline_ = false;  ///< ... and no final '\n'
+  std::optional<size_t> size_;
+  InputOptions options_;
   std::optional<Dataset> owned_;
   size_t window_bytes_ = kWindowBytes;
 };

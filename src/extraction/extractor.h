@@ -27,8 +27,8 @@
 /// straddle a gap are assembled into a per-scan scratch buffer, exactly
 /// like the discovery stages.
 ///
-/// Segments. The tools never scan a plain file or a stream as one buffer:
-/// batch reads a file in window-sized segments (core/input.h InputReader)
+/// Segments. The tools never scan an input or a stream as one buffer:
+/// batch reads an input in window-sized segments (core/input.h InputReader)
 /// and --follow cuts its stream into window-sized batches of lines
 /// (core/stream.h), and both decide each segment with ExtractSegment, the
 /// one segment rule. A record starting at line k spans at most the longest

@@ -10,10 +10,10 @@
 /// Cache-aware sampling (Section 9.1, "Sampling Technique"): for large
 /// datasets the generation and evaluation steps run on a few large
 /// line-aligned chunks instead of the whole file, bounding S_data by a
-/// constant. SampleRanges places the chunks; for a file on disk,
+/// constant. SampleRanges places the chunks; for an input on disk,
 /// core/input.h's InputReader reads exactly those ranges into one owned
-/// sample Dataset (the file is never held whole), and for text already in
-/// memory SampleView is a DatasetView of the sampled lines — the same
+/// sample Dataset (the input is never held whole), and for text already
+/// in memory SampleView is a DatasetView of the sampled lines — the same
 /// lines either way. The final extraction pass always scans the full
 /// file.
 
@@ -47,7 +47,11 @@ struct SampleRange {
 /// single range [0, size). `end_of_line_at(p)` returns one past the '\n'
 /// ending the line that holds byte p (p < size): the only way the rule
 /// looks at the text, so the ranges can come from a line index or from a
-/// search through a file.
+/// search through a file. The queries come in ascending p, never before
+/// the previous answer, and alternate: the first finds the end of chunk
+/// 0 (which begins at byte 0), then each later chunk's begin and, unless
+/// the chunk runs to the end of the text, its end — so one forward pass
+/// over a stream can answer them and collect the chunks on the way.
 std::vector<SampleRange> SampleRanges(
     size_t size, const SamplerOptions& options,
     const std::function<size_t(size_t)>& end_of_line_at);

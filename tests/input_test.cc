@@ -1,9 +1,10 @@
 // Tests for the resilient input front-end (core/input.h + util/gzip.h):
 // gzip round trips and failure Statuses, CRLF normalization policies,
 // rotation ordering and spec expansion, multi-file stitching parity, the
-// windowed InputReader (every input path against OpenInputs, truncation
-// under the reader, missing and non-regular paths), the oversized-line
-// guard, and atomic artifact writes.
+// windowed InputReader (every input kind — plain, gzip, CRLF, stitched —
+// against OpenInputs, gzip errors, truncation under the reader, missing
+// and non-regular members), the oversized-line guard, and atomic artifact
+// writes.
 
 #include <gtest/gtest.h>
 
@@ -24,6 +25,7 @@
 #include "util/strings.h"
 
 #if defined(__unix__) || defined(__APPLE__)
+#include <sys/resource.h>
 #include <sys/stat.h>
 #endif
 
@@ -279,126 +281,269 @@ std::pair<std::string, ExtractionResult> WholeBufferScan(
   return {std::move(sink.log), std::move(counts)};
 }
 
-TEST(InputReader, EveryPathServesOpenInputsText) {
-  // Windowed plain files (with and without a final newline, empty) and
-  // owned ones (CRLF-stripped, gzip, a stitch) must all yield the size,
-  // sample and scan OpenInputs' Dataset would.
-  const std::string dir = MakeCaseDir("reader");
+/// Compares every call of a reader over `paths` with OpenInputs' Dataset
+/// at windows of 1 byte, 13 bytes and kWindowBytes: size, the sample under
+/// three samplers (read before the size is known and again after the scan
+/// learned it), and the scan's transcript and counts.
+void ExpectReaderServesOpenInputs(const std::vector<std::string>& paths,
+                                  const InputOptions& options,
+                                  const Extractor& extractor) {
+  auto data = OpenInputs(paths, options);
+  ASSERT_TRUE(data.ok()) << data.status().ToString();
+  const auto [want_log, want] = WholeBufferScan(extractor, data.value());
+  SamplerOptions small;
+  small.max_sample_bytes = 512;
+  small.num_chunks = 3;
+  SamplerOptions capped = small;
+  capped.max_line_bytes = 8;
+  const SamplerOptions whole;  // the 256 KiB default: every case fits
+  for (const size_t window :
+       {size_t{1}, size_t{13}, InputReader::kWindowBytes}) {
+    for (const SamplerOptions& sampler : {small, capped, whole}) {
+      SCOPED_TRACE(StrFormat("window %zu, sample budget %zu, line cap %zu",
+                             window, sampler.max_sample_bytes,
+                             sampler.max_line_bytes));
+      auto reader = InputReader::Open(paths, options);
+      ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+      EXPECT_TRUE(reader->windowed());
+      reader->set_window_bytes(window);
+      const DatasetView want_view = SampleView(data.value(), sampler);
+      for (int round = 0; round < 2; ++round) {
+        SCOPED_TRACE(round == 0 ? "sample first" : "sample after the scan");
+        std::optional<Dataset> copy;
+        auto sample = reader->ReadSample(sampler, &copy);
+        ASSERT_TRUE(sample.ok()) << sample.status().ToString();
+        EXPECT_TRUE(copy.has_value());
+        EXPECT_EQ(reader->size_bytes(), data->size_bytes());
+        ASSERT_EQ(sample->line_count(), want_view.line_count());
+        for (size_t v = 0; v < want_view.line_count(); ++v) {
+          ASSERT_EQ(sample->line_with_newline(v),
+                    want_view.line_with_newline(v))
+              << "line " << v;
+        }
+        if (round == 1) break;
+
+        TranscriptSink sink;
+        auto scanned = reader->Scan(extractor, &sink);
+        ASSERT_TRUE(scanned.ok()) << scanned.status().ToString();
+        EXPECT_EQ(sink.log, want_log);
+        EXPECT_EQ(scanned->total_lines, want.total_lines);
+        EXPECT_EQ(scanned->total_chars, want.total_chars);
+        EXPECT_EQ(scanned->covered_chars, want.covered_chars);
+        EXPECT_EQ(scanned->matched_records, want.matched_records);
+        EXPECT_EQ(scanned->noise_line_count, want.noise_line_count);
+        EXPECT_EQ(scanned->records_per_template, want.records_per_template);
+      }
+    }
+  }
+}
+
+/// "F,F\n": matches the numbered lines of the test bodies below.
+std::vector<StructureTemplate> PairTemplates() {
+  std::vector<StructureTemplate> templates;
+  templates.push_back(StructureTemplate::FromCanonical("F,F\n").value());
+  return templates;
+}
+
+/// 300 lines: "i,3i" records with a comment line every seventh.
+std::string NumberedBody() {
   std::string body;
   for (int i = 0; i < 300; ++i) {
     body += i % 7 == 3 ? "# comment " + std::to_string(i) + "\n"
                        : std::to_string(i) + "," + std::to_string(i * 3) +
                              "\n";
   }
+  return body;
+}
+
+std::string ToCrlf(std::string_view text) {
+  std::string crlf;
+  for (char c : text) {
+    if (c == '\n') crlf += '\r';
+    crlf += c;
+  }
+  return crlf;
+}
+
+/// LF lines, some holding a lone '\r', until the first "\r\n" lands with
+/// its '\n' at byte `lf_at`; CRLF lines follow, past kCrlfProbeBytes.
+std::string CrlfFrom(size_t lf_at) {
+  std::string text;
+  for (int i = 0; text.size() < lf_at; ++i) {
+    text += std::to_string(i) + (i % 5 == 0 ? ",a\rb\n" : ",x\n");
+  }
+  // Cut back to a line end, then pad one line so its '\n' sits at lf_at,
+  // preceded by the '\r' that makes it the first CRLF.
+  text.resize(text.rfind('\n', lf_at - 2) + 1);
+  const size_t pad = lf_at - 1 - text.size();
+  text += std::string(pad, '7') + "\r\n";
+  for (int i = 0; text.size() < kCrlfProbeBytes + 4096; ++i) {
+    text += std::to_string(i) + (i % 9 == 0 ? ",c\rd\r\n" : ",y\r\n");
+  }
+  return text;
+}
+
+TEST(InputReader, EveryPathServesOpenInputsText) {
+  // Every input is read through the window — plain files with and without
+  // a final newline or CRLFs, gzip files with one or two members, CRLF
+  // decided per member right at the probe's edge, stitches with gzip,
+  // empty and unterminated members — and must yield the size, sample and
+  // scan OpenInputs' Dataset would.
+  const std::string dir = MakeCaseDir("reader");
+  const std::string body = NumberedBody();
   WriteOrDie(dir + "/plain.log", body);
   WriteOrDie(dir + "/noeol.log", body.substr(0, body.size() - 1));
   WriteOrDie(dir + "/empty.log", "");
-  std::string crlf;
-  for (char c : body) crlf += c == '\n' ? std::string("\r\n") : std::string(1, c);
-  WriteOrDie(dir + "/crlf.log", crlf);
+  WriteOrDie(dir + "/crlf.log", ToCrlf(body));
   WriteOrDie(dir + "/part.log.1", body.substr(0, 400));
   WriteOrDie(dir + "/part.log", body.substr(400));
-  struct Case {
-    std::vector<std::string> paths;
-    bool windowed;
-  };
-  std::vector<Case> cases = {
-      {{dir + "/plain.log"}, true},
-      {{dir + "/noeol.log"}, true},
-      {{dir + "/empty.log"}, true},
-      {{dir + "/crlf.log"}, false},
-      {{dir + "/part.log.1", dir + "/part.log"}, false},
+  const std::string inside = CrlfFrom(kCrlfProbeBytes - 1);
+  const std::string outside = CrlfFrom(kCrlfProbeBytes);
+  ASSERT_EQ(inside.find("\r\n"), kCrlfProbeBytes - 2);
+  ASSERT_EQ(outside.find("\r\n"), kCrlfProbeBytes - 1);
+  WriteOrDie(dir + "/inside.log", inside);
+  WriteOrDie(dir + "/outside.log", outside);
+  std::vector<std::vector<std::string>> cases = {
+      {dir + "/plain.log"},
+      {dir + "/noeol.log"},
+      {dir + "/empty.log"},
+      {dir + "/crlf.log"},
+      {dir + "/inside.log"},
+      {dir + "/outside.log"},
+      {dir + "/part.log.1", dir + "/part.log"},
+      {dir + "/part.log.1", dir + "/empty.log", dir + "/part.log"},
+      // One CRLF decision per member: the first strips, the second keeps.
+      {dir + "/inside.log", dir + "/outside.log"},
+      {dir + "/noeol.log", dir + "/crlf.log"},
   };
   if (GzipSupported()) {
     auto gz = GzipCompress(body);
-    ASSERT_TRUE(gz.ok());
+    auto first = GzipCompress(body.substr(0, 1000));
+    auto second = GzipCompress(body.substr(1000));
+    // CRLF-terminated, ending in a lone '\r' that no '\n' follows.
+    auto crlf_gz = GzipCompress(ToCrlf(body.substr(0, 600)) + "tail\r");
+    ASSERT_TRUE(gz.ok() && first.ok() && second.ok() && crlf_gz.ok());
     WriteOrDie(dir + "/plain.log.gz", gz.value());
-    cases.push_back({{dir + "/plain.log.gz"}, false});
+    WriteOrDie(dir + "/two.log.gz", first.value() + second.value());
+    WriteOrDie(dir + "/crlf.log.gz", crlf_gz.value());
+    cases.push_back({dir + "/plain.log.gz"});
+    cases.push_back({dir + "/two.log.gz"});
+    cases.push_back({dir + "/crlf.log.gz"});
+    cases.push_back({dir + "/part.log.1", dir + "/crlf.log.gz",
+                     dir + "/plain.log"});
+    cases.push_back({dir + "/two.log.gz", dir + "/empty.log",
+                     dir + "/noeol.log"});
   }
-  auto st = StructureTemplate::FromCanonical("F,F\n");
-  ASSERT_TRUE(st.ok());
-  std::vector<StructureTemplate> templates;
-  templates.push_back(std::move(st.value()));
+  const std::vector<StructureTemplate> templates = PairTemplates();
+  const Extractor extractor(&templates);
+  for (const std::vector<std::string>& paths : cases) {
+    std::string names;
+    for (const std::string& p : paths) names += " " + fs::path(p).filename().string();
+    SCOPED_TRACE(names);
+    ExpectReaderServesOpenInputs(paths, InputOptions{}, extractor);
+  }
+  // The explicit policies, on the members whose kAuto decision differs.
+  for (const CrlfPolicy policy : {CrlfPolicy::kKeep, CrlfPolicy::kStrip}) {
+    SCOPED_TRACE(policy == CrlfPolicy::kKeep ? "keep" : "strip");
+    InputOptions options;
+    options.crlf = policy;
+    ExpectReaderServesOpenInputs({dir + "/outside.log"}, options, extractor);
+    ExpectReaderServesOpenInputs({dir + "/inside.log", dir + "/noeol.log"},
+                                 options, extractor);
+  }
+}
+
+TEST(InputReader, BadGzipMemberFailsAsOpenInputsDoes) {
+  // A truncated member, a corrupt one and one over max_inflate_bytes: the
+  // sample and the scan each fail with OpenInputs' code and message,
+  // alone and as the second member of a stitch.
+  if (!GzipSupported()) GTEST_SKIP() << "built without zlib";
+  const std::string dir = MakeCaseDir("badgz");
+  const std::string body = NumberedBody();
+  WriteOrDie(dir + "/plain.log", body);
+  auto gz = GzipCompress(body + body);
+  ASSERT_TRUE(gz.ok());
+  WriteOrDie(dir + "/cut.log.gz", gz.value().substr(0, gz.value().size() / 2));
+  std::string mangled = gz.value();
+  for (size_t i = 12; i < mangled.size(); i += 3) mangled[i] ^= 0x5a;
+  WriteOrDie(dir + "/corrupt.log.gz", mangled);
+  WriteOrDie(dir + "/bomb.log.gz", gz.value());
+  InputOptions capped;
+  capped.max_inflate_bytes = body.size();
+  const std::vector<StructureTemplate> templates = PairTemplates();
   const Extractor extractor(&templates);
   SamplerOptions sampler;
   sampler.max_sample_bytes = 512;
-  sampler.num_chunks = 3;
-  for (const Case& c : cases) {
-    SCOPED_TRACE(c.paths.back());
-    auto data = OpenInputs(c.paths, InputOptions{});
-    ASSERT_TRUE(data.ok()) << data.status().ToString();
-    for (const size_t window : {size_t{1}, size_t{13}, InputReader::kWindowBytes}) {
-      SCOPED_TRACE(window);
-      auto reader = InputReader::Open(c.paths, InputOptions{});
-      ASSERT_TRUE(reader.ok()) << reader.status().ToString();
-      EXPECT_EQ(reader->windowed(), c.windowed);
-      reader->set_window_bytes(window);
-      EXPECT_EQ(reader->size_bytes(), data->size_bytes());
-
-      std::optional<Dataset> copy;
-      auto sample = reader->ReadSample(sampler, &copy);
-      ASSERT_TRUE(sample.ok()) << sample.status().ToString();
-      EXPECT_EQ(copy.has_value(), c.windowed);
-      const DatasetView want_view = SampleView(data.value(), sampler);
-      ASSERT_EQ(sample->line_count(), want_view.line_count());
-      for (size_t v = 0; v < want_view.line_count(); ++v) {
-        ASSERT_EQ(sample->line_with_newline(v),
-                  want_view.line_with_newline(v))
-            << "line " << v;
+  for (const std::string name : {"cut.log.gz", "corrupt.log.gz", "bomb.log.gz"}) {
+    const InputOptions options =
+        name == "bomb.log.gz" ? capped : InputOptions{};
+    for (const std::vector<std::string>& paths :
+         std::vector<std::vector<std::string>>{
+             {dir + "/" + name}, {dir + "/plain.log", dir + "/" + name}}) {
+      SCOPED_TRACE(paths.size() == 1 ? name : "plain.log " + name);
+      auto data = OpenInputs(paths, options);
+      ASSERT_FALSE(data.ok());
+      const Status& want = data.status();
+      EXPECT_NE(want.message().find(name), std::string::npos);
+      for (const size_t window : {size_t{13}, InputReader::kWindowBytes}) {
+        auto reader = InputReader::Open(paths, options);
+        ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+        reader->set_window_bytes(window);
+        std::optional<Dataset> copy;
+        auto sample = reader->ReadSample(sampler, &copy);
+        TranscriptSink sink;
+        auto scanned = reader->Scan(extractor, &sink);
+        ASSERT_FALSE(sample.ok());
+        ASSERT_FALSE(scanned.ok());
+        for (const Status& got : {sample.status(), scanned.status()}) {
+          EXPECT_EQ(got.code(), want.code());
+          EXPECT_EQ(got.message(), want.message());
+        }
       }
-
-      TranscriptSink sink;
-      auto scanned = reader->Scan(extractor, &sink);
-      ASSERT_TRUE(scanned.ok()) << scanned.status().ToString();
-      const auto [want_log, want] = WholeBufferScan(extractor, data.value());
-      EXPECT_EQ(sink.log, want_log);
-      EXPECT_EQ(scanned->total_lines, want.total_lines);
-      EXPECT_EQ(scanned->total_chars, want.total_chars);
-      EXPECT_EQ(scanned->covered_chars, want.covered_chars);
-      EXPECT_EQ(scanned->matched_records, want.matched_records);
-      EXPECT_EQ(scanned->noise_line_count, want.noise_line_count);
-      EXPECT_EQ(scanned->records_per_template, want.records_per_template);
     }
   }
 }
 
 TEST(InputReader, TruncatedFileIsAnErrorNotACrash) {
-  // A copytruncate rotation cuts the file after it was opened. Reading
-  // the sample and scanning must both fail with an IoError naming the
-  // path and both sizes — no crash, and no partial success.
+  // A copytruncate rotation cuts a file after it was opened. Reading the
+  // sample and scanning must both fail with an IoError naming the path
+  // and both sizes — no crash, and no partial success — whether the file
+  // is read alone or as the plain member of a stitch.
   const std::string dir = MakeCaseDir("truncated");
   const std::string path = dir + "/app.log";
   std::string body;
   for (int i = 0; body.size() < (size_t{2} << 20); ++i) {
     body += std::to_string(i) + "," + std::to_string(i % 97) + "\n";
   }
-  WriteOrDie(path, body);
-  auto st = StructureTemplate::FromCanonical("F,F\n");
-  ASSERT_TRUE(st.ok());
-  std::vector<StructureTemplate> templates;
-  templates.push_back(std::move(st.value()));
+  WriteOrDie(dir + "/app.log.1", "1,2\n3,4\n");
+  const std::vector<StructureTemplate> templates = PairTemplates();
   const Extractor extractor(&templates);
 
-  auto reader = InputReader::Open({path}, InputOptions{});
-  ASSERT_TRUE(reader.ok()) << reader.status().ToString();
-  ASSERT_TRUE(reader->windowed());
-  fs::resize_file(path, body.size() / 2);
+  for (const std::vector<std::string>& paths :
+       std::vector<std::vector<std::string>>{{path},
+                                             {dir + "/app.log.1", path}}) {
+    SCOPED_TRACE(paths.size());
+    WriteOrDie(path, body);
+    auto reader = InputReader::Open(paths, InputOptions{});
+    ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+    fs::resize_file(path, body.size() / 2);
 
-  std::optional<Dataset> copy;
-  auto sample = reader->ReadSample(SamplerOptions{}, &copy);
-  ASSERT_FALSE(sample.ok());
-  TranscriptSink sink;
-  auto scanned = reader->Scan(extractor, &sink);
-  ASSERT_FALSE(scanned.ok());
-  for (const Status& error : {sample.status(), scanned.status()}) {
-    EXPECT_EQ(error.code(), StatusCode::kIoError);
-    const std::string message = error.ToString();
-    EXPECT_NE(message.find(path), std::string::npos) << message;
-    EXPECT_NE(message.find(std::to_string(body.size())), std::string::npos)
-        << message;
-    EXPECT_NE(message.find(std::to_string(body.size() / 2)),
-              std::string::npos)
-        << message;
+    std::optional<Dataset> copy;
+    auto sample = reader->ReadSample(SamplerOptions{}, &copy);
+    ASSERT_FALSE(sample.ok());
+    TranscriptSink sink;
+    auto scanned = reader->Scan(extractor, &sink);
+    ASSERT_FALSE(scanned.ok());
+    for (const Status& error : {sample.status(), scanned.status()}) {
+      EXPECT_EQ(error.code(), StatusCode::kIoError);
+      const std::string message = error.ToString();
+      EXPECT_NE(message.find(path), std::string::npos) << message;
+      EXPECT_NE(message.find(std::to_string(body.size())), std::string::npos)
+          << message;
+      EXPECT_NE(message.find(std::to_string(body.size() / 2)),
+                std::string::npos)
+          << message;
+    }
   }
 }
 
@@ -406,22 +551,55 @@ TEST(InputReader, MissingOrNonRegularPathIsAnError) {
   // Only a regular file has a size to read up to. A missing path, a FIFO
   // (what `<(cmd)` and a piped /dev/stdin are) and a directory must each
   // fail Open with an IoError naming the path — never open as an empty
-  // input, and never wait for a FIFO writer.
+  // input, and never wait for a FIFO writer — read alone or as the second
+  // member of a stitch.
   if (!RandomAccessFile::kSupported) GTEST_SKIP() << "no positioned reads";
   const std::string dir = MakeCaseDir("nonregular");
-  std::vector<std::string> paths = {dir + "/absent.log", dir};
+  const std::string plain = dir + "/plain.log";
+  WriteOrDie(plain, "1,2\n");
+  std::vector<std::string> bad = {dir + "/absent.log", dir};
 #if defined(__unix__) || defined(__APPLE__)
   const std::string fifo = dir + "/pipe.log";
   ASSERT_EQ(::mkfifo(fifo.c_str(), 0600), 0);
-  paths.push_back(fifo);
+  bad.push_back(fifo);
 #endif
-  for (const std::string& path : paths) {
-    auto reader = InputReader::Open({path}, InputOptions{});
-    ASSERT_FALSE(reader.ok()) << path;
-    EXPECT_EQ(reader.status().code(), StatusCode::kIoError) << path;
-    const std::string message = reader.status().ToString();
-    EXPECT_NE(message.find(path), std::string::npos) << message;
+  for (const std::string& path : bad) {
+    for (const std::vector<std::string>& paths :
+         std::vector<std::vector<std::string>>{{path}, {plain, path}}) {
+      auto reader = InputReader::Open(paths, InputOptions{});
+      ASSERT_FALSE(reader.ok()) << path;
+      EXPECT_EQ(reader.status().code(), StatusCode::kIoError) << path;
+      const std::string message = reader.status().ToString();
+      EXPECT_NE(message.find(path), std::string::npos) << message;
+    }
   }
+}
+
+TEST(InputReader, StitchPastTheDescriptorLimitIsAnError) {
+  // Open holds one descriptor per member, so a stitch with more members
+  // than the process may open fails Open with an IoError naming the
+  // member it could not open.
+#if defined(__unix__) || defined(__APPLE__)
+  const std::string dir = MakeCaseDir("fdlimit");
+  std::vector<std::string> paths;
+  for (int m = 0; m < 64; ++m) {
+    paths.push_back(dir + "/app.log." + std::to_string(m));
+    WriteOrDie(paths.back(), "1,2\n");
+  }
+  struct rlimit saved;
+  ASSERT_EQ(::getrlimit(RLIMIT_NOFILE, &saved), 0);
+  struct rlimit low = saved;
+  low.rlim_cur = 32;
+  ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &low), 0);
+  auto reader = InputReader::Open(paths, InputOptions{});
+  ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &saved), 0);
+  ASSERT_FALSE(reader.ok());
+  EXPECT_EQ(reader.status().code(), StatusCode::kIoError);
+  const std::string message = reader.status().ToString();
+  EXPECT_NE(message.find(dir + "/app.log."), std::string::npos) << message;
+#else
+  GTEST_SKIP() << "no descriptor limit to lower";
+#endif
 }
 
 // -------------------------------------------------------- oversized lines ---

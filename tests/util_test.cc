@@ -359,9 +359,12 @@ TEST(SamplerTest, SampleRangesMatchTextSearch) {
   // chunk or a stride, budgets below the chunk count, and sizes on both
   // sides of the whole-file threshold. The sample InputReader reads from a
   // file must hold exactly the lines of those ranges, less the over-cap
-  // ones, at any window size and with or without a final newline on disk.
+  // ones, at any window size and with or without a final newline on disk,
+  // and so must the sample it reads from the same text as a stream.
   Rng rng(3);
   const std::string path = ::testing::TempDir() + "dm_util_sample.log";
+  const std::string stitch_a = path + ".1";
+  const std::string stitch_b = path + ".2";
   for (int trial = 0; trial < 300; ++trial) {
     SCOPED_TRACE(trial);
     const size_t bytes = static_cast<size_t>(rng.Uniform(1, 20000));
@@ -423,8 +426,29 @@ TEST(SamplerTest, SampleRangesMatchTextSearch) {
     ASSERT_TRUE(copy.has_value());
     EXPECT_TRUE(sample->is_identity());
     EXPECT_EQ(copy->text(), expect);
+
+    // The same text as a two-member stitch, split at a line end, is a
+    // stream: its sample comes from forward passes, read before and after
+    // a pass has learned the size.
+    const size_t at = static_cast<size_t>(rng.Uniform(0, text.size()));
+    const size_t cut = at == 0 ? 0 : text.find('\n', at - 1) + 1;
+    ASSERT_TRUE(WriteStringToFile(stitch_a, text.substr(0, cut)).ok());
+    ASSERT_TRUE(WriteStringToFile(stitch_b, text.substr(cut)).ok());
+    auto stream = InputReader::Open({stitch_a, stitch_b}, InputOptions{});
+    ASSERT_TRUE(stream.ok()) << stream.status().ToString();
+    stream->set_window_bytes(static_cast<size_t>(rng.Uniform(1, 300)));
+    for (int pass = 0; pass < 2; ++pass) {
+      std::optional<Dataset> streamed;
+      auto got = stream->ReadSample(opts, &streamed);
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      ASSERT_TRUE(streamed.has_value());
+      EXPECT_EQ(streamed->text(), expect) << "stitched, pass " << pass;
+      EXPECT_EQ(stream->size_bytes(), text.size());
+    }
   }
   std::remove(path.c_str());
+  std::remove(stitch_a.c_str());
+  std::remove(stitch_b.c_str());
 }
 
 }  // namespace

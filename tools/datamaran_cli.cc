@@ -11,18 +11,18 @@
 //
 // Batch mode opens the input through the resilient front-end
 // (core/input.h InputReader: gzip, CRLF, rotation stitching for --inputs),
-// reads the discovery sample straight from the file, resolves the
+// reads the discovery sample straight from the input, resolves the
 // templates on it (Datamaran::ResolveTemplates: catalog hit or discovery),
-// and scans the file exactly once, a 256 KiB window at a time: with --out
-// that pass streams the tables through the flat-event writers in
+// and scans the input exactly once more, a 256 KiB window at a time: with
+// --out that pass streams the tables through the flat-event writers in
 // extraction/sinks.h, and the same pass yields the printed summary and
-// --summary-json. Memory is a constant whatever the size of a plain input
-// file. --follow switches to online streaming (core/stream.h) at
-// O(window) memory: a live file or stdin is decided line by line, and
-// format drift re-runs discovery over recent noise. Corrupt or truncated
-// input — a file cut short while it is read included — exits 1 with a
-// descriptive error, also recorded in the --summary-json "error" field;
-// bad flags exit 2.
+// --summary-json. Memory is a constant whatever the size of the input,
+// gzip'd, CRLF-terminated and stitched inputs included. --follow switches
+// to online streaming (core/stream.h) at O(window) memory: a live file or
+// stdin is decided line by line, and format drift re-runs discovery over
+// recent noise. Corrupt or truncated input — a file cut short while it is
+// read included — exits 1 with a descriptive error, also recorded in the
+// --summary-json "error" field; bad flags exit 2.
 
 #include <cstdio>
 #include <memory>
@@ -332,7 +332,7 @@ int main(int argc, char** argv) {
   if (!dm.catalog_status().ok()) return fail(dm.catalog_status());
   auto opened = InputReader::Open(input_paths, MakeInputOptions(options));
   if (!opened.ok()) return fail(opened.status());
-  const InputReader& reader = opened.value();
+  InputReader& reader = opened.value();
   Timer total_timer;
   // Batch is one streaming pass: resolve the templates on the sample (a
   // catalog hit or cold discovery), then a single windowed scan of the
@@ -378,7 +378,7 @@ int main(int argc, char** argv) {
   }
   result.timings.extraction_s = extract_timer.Seconds();
   result.timings.total_s = total_timer.Seconds();
-  result.stats.input_bytes = reader.size_bytes();
+  result.stats.input_bytes = result.extraction.total_chars;
 
   std::printf("%zu structure template(s):\n", result.templates.size());
   for (size_t t = 0; t < result.templates.size(); ++t) {
@@ -426,11 +426,13 @@ int main(int argc, char** argv) {
               result.stats.candidates_evaluated,
               result.stats.candidates_pruned);
   if (reader.windowed()) {
-    std::printf("input: %zu bytes read through a %zu KiB window\n",
-                result.stats.input_bytes, InputReader::kWindowBytes / 1024);
+    std::printf("input: %zu bytes from %zu file(s) read through a %zu KiB "
+                "window\n",
+                result.stats.input_bytes, input_paths.size(),
+                InputReader::kWindowBytes / 1024);
   } else {
-    std::printf("input: %zu bytes normalized in memory\n",
-                result.stats.input_bytes);
+    std::printf("input: %zu bytes from %zu file(s) normalized in memory\n",
+                result.stats.input_bytes, input_paths.size());
   }
   if (sink != nullptr) {
     for (size_t t = 0; t < result.templates.size(); ++t) {

@@ -8,14 +8,16 @@
 // in main, plus those shared with datamaran_cli (tools/flag_parse.h).
 //
 // Every file opens through the resilient input front-end (core/input.h
-// InputReader): a plain file is read through a 256 KiB window and never
-// held whole, gzip'd files inflate transparently, CRLF line endings
+// InputReader), which reads it through a 256 KiB window and never holds
+// it whole: gzip'd files inflate a window at a time, CRLF line endings
 // normalize per --crlf, and rotation siblings (app.log, app.log.1,
-// app.log.2.gz) are stitched into ONE logical dataset in chronological
+// app.log.2.gz) are stitched into ONE logical input in chronological
 // order — one manifest entry, one fingerprint, one extraction — unless
-// --no-stitch-rotated.
-// Failure containment is per file: an unreadable or corrupt member, or a
-// file cut short while it is read, never aborts the crawl; its Status lands in the manifest's "errors" section
+// --no-stitch-rotated. So a worker's memory does not grow with any file
+// it reads.
+// Failure containment is per file: an unreadable, corrupt, missing or
+// non-regular member, or a file cut short while it is read, never aborts
+// the crawl; its Status lands in the manifest's "errors" section
 // (and the per-file summary's "error" field), the crawl continues, and the
 // process exits 1 so automation still notices.
 //
@@ -413,7 +415,6 @@ int main(int argc, char** argv) {
       f.error = reader.status();
       return;
     }
-    s.input_bytes = reader.value().size_bytes();
     // An unstructured file is scanned with no templates: every line is
     // noise, and the scan only counts them.
     const CatalogEntry* entry =
@@ -454,6 +455,7 @@ int main(int argc, char** argv) {
       }
     }
     ExtractionResult& stats = scanned.value();
+    s.input_bytes = stats.total_chars;
     if (entry == nullptr) {
       s.total_lines = stats.total_lines;
       s.noise_lines = s.total_lines;

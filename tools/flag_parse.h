@@ -331,8 +331,8 @@ inline void AddSharedFlags(FlagTable* table, SharedSettings* s) {
                  &o.num_retained));
   table->Add(Choice("--crlf",
                     "line endings: auto (default) normalizes \\r\\n to \\n "
-                    "when a CRLF appears in the first 64KiB, strip always "
-                    "normalizes, keep never does",
+                    "in each input file where a CRLF appears in its first "
+                    "64KiB, strip always normalizes, keep never does",
                     &o.crlf,
                     {{"auto", CrlfPolicy::kAuto},
                      {"keep", CrlfPolicy::kKeep},

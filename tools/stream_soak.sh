@@ -11,24 +11,29 @@
 # under a fixed budget (default 32 MiB; measured ~6 MB). Fails on a
 # nonzero CLI exit, a missing evolution, or peak RSS above the budget.
 #
-# Batch mode (--batch): write the generator's output to a file (default
-# 64 MiB) and to one a quarter that size (16 MiB), and run
-# `datamaran_cli FILE --out --summary-json --threads=2` once on each.
-# Batch reads the file through a 256 KiB window — the discovery sample
-# straight from its sampled ranges, extraction one window-sized segment at
-# a time — so no memory grows with the file: the peak must stay under a
-# fixed budget (default 16 MiB; measured ~7.5 MB at both sizes), and the
-# large file's peak may exceed the small one's by at most 2 MiB, so any
-# term that grows with the file fails even below the budget. Fails on a
-# nonzero CLI exit, a summary error, no extracted records, a peak over the
-# budget, or a large-file peak over the small-file peak + 2 MiB.
+# Batch mode (--batch): write the generator's output (default 64 MiB, and
+# a quarter of that, 16 MiB) in four input kinds — a plain file, the same
+# bytes gzip'd, CRLF-terminated, and split into a three-member `--inputs`
+# rotation stitch whose oldest member is gzip'd — and run
+# `datamaran_cli INPUT --out --summary-json --threads=2` once on each.
+# Batch reads every input kind through a 256 KiB window — the discovery
+# sample from its sampled ranges (plain file) or forward passes (any other
+# kind), extraction one window-sized segment at a time, gzip members
+# inflated and CRLFs stripped as the window passes — so no memory grows
+# with the input: every peak must stay under a fixed budget (default
+# 16 MiB; measured ~6-7.5 MB for every kind and size), and for each kind
+# the large input's peak may exceed the small one's by at most 2 MiB, so
+# any term that grows with the input fails even below the budget. Fails
+# on a nonzero CLI exit, a summary error, no extracted records, a peak
+# over the budget, or a large-input peak over the small-input peak +
+# 2 MiB.
 #
 #   tools/stream_soak.sh [total_bytes] [rss_budget_kb]
 #   tools/stream_soak.sh --batch [file_bytes] [budget_kb]
 #
-# Requires the tier-1 build (./build/datamaran_cli) and python3 (used
-# only to read the child's peak RSS via getrusage — GNU time is not
-# installed everywhere).
+# Requires the tier-1 build (./build/datamaran_cli), python3 (used only to
+# read the child's peak RSS via getrusage — GNU time is not installed
+# everywhere), and for --batch gzip, sed and GNU split.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -110,17 +115,40 @@ sys.exit(os.waitstatus_to_exitcode(status))
   fi
 }
 
-# Batch extraction of a generated file of $1 bytes; sets $peak_kb and
-# exits on a failed run, a summary error or no extracted records.
+# Batch extraction of $1 generated bytes as input kind $2 (plain, gzip,
+# crlf or stitch); sets $peak_kb and exits on a failed run, a summary
+# error or no extracted records.
 run_batch() {
   generate "$1" > "$workdir/input.log"
-  local file_bytes
+  local file_bytes input
   file_bytes="$(wc -c < "$workdir/input.log")"
-  echo "stream_soak: batch extraction of ${file_bytes} bytes ..."
-  rm -rf "$workdir/out"
-  run_cli "$workdir/input.log" --out="$workdir/out" \
-    --summary-json="$workdir/summary.json" --threads=2 < /dev/null
+  rm -rf "$workdir/in" "$workdir/out"
+  mkdir "$workdir/in"
+  case "$2" in
+    plain)
+      mv "$workdir/input.log" "$workdir/in/app.log"
+      input="$workdir/in/app.log" ;;
+    gzip)
+      gzip -c "$workdir/input.log" > "$workdir/in/app.log.gz"
+      input="$workdir/in/app.log.gz" ;;
+    crlf)
+      sed 's/$/\r/' "$workdir/input.log" > "$workdir/in/app.log"
+      input="$workdir/in/app.log" ;;
+    stitch)
+      # Three rotation generations, oldest first: app.log.2.gz (gzip'd, as
+      # logrotate leaves it), app.log.1, app.log.
+      split -n l/3 -d -a 1 "$workdir/input.log" "$workdir/in/part."
+      gzip -c "$workdir/in/part.0" > "$workdir/in/app.log.2.gz"
+      mv "$workdir/in/part.1" "$workdir/in/app.log.1"
+      mv "$workdir/in/part.2" "$workdir/in/app.log"
+      rm "$workdir/in/part.0"
+      input="--inputs=$workdir/in/app.log*" ;;
+  esac
   rm -f "$workdir/input.log"
+  echo "stream_soak: batch extraction of ${file_bytes} bytes ($2) ..."
+  run_cli "$input" --out="$workdir/out" \
+    --summary-json="$workdir/summary.json" --threads=2 < /dev/null
+  rm -rf "$workdir/in"
   if ! grep -q '"error": ""' "$workdir/summary.json"; then
     echo "stream_soak: FAIL — summary reports an error" >&2
     cat "$workdir/summary.json" >&2
@@ -142,15 +170,17 @@ run_batch() {
 }
 
 if [ "$MODE" = batch ]; then
-  run_batch $(( TOTAL_BYTES / 4 ))
-  small_kb="$peak_kb"
-  run_batch "$TOTAL_BYTES"
-  echo "stream_soak: large-file peak ${peak_kb} kB, small-file peak" \
-       "${small_kb} kB (allowed growth ${GROWTH_KB} kB)"
-  if [ "$peak_kb" -gt $(( small_kb + GROWTH_KB )) ]; then
-    echo "stream_soak: FAIL — peak RSS grows with the file" >&2
-    exit 1
-  fi
+  for kind in plain gzip crlf stitch; do
+    run_batch $(( TOTAL_BYTES / 4 )) "$kind"
+    small_kb="$peak_kb"
+    run_batch "$TOTAL_BYTES" "$kind"
+    echo "stream_soak: $kind: large-input peak ${peak_kb} kB, small-input" \
+         "peak ${small_kb} kB (allowed growth ${GROWTH_KB} kB)"
+    if [ "$peak_kb" -gt $(( small_kb + GROWTH_KB )) ]; then
+      echo "stream_soak: FAIL — peak RSS grows with the input" >&2
+      exit 1
+    fi
+  done
   echo "stream_soak: OK"
   exit 0
 fi
