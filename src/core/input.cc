@@ -527,7 +527,7 @@ Status InputReader::ReadAt(size_t offset, char* dst, size_t n) const {
 Result<size_t> InputReader::EndOfLineAt(size_t pos, std::string* buf) const {
   const size_t size = *size_;
   while (pos < size) {
-    const size_t n = std::min(window_bytes_, size - pos);
+    const size_t n = std::min({kLineEndProbeBytes, window_bytes_, size - pos});
     buf->resize(n);
     DM_RETURN_IF_ERROR(ReadAt(pos, buf->data(), n));
     const size_t nl = std::string_view(*buf).find('\n');

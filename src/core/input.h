@@ -325,8 +325,11 @@ class InputReader {
   Status ReadAt(size_t offset, char* dst, size_t n) const;
 
   /// One past the '\n' ending the line that holds byte `pos` of a single
-  /// plain file's logical text; `*buf` is scratch for the blocks it reads.
+  /// plain file's logical text; `*buf` is scratch for the blocks it reads,
+  /// kLineEndProbeBytes at a time (capped at the window): a line end is
+  /// usually a few bytes away, so reading a whole window would be waste.
   Result<size_t> EndOfLineAt(size_t pos, std::string* buf) const;
+  static constexpr size_t kLineEndProbeBytes = 4096;
 
   std::vector<Member> members_;
   bool positioned_ = false;  ///< a single plain file with nothing to strip

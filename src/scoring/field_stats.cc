@@ -1,6 +1,9 @@
 #include "scoring/field_stats.h"
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <functional>
 #include <limits>
 
 #include "util/common.h"
@@ -55,12 +58,75 @@ void ColumnStats::Add(std::string_view value) {
       if (exp > max_exp_) max_exp_ = exp;
     }
   }
-  if (!distinct_overflow_) {
-    auto [it, inserted] = distinct_.emplace(value);
-    if (inserted) {
-      distinct_len_ += value.size();
-      if (distinct_.size() > kMaxDistinct) distinct_overflow_ = true;
+  if (distinct_ <= kMaxDistinct) Intern(value);
+}
+
+std::string_view ColumnStats::Value(size_t index) const {
+  const char* p = values_[index];
+  size_t size = 0;
+  for (int shift = 0;; shift += 7) {
+    const auto byte = static_cast<unsigned char>(*p++);
+    size |= size_t{byte & 0x7fu} << shift;
+    if (byte < 0x80) break;
+  }
+  return {p, size};
+}
+
+const char* ColumnStats::Store(std::string_view value) {
+  size_t need = 1 + value.size();
+  for (size_t n = value.size(); n >= 0x80; n >>= 7) ++need;
+  if (need > block_size_ - block_used_) {
+    block_size_ =
+        std::max(need, std::clamp(2 * block_size_, kMinBlock, kMaxBlock));
+    blocks_.push_back(std::make_unique_for_overwrite<char[]>(block_size_));
+    block_used_ = 0;
+  }
+  char* const record = blocks_.back().get() + block_used_;
+  char* p = record;
+  size_t n = value.size();
+  for (; n >= 0x80; n >>= 7) *p++ = static_cast<char>(n | 0x80);
+  *p++ = static_cast<char>(n);
+  std::copy(value.begin(), value.end(), p);
+  block_used_ += need;
+  return record;
+}
+
+void ColumnStats::Intern(std::string_view value) {
+  if (slots_.empty()) Grow();
+  const auto hash =
+      static_cast<uint32_t>(std::hash<std::string_view>{}(value));
+  const uint32_t tag = hash >> kIdBits;
+  const size_t mask = slots_.size() - 1;
+  size_t i = hash >> (32 - std::countr_zero(slots_.size()));
+  for (; slots_[i] != 0; i = (i + 1) & mask) {
+    if (slots_[i] >> kIdBits == tag &&
+        Value((slots_[i] & kIdMask) - 1) == value) {
+      return;
     }
+  }
+  if (++distinct_ > kMaxDistinct) {
+    // No longer an enum: TotalBits only needs to know that.
+    std::vector<std::unique_ptr<char[]>>().swap(blocks_);
+    std::vector<const char*>().swap(values_);
+    std::vector<uint32_t>().swap(slots_);
+    return;
+  }
+  values_.push_back(Store(value));
+  dict_bytes_ += value.size();
+  slots_[i] = tag << kIdBits | static_cast<uint32_t>(values_.size());
+  if (2 * values_.size() > slots_.size()) Grow();
+}
+
+void ColumnStats::Grow() {
+  std::vector<uint32_t> old(std::max(kMinSlots, 2 * slots_.size()));
+  old.swap(slots_);
+  const size_t mask = slots_.size() - 1;
+  const int shift = 32 - kIdBits - std::countr_zero(slots_.size());
+  for (const uint32_t s : old) {
+    if (s == 0) continue;
+    size_t i = (s >> kIdBits) >> shift;
+    while (slots_[i] != 0) i = (i + 1) & mask;
+    slots_[i] = s;
   }
 }
 
@@ -70,11 +136,11 @@ double ColumnStats::TotalBits(FieldType type) const {
   const double n = static_cast<double>(count_);
   switch (type) {
     case FieldType::kEnum: {
-      if (distinct_overflow_) return kInf;
+      if (distinct_ > kMaxDistinct) return kInf;
       // Dictionary: every distinct value spelled out once.
-      double dict = 8.0 * (static_cast<double>(distinct_len_) +
-                           static_cast<double>(distinct_.size()));
-      double per_value = Log2Ceil(static_cast<double>(distinct_.size()));
+      double dict = 8.0 * (static_cast<double>(dict_bytes_) +
+                           static_cast<double>(distinct_));
+      double per_value = Log2Ceil(static_cast<double>(distinct_));
       return kTypeTagBits + dict + n * per_value;
     }
     case FieldType::kInt: {

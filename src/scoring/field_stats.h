@@ -2,10 +2,10 @@
 #define DATAMARAN_SCORING_FIELD_STATS_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "template/matcher.h"
@@ -29,12 +29,28 @@ enum class FieldType { kEnum, kInt, kReal, kString };
 const char* FieldTypeName(FieldType type);
 
 /// Accumulates the values observed in one column.
+///
+/// The enum scheme's dictionary is interned: each distinct value's bytes
+/// are copied once, after their length, into the column's own blocks, and
+/// an open-addressed table of value indices with stored hash bits finds
+/// them again, so a repeated value costs one hash and one compare and
+/// allocates nothing; only the dictionary's growth allocates. Blocks never
+/// move and hold at most kMaxBlock bytes (a longer value gets a block of
+/// its own): a dictionary grown by doubling one buffer would hold the old
+/// and the new copy at once, and a sample's worth of distinct values then
+/// raises the process's peak. A column whose distinct values pass
+/// kMaxDistinct can no longer be an enum, so it frees the dictionary and
+/// keeps only its distinct count. Values are copied, never kept as views
+/// of the caller's text: a window that straddles a view gap is parsed out
+/// of the scorer's reused scratch buffer (DatasetView::ResolveSpan), which
+/// the next window overwrites.
 class ColumnStats {
  public:
   void Add(std::string_view value);
 
   size_t count() const { return count_; }
-  size_t distinct_count() const { return distinct_.size(); }
+  /// Distinct values seen, counted up to kMaxDistinct + 1.
+  size_t distinct_count() const { return distinct_; }
   bool all_int() const { return all_int_; }
   bool all_real() const { return all_real_; }
 
@@ -50,6 +66,27 @@ class ColumnStats {
 
  private:
   static constexpr size_t kMaxDistinct = 4096;
+  static constexpr size_t kMinSlots = 8;
+  static constexpr size_t kMinBlock = 64;
+  static constexpr size_t kMaxBlock = 16 * 1024;
+  /// A slot holds a value's id (1 + its index in values_; 0 marks an empty
+  /// slot) in its low kIdBits bits and the top 32 - kIdBits bits of the
+  /// value's 32-bit hash above them. A table of 2^k slots places a value
+  /// by the top k bits of its hash, so growing never hashes a value again.
+  static constexpr int kIdBits = 13;
+  static constexpr uint32_t kIdMask = (uint32_t{1} << kIdBits) - 1;
+  static_assert(kMaxDistinct <= kIdMask);
+  static_assert(2 * kMaxDistinct <= size_t{1} << (32 - kIdBits));
+
+  void Intern(std::string_view value);
+  /// The distinct value whose index is `index`.
+  std::string_view Value(size_t index) const;
+  /// Copies `value` into the blocks after its length, a base-128 varint,
+  /// and returns where that length starts.
+  const char* Store(std::string_view value);
+  /// Doubles the table (at least kMinSlots), re-placing each value by
+  /// its stored hash bits.
+  void Grow();
 
   size_t count_ = 0;
   size_t total_len_ = 0;
@@ -58,9 +95,13 @@ class ColumnStats {
   int64_t min_int_ = 0, max_int_ = 0;
   double min_real_ = 0, max_real_ = 0;
   int max_exp_ = 0;
-  std::unordered_set<std::string> distinct_;
-  size_t distinct_len_ = 0;  // total length of distinct values
-  bool distinct_overflow_ = false;
+  std::vector<std::unique_ptr<char[]>> blocks_;
+  size_t block_size_ = 0;  ///< of blocks_.back()
+  size_t block_used_ = 0;  ///< bytes of blocks_.back() holding values
+  std::vector<const char*> values_;  ///< each distinct value, in blocks_
+  size_t dict_bytes_ = 0;            ///< their total length
+  std::vector<uint32_t> slots_;      ///< power-of-two size, at most half full
+  size_t distinct_ = 0;
 };
 
 /// Collects per-column statistics and array-repetition coding costs for all

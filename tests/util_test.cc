@@ -353,6 +353,23 @@ std::string RandomLines(Rng* rng, size_t bytes, int max_len) {
   return text;
 }
 
+/// The lines of `ranges`, less those over `max_line_bytes` (0: no cap).
+std::string SampleText(std::string_view text,
+                       const std::vector<SampleRange>& ranges,
+                       size_t max_line_bytes) {
+  std::string sample;
+  for (const SampleRange& r : ranges) {
+    for (size_t b = r.begin; b < r.end;) {
+      const size_t e = text.find('\n', b) + 1;
+      if (max_line_bytes == 0 || e - b - 1 <= max_line_bytes) {
+        sample.append(text, b, e - b);
+      }
+      b = e;
+    }
+  }
+  return sample;
+}
+
 TEST(SamplerTest, SampleRangesMatchTextSearch) {
   // Finding the ranges from the line index must reproduce every range the
   // text search found: single-byte lines, empty lines, lines longer than a
@@ -397,16 +414,7 @@ TEST(SamplerTest, SampleRangesMatchTextSearch) {
 
     opts.max_line_bytes =
         trial % 3 == 0 ? 0 : static_cast<size_t>(rng.Uniform(0, 200));
-    std::string expect;
-    for (const SampleRange& r : want) {
-      for (size_t b = r.begin; b < r.end;) {
-        const size_t e = text.find('\n', b) + 1;
-        if (opts.max_line_bytes == 0 || e - b - 1 <= opts.max_line_bytes) {
-          expect.append(text, b, e - b);
-        }
-        b = e;
-      }
-    }
+    const std::string expect = SampleText(text, want, opts.max_line_bytes);
     // The reader appends a final newline the file lacks, so dropping a
     // non-empty last line's '\n' on disk leaves the logical text as is.
     const bool drop_newline = trial % 2 == 1 && text.size() >= 2 &&
@@ -449,6 +457,44 @@ TEST(SamplerTest, SampleRangesMatchTextSearch) {
   std::remove(path.c_str());
   std::remove(stitch_a.c_str());
   std::remove(stitch_b.c_str());
+}
+
+TEST(SamplerTest, DefaultWindowFindsLineEndsPastTheProbe) {
+  // At the default window the range walk's line-end queries read a small
+  // probe at a time; lines longer than the probe, and one longer than the
+  // whole window, must still end where the text search ends them.
+  Rng rng(16);
+  const std::string path = ::testing::TempDir() + "dm_util_long_lines.log";
+  for (int trial = 0; trial < 6; ++trial) {
+    SCOPED_TRACE(trial);
+    std::string text;
+    while (text.size() < 400 * 1024) {
+      text.append(static_cast<size_t>(rng.Uniform(0, 12000)),
+                  static_cast<char>('a' + rng.Uniform(0, 25)));
+      text += '\n';
+    }
+    // One line past the window, at a random line start.
+    const auto pick = static_cast<size_t>(
+        rng.Uniform(0, static_cast<int64_t>(text.size()) - 1));
+    const size_t at = text.find('\n', pick) + 1;
+    text.insert(at, std::string(InputReader::kWindowBytes + 5000, 'w') + "\n");
+    SamplerOptions opts;
+    opts.num_chunks = static_cast<int>(rng.Uniform(1, 16));
+    opts.max_sample_bytes = static_cast<size_t>(rng.Uniform(1, 256 * 1024));
+    opts.max_line_bytes = trial % 2 == 0 ? 0 : 8000;
+    const std::string expect =
+        SampleText(text, TextSearchRanges(text, opts), opts.max_line_bytes);
+    ASSERT_TRUE(WriteStringToFile(path, text).ok());
+    auto reader = InputReader::Open({path}, InputOptions{});
+    ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+    ASSERT_TRUE(reader->windowed());
+    std::optional<Dataset> copy;
+    auto sample = reader->ReadSample(opts, &copy);
+    ASSERT_TRUE(sample.ok()) << sample.status().ToString();
+    ASSERT_TRUE(copy.has_value());
+    EXPECT_TRUE(copy->text() == expect);
+  }
+  std::remove(path.c_str());
 }
 
 }  // namespace
