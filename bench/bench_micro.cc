@@ -35,7 +35,11 @@
 // NormalizedWriteSink streaming root + child-table CSVs vs collecting
 // into NormalizedTables and rendering ToCsv. A sixth section
 // ("charset_engine") compares generation's charset-trial tokenization
-// under the scalar reference engine vs the resolved SIMD engine (candidate-set parity gates the process). A seventh
+// under the scalar reference engine vs kSimd (candidate-set parity gates
+// the process), then times the two classification kernels, the table walk
+// against kSimd's (AVX2 where the CPU has it), on the Dataset line index's
+// newline masks and generation's special-position index (mask and position
+// parity gate the process; speed does not). A seventh
 // section ("evaluation") runs the single-thread pipeline with MDL
 // bound-based pruning on vs off: byte-identical output and a
 // candidate-evaluation speedup (evaluation_s; the shared top-K
@@ -52,6 +56,7 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -88,6 +93,8 @@
 #include "template/matcher.h"
 #include "template/record_template.h"
 #include "template/template.h"
+#include "util/byte_class.h"
+#include "util/char_class.h"
 #include "util/hashing.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
@@ -976,18 +983,90 @@ SinkCase RunNormalizedSinkCase(int threads, bool quick) {
 // ---------------------------------------------------------------------------
 // Charset-engine microbench: one generation charset trial (tokenize every
 // line against an RT-CharSet, reduce, hash candidate boundaries) under the
-// scalar reference engine vs the resolved vectorized engine (SWAR/SSE2/AVX2
-// by runtime CPU detection, via the hoisted special-position index). The
-// candidate sets must be identical field for field — a mismatch fails the
-// process; throughput is reported best-of-rounds with median and round
-// count.
+// scalar reference engine vs kSimd (the hoisted special-position index,
+// classified with AVX2 where the CPU has it). The candidate sets must be
+// identical field for field — a mismatch fails the process. Two kernel rows
+// follow, the table walk against kSimd's classifier on the same bytes:
+// MaskBlock on '\n' over the whole corpus (the Dataset line-index loop) and
+// AppendMemberPositions for the default special-char pool on each line (the
+// generation index). A mask or position mismatch fails the process; speed
+// is reported, not gated. Throughput is best-of-rounds with median and
+// round count.
 // ---------------------------------------------------------------------------
+
+/// Best-of-rounds MB/s of a reference sweep and a vectorized one over the
+/// same bytes.
+struct SweepRates {
+  std::vector<double> reference, vectorized;
+
+  double reference_best() const {
+    return *std::max_element(reference.begin(), reference.end());
+  }
+  double vectorized_best() const {
+    return *std::max_element(vectorized.begin(), vectorized.end());
+  }
+  double speedup() const {
+    return reference_best() > 0 ? vectorized_best() / reference_best() : 0;
+  }
+};
+
+/// Times `reference` and `vectorized` — each one sweep over `bytes` bytes,
+/// returning a checksum so the sweep cannot be optimized away — in
+/// alternating blocks, each sized on the reference to carry `per_block`
+/// seconds of comparable, non-trivial work.
+template <typename Reference, typename Vectorized>
+SweepRates TimeSweeps(size_t bytes, int rounds, double per_block,
+                      Reference reference, Vectorized vectorized) {
+  auto time_block = [bytes](auto& sweep, int reps) {
+    uint64_t checksum = 0;
+    Timer timer;
+    for (int r = 0; r < reps; ++r) checksum += sweep();
+    const double s = timer.Seconds();
+    benchmark::DoNotOptimize(checksum);
+    return s > 0 ? static_cast<double>(bytes) * static_cast<double>(reps) /
+                       (1024.0 * 1024.0) / s
+                 : 0;
+  };
+  Timer calibrate;
+  (void)time_block(reference, 1);
+  const double once = calibrate.Seconds();
+  const int reps =
+      once > 0 ? std::max(1, static_cast<int>(per_block / once)) : 1;
+  SweepRates rates;
+  for (int round = 0; round < rounds; ++round) {
+    rates.reference.push_back(time_block(reference, reps));
+    rates.vectorized.push_back(time_block(vectorized, reps));
+  }
+  return rates;
+}
+
+/// One kernel row: the table walk against kSimd's classifier.
+void PrintKernelRow(FILE* f, const char* label, const char* key,
+                    const SweepRates& rates, bool identical, int rounds) {
+  std::printf("charset kernel %s: table walk %.1f MB/s, %s %.1f MB/s "
+              "(%.2fx over %d rounds), identical: %s\n",
+              label, rates.reference_best(), CharsetSimdLevel(),
+              rates.vectorized_best(), rates.speedup(), rounds,
+              identical ? "yes" : "NO — CHARSET KERNEL PARITY BUG");
+  std::fprintf(f,
+               "    \"%s\": {\n"
+               "      \"table_walk_mb_per_s\": %.3f,\n"
+               "      \"table_walk_mb_per_s_median\": %.3f,\n"
+               "      \"simd_mb_per_s\": %.3f,\n"
+               "      \"simd_mb_per_s_median\": %.3f,\n"
+               "      \"speedup\": %.3f,\n"
+               "      \"identical\": %s\n"
+               "    },\n",
+               key, rates.reference_best(), Median(rates.reference),
+               rates.vectorized_best(), Median(rates.vectorized),
+               rates.speedup(), identical ? "true" : "false");
+}
 
 bool RunCharsetEngineBench(FILE* f, bool quick) {
   Dataset data(MakeSinkCorpus(13, quick));
   DatamaranOptions scalar_opts;
   scalar_opts.charset_engine = CharsetEngine::kScalar;
-  DatamaranOptions simd_opts;  // default kSimd: resolves by CPU detection
+  DatamaranOptions simd_opts;  // default kSimd: AVX2 when the CPU has it
   CandidateGenerator scalar_gen(&data, &scalar_opts);
   CandidateGenerator simd_gen(&data, &simd_opts);
   const CharSet cs = CharSet::Of(",");
@@ -1012,50 +1091,23 @@ bool RunCharsetEngineBench(FILE* f, bool quick) {
         scalar_cands[i].field_count == simd_cands[i].field_count;
   }
 
-  auto time_block = [&](CandidateGenerator* gen, int reps) {
-    std::vector<CandidateTemplate> out;
-    Timer timer;
-    for (int r = 0; r < reps; ++r) {
-      out.clear();
-      gen->RunCharset(cs, &out);
-    }
-    const double s = timer.Seconds();
-    return s > 0 ? static_cast<double>(data.size_bytes()) *
-                       static_cast<double>(reps) / (1024.0 * 1024.0) / s
-                 : 0;
-  };
-  // Calibrate block size on the scalar engine so each round carries
-  // comparable, non-trivial work; alternate engines across rounds.
-  Timer calibrate;
-  (void)time_block(&scalar_gen, 1);
-  const double once = calibrate.Seconds();
-  const double per_block = quick ? 0.2 : 0.5;
-  const int reps =
-      once > 0 ? std::max(1, static_cast<int>(per_block / once)) : 1;
   const int kRounds = quick ? 3 : 5;
-  std::vector<double> scalar_rates, simd_rates;
-  for (int round = 0; round < kRounds; ++round) {
-    scalar_rates.push_back(time_block(&scalar_gen, reps));
-    simd_rates.push_back(time_block(&simd_gen, reps));
-  }
-  const double scalar_best =
-      *std::max_element(scalar_rates.begin(), scalar_rates.end());
-  const double simd_best =
-      *std::max_element(simd_rates.begin(), simd_rates.end());
-  const double speedup = scalar_best > 0 ? simd_best / scalar_best : 0;
+  std::vector<CandidateTemplate> out;
+  auto trial = [&](CandidateGenerator* gen) {
+    out.clear();
+    gen->RunCharset(cs, &out);
+    return static_cast<uint64_t>(out.size());
+  };
+  const SweepRates trials = TimeSweeps(
+      data.size_bytes(), kRounds, quick ? 0.2 : 0.5,
+      [&] { return trial(&scalar_gen); }, [&] { return trial(&simd_gen); });
 
-  const CharsetEngine resolved =
-      ResolveCharsetEngine(simd_opts.charset_engine);
-  const char* resolved_name = CharsetEngineName(resolved);
-  std::printf("charset engines: scalar %.1f MB/s, %s%s%s%s %.1f MB/s "
+  const char* engine_name = CharsetEngineName(simd_opts.charset_engine);
+  std::printf("charset engines: scalar %.1f MB/s, %s (%s) %.1f MB/s "
               "(%.2fx over %d rounds), identical: %s\n",
-              scalar_best, resolved_name,
-              resolved == CharsetEngine::kSimd ? " (" : "",
-              resolved == CharsetEngine::kSimd ? CharsetSimdLevel() : "",
-              resolved == CharsetEngine::kSimd ? ")" : "", simd_best,
-              speedup, kRounds,
+              trials.reference_best(), engine_name, CharsetSimdLevel(),
+              trials.vectorized_best(), trials.speedup(), kRounds,
               identical ? "yes" : "NO — CHARSET ENGINE PARITY BUG");
-
   std::fprintf(f,
                ",\n"
                "  \"charset_engine\": {\n"
@@ -1067,13 +1119,61 @@ bool RunCharsetEngineBench(FILE* f, bool quick) {
                "    \"scalar_mb_per_s_median\": %.3f,\n"
                "    \"vectorized_mb_per_s\": %.3f,\n"
                "    \"vectorized_mb_per_s_median\": %.3f,\n"
-               "    \"speedup\": %.3f,\n"
-               "    \"identical_candidates\": %s\n"
-               "  }",
-               data.size_bytes(), resolved_name, CharsetSimdLevel(), kRounds,
-               scalar_best, Median(scalar_rates), simd_best,
-               Median(simd_rates), speedup, identical ? "true" : "false");
-  return identical;
+               "    \"speedup\": %.3f,\n",
+               data.size_bytes(), engine_name, CharsetSimdLevel(), kRounds,
+               trials.reference_best(), Median(trials.reference),
+               trials.vectorized_best(), Median(trials.vectorized),
+               trials.speedup());
+
+  // Kernel rows: parity over every mask and every line, then timing.
+  const double kernel_block = quick ? 0.1 : 0.25;
+  const std::string_view text = data.text();
+  CharSet newline;
+  newline.Add('\n');
+  const ByteClassifier newline_table(newline, CharsetEngine::kScalar);
+  const ByteClassifier newline_simd(newline, CharsetEngine::kSimd);
+  bool masks_identical = true;
+  for (size_t pos = 0; pos < text.size() && masks_identical; pos += 64) {
+    masks_identical =
+        newline_table.MaskBlock(text, pos) == newline_simd.MaskBlock(text, pos);
+  }
+  auto count_lines = [&](const ByteClassifier& cls) {
+    uint64_t lines = 0;
+    for (size_t pos = 0; pos < text.size(); pos += 64) {
+      lines += static_cast<uint64_t>(std::popcount(cls.MaskBlock(text, pos)));
+    }
+    return lines;
+  };
+  PrintKernelRow(f, "newline mask", "newline_mask",
+                 TimeSweeps(text.size(), kRounds, kernel_block,
+                            [&] { return count_lines(newline_table); },
+                            [&] { return count_lines(newline_simd); }),
+                 masks_identical, kRounds);
+
+  const ByteClassifier pool_table(DefaultSpecialChars(),
+                                  CharsetEngine::kScalar);
+  const ByteClassifier pool_simd(DefaultSpecialChars(), CharsetEngine::kSimd);
+  std::vector<uint32_t> positions;
+  auto index_lines = [&](const ByteClassifier& cls) {
+    positions.clear();
+    for (size_t k = 0; k < data.line_count(); ++k) {
+      cls.AppendMemberPositions(data.line_with_newline(k), &positions);
+    }
+    return static_cast<uint64_t>(positions.size());
+  };
+  index_lines(pool_table);
+  const std::vector<uint32_t> want = positions;
+  index_lines(pool_simd);
+  const bool positions_identical = positions == want;
+  PrintKernelRow(f, "special positions", "special_positions",
+                 TimeSweeps(text.size(), kRounds, kernel_block,
+                            [&] { return index_lines(pool_table); },
+                            [&] { return index_lines(pool_simd); }),
+                 positions_identical, kRounds);
+
+  std::fprintf(f, "    \"identical_candidates\": %s\n  }",
+               identical ? "true" : "false");
+  return identical && masks_identical && positions_identical;
 }
 
 // ---------------------------------------------------------------------------

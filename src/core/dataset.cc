@@ -11,8 +11,8 @@ namespace datamaran {
 
 namespace {
 
-/// Classifies '\n' 64 bytes at a time on the widest vector tier the CPU
-/// has (util/byte_class.h).
+/// Classifies '\n' 64 bytes at a time, with AVX2 when the CPU has it
+/// (util/byte_class.h).
 const ByteClassifier& NewlineClassifier() {
   static const ByteClassifier classifier = [] {
     CharSet newline;

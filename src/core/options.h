@@ -82,14 +82,14 @@ struct DatamaranOptions {
   /// and kTree is a test oracle.
   MatchEngine match_engine = MatchEngine::kCompiled;
 
-  /// Byte-classification engine for the charset hot loops: generation's
-  /// per-line tokenization (RunCharset's special-position index) and the
-  /// compiled match engine's wide-stop-set field scans. kSimd resolves by
-  /// runtime CPU detection (AVX2 > SSE2) and degrades down the ladder
-  /// (kSwar, then kScalar) on hardware without vector support; kScalar is
-  /// the per-byte reference. Pipeline output is byte-identical across all
-  /// three — the switch trades nothing but speed (util/byte_class.h), so
-  /// the tools always run kSimd and the other tiers are test oracles.
+  /// Which algorithms the charset hot loops run: kSimd builds generation's
+  /// special-position index (RunCharset) and scans the compiled match
+  /// engine's stop sets of five or more members with the classifier; both
+  /// classify with AVX2 when the CPU has it and with the table walk
+  /// otherwise (util/byte_class.h). kScalar is the per-byte reference.
+  /// Pipeline output is byte-identical between the two — the switch trades
+  /// nothing but speed, so the tools always run kSimd and kScalar is a test
+  /// oracle.
   CharsetEngine charset_engine = CharsetEngine::kSimd;
 
   /// Bound-based candidate pruning in the evaluation step: candidates whose

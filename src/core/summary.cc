@@ -39,10 +39,8 @@ FileSummary SummarizeResult(const std::string& path, const PipelineResult& r,
   s.catalog_match_rate = r.stats.catalog_match_rate;
   s.drifted = r.stats.catalog_hit &&
               r.extraction.line_match_rate() < options.catalog_min_match;
-  s.match_engine =
-      options.match_engine == MatchEngine::kCompiled ? "compiled" : "tree";
-  s.charset_engine =
-      CharsetEngineName(ResolveCharsetEngine(options.charset_engine));
+  s.match_engine = MatchEngineName(options.match_engine);
+  s.charset_engine = CharsetEngineName(options.charset_engine);
   s.threads = ThreadPool::ResolveThreadCount(options.num_threads);
   s.timings = r.timings;
   return s;

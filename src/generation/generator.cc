@@ -141,8 +141,7 @@ CandidateGenerator::CandidateGenerator(DatasetView sample,
     pool_charset_.Add(static_cast<unsigned char>(c));
   }
   pool_charset_.Add('\n');
-  charset_engine_ = ResolveCharsetEngine(options_->charset_engine);
-  pool_classifier_ = ByteClassifier(pool_charset_, charset_engine_);
+  pool_classifier_ = ByteClassifier(pool_charset_, options_->charset_engine);
 }
 
 void CandidateGenerator::BuildSpecialIndex(GenerationWorkspace* ws) const {
@@ -192,7 +191,7 @@ double CandidateGenerator::RunCharset(const CharSet& rt_charset,
   // member byte per position in the trial set and one 'F' per gap — which
   // is exactly what the per-byte reference scan produces. Charsets outside
   // the pool (only reachable via the public RunCharset) use the reference.
-  const bool indexed = charset_engine_ != CharsetEngine::kScalar &&
+  const bool indexed = options_->charset_engine == CharsetEngine::kSimd &&
                        charset.IsSubsetOf(pool_charset_);
   if (indexed && !ws->special_index_built) BuildSpecialIndex(ws);
 

@@ -12,7 +12,6 @@
 #include "template/record_template.h"
 #include "util/byte_class.h"
 #include "util/char_class.h"
-#include "util/charset_engine.h"
 
 /// The generation step (Section 4.1): find all structure templates with at
 /// least alpha% coverage by (1) enumerating RT-CharSet values, (2)
@@ -145,8 +144,6 @@ class CandidateGenerator {
   std::vector<char> search_chars_;
   /// search_chars_ plus '\n' — the superset every trial charset draws from.
   CharSet pool_charset_;
-  /// Resolved charset engine; kScalar keeps the original per-byte path.
-  CharsetEngine charset_engine_ = CharsetEngine::kScalar;
   /// Pool-charset classifier driving BuildSpecialIndex.
   ByteClassifier pool_classifier_;
   size_t records_hashed_ = 0;

@@ -158,11 +158,10 @@ void CompiledTemplate::InitScanStrategy(const std::string& members,
     for (size_t i = 0; i < members.size(); ++i) {
       swar_[i] = BroadcastByte(static_cast<uint8_t>(members[i]));
     }
-  } else if (members.size() >= 5 &&
-             ResolveCharsetEngine(charset_engine) == CharsetEngine::kSimd) {
-    // Wide stop sets previously fell back to the per-byte table; the
-    // classifier scans them 16/32 bytes at a time (first-stop position
-    // semantics are identical, so match results don't change).
+  } else if (members.size() >= 5 && charset_engine == CharsetEngine::kSimd) {
+    // Wide stop sets: the classifier scans them 32 bytes at a time under
+    // AVX2 (first-stop position semantics are the stop table's, so match
+    // results don't change).
     scan_kind_ = ScanKind::kClass;
     classifier_.emplace(st_->charset(), charset_engine);
   }

@@ -34,11 +34,10 @@
 ///     *position* of the first stop byte branchlessly (one 8-byte step
 ///     usually resolves a whole short field, with no per-byte loop and no
 ///     data-dependent exit branch), and — for five or more members — a
-///     vectorized ByteClassifier scan (16/32 bytes per step under
-///     CharsetEngine::kSimd, after a 4-byte table lead-in for short
-///     tokens) or the precomputed 256-entry stop-byte table (the scalar
-///     reference, also the fallback when the charset engine resolves below
-///     kSimd). A field followed by a fixed literal byte fuses into
+///     ByteClassifier scan under CharsetEngine::kSimd (32 bytes per step
+///     with AVX2, after a 4-byte table lead-in for short tokens) or, under
+///     kScalar, the precomputed 256-entry stop-byte table (the scalar
+///     reference). A field followed by a fixed literal byte fuses into
 ///     one instruction (scan + compare, the dominant token pair);
 ///   - fused field arrays: an array whose element is a single field — the
 ///     dominant generated shape, e.g. "(F,)*F" — becomes one instruction
@@ -66,9 +65,9 @@ CharSet TemplateFirstBytes(const StructureTemplate& st);
 class CompiledTemplate {
  public:
   /// `charset_engine` selects the field-scan strategy for wide stop sets
-  /// (five or more charset members): a resolved kSimd engages the
-  /// vectorized classifier scan, anything lower keeps the stop-byte table.
-  /// Match results are byte-identical for every engine.
+  /// (five or more charset members): kSimd engages the classifier scan,
+  /// kScalar keeps the stop-byte table. Match results are byte-identical
+  /// for both.
   explicit CompiledTemplate(
       const StructureTemplate* st,
       CharsetEngine charset_engine = CharsetEngine::kSimd);

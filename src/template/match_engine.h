@@ -15,6 +15,11 @@ enum class MatchEngine {
   kTree,
 };
 
+/// "compiled" or "tree".
+inline const char* MatchEngineName(MatchEngine engine) {
+  return engine == MatchEngine::kCompiled ? "compiled" : "tree";
+}
+
 }  // namespace datamaran
 
 #endif  // DATAMARAN_TEMPLATE_MATCH_ENGINE_H_

@@ -270,7 +270,7 @@ Status ValidateNode(const TemplateNode& node, const CharSet& follow) {
       // literals (Definition 2.4); an array whose separator or element
       // contains '\n' would make the matched line count repetition-
       // dependent, which every line-indexed scan (scoring, residual
-      // masking, extraction, the score cache) relies on being constant.
+      // masking, extraction) relies on being constant.
       // Generation cannot produce such templates (reduction is per line);
       // reject them so hand-built ones cannot slip in either.
       if (node.ch == '\n' || ContainsNewline(elem)) {

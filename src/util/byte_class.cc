@@ -2,26 +2,18 @@
 
 #include <cstring>
 
-#if defined(__x86_64__) || defined(__i386__)
+#if (defined(__x86_64__) || defined(__i386__)) && \
+    (defined(__GNUC__) || defined(__clang__))
 #include <immintrin.h>
-#if (defined(__GNUC__) || defined(__clang__)) && defined(__SSE2__)
-#define DATAMARAN_BYTECLASS_X86 1
-#endif
+#define DATAMARAN_BYTECLASS_AVX2 1
 #endif
 
 namespace datamaran {
 
 namespace {
 
-constexpr bool kLittleEndian =
-#if defined(__BYTE_ORDER__) && (__BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__)
-    true;
-#else
-    false;
-#endif
-
 bool HaveAvx2() {
-#ifdef DATAMARAN_BYTECLASS_X86
+#ifdef DATAMARAN_BYTECLASS_AVX2
   return __builtin_cpu_supports("avx2");
 #else
   return false;
@@ -29,9 +21,10 @@ bool HaveAvx2() {
 }
 
 // ---------------------------------------------------------------------------
-// Scalar kernel (the differential-test reference).
+// Table walk: the differential-test reference, and the kernel wherever AVX2
+// is absent. The AVX2 kernels finish their sub-vector tails here too.
 
-uint64_t ScalarMask64(const ByteClassTables& t, const char* p, size_t len) {
+uint64_t TableMask64(const ByteClassTables& t, const char* p, size_t len) {
   uint64_t m = 0;
   for (size_t i = 0; i < len; ++i) {
     m |= static_cast<uint64_t>(t.table[static_cast<uint8_t>(p[i])]) << i;
@@ -39,143 +32,36 @@ uint64_t ScalarMask64(const ByteClassTables& t, const char* p, size_t len) {
   return m;
 }
 
-// ---------------------------------------------------------------------------
-// SWAR kernel: 8 bytes per uint64_t step, little-endian only.
-
-/// High-bit-per-byte mask of the zero bytes of `v`. NOT the classic
-/// `(v - 0x01..) & ~v & 0x80..` haszero trick: that one is exact only for
-/// the LOWEST zero byte (borrow propagation can false-flag a 0x01 byte
-/// sitting above a true zero — fine for compiled.cc's first-stop scan,
-/// wrong here where every member bit is consumed). This form subtracts
-/// with the high bit pre-set, so no borrow ever crosses a byte boundary
-/// and each lane classifies independently.
-inline uint64_t ZeroByteMask(uint64_t v) {
-  return ~(((v | 0x8080808080808080ull) - 0x0101010101010101ull) | v) &
-         0x8080808080808080ull;
-}
-
-/// Compresses a high-bit-per-byte mask into bits 0..7: byte j's high bit
-/// becomes bit j. The multiply gathers the eight isolated bits into the top
-/// byte (no carries: contributing terms land on distinct bit positions).
-inline uint64_t CompressHighBits(uint64_t high_bits) {
-  return ((high_bits >> 7) * 0x0102040810204080ull) >> 56;
-}
-
-/// Membership mask of exactly 8 bytes, one bit per byte (LSB = p[0]).
-uint64_t SwarMask8(const ByteClassTables& t, const char* p) {
-  uint64_t word;
-  std::memcpy(&word, p, 8);
-  if (t.member_count <= ByteClassifier::kSwarMaxMembers) {
-    uint64_t hits = 0;
-    for (int m = 0; m < t.member_count; ++m) {
-      hits |= ZeroByteMask(word ^ t.bcast[static_cast<size_t>(m)]);
-    }
-    return CompressHighBits(hits);
-  }
-  // Wide set: branchless table gather (no data-dependent branches, still
-  // one table load per byte but no per-byte loop-exit test).
-  uint64_t m = 0;
-  for (int j = 0; j < 8; ++j) {
-    m |= static_cast<uint64_t>(
-             t.table[static_cast<uint8_t>(word >> (j * 8))])
-         << j;
-  }
-  return m;
-}
-
-uint64_t SwarMask64(const ByteClassTables& t, const char* p, size_t len) {
-  if (len == 64) {
-    uint64_t m = 0;
-    for (int b = 0; b < 8; ++b) {
-      m |= SwarMask8(t, p + b * 8) << (b * 8);
-    }
-    return m;
-  }
-  // Tail: zero-padded copy, then mask off the padding bits (NUL may be a
-  // member, so padding must be masked, not trusted to classify as 0).
-  char buf[64] = {};
-  std::memcpy(buf, p, len);
-  uint64_t m = 0;
-  for (int b = 0; b < 8; ++b) {
-    m |= SwarMask8(t, buf + b * 8) << (b * 8);
-  }
-  return m & (len < 64 ? (uint64_t{1} << len) - 1 : ~uint64_t{0});
-}
-
-#ifdef DATAMARAN_BYTECLASS_X86
-
-// ---------------------------------------------------------------------------
-// SSE2 kernel: one compare per member byte, 16 input bytes per step.
-// Baseline ISA on x86-64, so no target attribute is needed.
-
-/// Movemask of the members within 16 bytes at `p` (must be readable).
-inline uint32_t Sse2Mask16(const ByteClassTables& t, const char* p) {
-  const __m128i input = _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
-  __m128i hits = _mm_setzero_si128();
-  for (int m = 0; m < t.member_count; ++m) {
-    const __m128i needle =
-        _mm_set1_epi8(static_cast<char>(t.member_bytes[static_cast<size_t>(m)]));
-    hits = _mm_or_si128(hits, _mm_cmpeq_epi8(input, needle));
-  }
-  return static_cast<uint32_t>(_mm_movemask_epi8(hits));
-}
-
-uint64_t Sse2Mask64(const ByteClassTables& t, const char* p, size_t len) {
-  if (len < 64) {
-    char buf[64] = {};
-    std::memcpy(buf, p, len);
-    uint64_t m = 0;
-    for (int b = 0; b < 4; ++b) {
-      m |= static_cast<uint64_t>(Sse2Mask16(t, buf + b * 16)) << (b * 16);
-    }
-    return m & ((uint64_t{1} << len) - 1);
-  }
-  uint64_t m = 0;
-  for (int b = 0; b < 4; ++b) {
-    m |= static_cast<uint64_t>(Sse2Mask16(t, p + b * 16)) << (b * 16);
-  }
-  return m;
-}
-
-void Sse2AppendPositions(const ByteClassTables& t, std::string_view text,
-                         std::vector<uint32_t>* out) {
-  const char* const data = text.data();
-  const size_t n = text.size();
-  size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    uint32_t m = Sse2Mask16(t, data + i);
-    while (m != 0) {
-      out->push_back(static_cast<uint32_t>(
-          i + static_cast<size_t>(__builtin_ctz(m))));
-      m &= m - 1;
-    }
-  }
-  for (; i < n; ++i) {
-    if (t.table[static_cast<uint8_t>(data[i])] != 0) {
+void TableAppendPositions(const ByteClassTables& t, std::string_view text,
+                          size_t from, std::vector<uint32_t>* out) {
+  for (size_t i = from; i < text.size(); ++i) {
+    if (t.table[static_cast<uint8_t>(text[i])] != 0) {
       out->push_back(static_cast<uint32_t>(i));
     }
   }
 }
 
-size_t Sse2FindFirst(const ByteClassTables& t, std::string_view text,
-                     size_t from) {
-  const char* const data = text.data();
-  const size_t n = text.size();
-  size_t q = from;
-  for (; q + 16 <= n; q += 16) {
-    const uint32_t m = Sse2Mask16(t, data + q);
-    if (m != 0) return q + static_cast<size_t>(__builtin_ctz(m));
+size_t TableFindFirst(const ByteClassTables& t, std::string_view text,
+                      size_t from) {
+  for (size_t q = from; q < text.size(); ++q) {
+    if (t.table[static_cast<uint8_t>(text[q])] != 0) return q;
   }
-  for (; q < n; ++q) {
-    if (t.table[static_cast<uint8_t>(data[q])] != 0) return q;
-  }
-  return n;
+  return text.size();
 }
+
+#ifdef DATAMARAN_BYTECLASS_AVX2
 
 // ---------------------------------------------------------------------------
 // AVX2 kernel: nibble-shuffle classification of 32 arbitrary bytes against
 // an arbitrary 256-bit set. Per-function target attribute keeps the rest of
 // the translation unit baseline-ISA; callers guard with HaveAvx2().
+
+/// One-hot high-nibble keys paired with the lo0 (nibbles 0-7) and lo1
+/// (nibbles 8-15) LUTs; the same for every set.
+alignas(16) constexpr std::array<uint8_t, 16> kHigh0 = {
+    1, 2, 4, 8, 16, 32, 64, 128, 0, 0, 0, 0, 0, 0, 0, 0};
+alignas(16) constexpr std::array<uint8_t, 16> kHigh1 = {
+    0, 0, 0, 0, 0, 0, 0, 0, 1, 2, 4, 8, 16, 32, 64, 128};
 
 __attribute__((target("avx2"))) inline uint32_t Avx2Mask32(
     const __m256i lo0, const __m256i lo1, const __m256i hi0, const __m256i hi1,
@@ -206,9 +92,11 @@ __attribute__((target("avx2"))) uint64_t Avx2Mask64(const ByteClassTables& t,
                                                     size_t len) {
   const __m256i lo0 = Avx2Broadcast16(t.lo0);
   const __m256i lo1 = Avx2Broadcast16(t.lo1);
-  const __m256i hi0 = Avx2Broadcast16(t.hi0);
-  const __m256i hi1 = Avx2Broadcast16(t.hi1);
+  const __m256i hi0 = Avx2Broadcast16(kHigh0);
+  const __m256i hi1 = Avx2Broadcast16(kHigh1);
   if (len < 64) {
+    // Zero-padded copy, then mask off the padding bits (NUL may be a
+    // member, so padding must be masked, not trusted to classify as 0).
     char buf[64] = {};
     std::memcpy(buf, p, len);
     const uint64_t m =
@@ -227,12 +115,11 @@ __attribute__((target("avx2"))) void Avx2AppendPositions(
     std::vector<uint32_t>* out) {
   const __m256i lo0 = Avx2Broadcast16(t.lo0);
   const __m256i lo1 = Avx2Broadcast16(t.lo1);
-  const __m256i hi0 = Avx2Broadcast16(t.hi0);
-  const __m256i hi1 = Avx2Broadcast16(t.hi1);
+  const __m256i hi0 = Avx2Broadcast16(kHigh0);
+  const __m256i hi1 = Avx2Broadcast16(kHigh1);
   const char* const data = text.data();
-  const size_t n = text.size();
   size_t i = 0;
-  for (; i + 32 <= n; i += 32) {
+  for (; i + 32 <= text.size(); i += 32) {
     uint32_t m = Avx2Mask32(lo0, lo1, hi0, hi1, data + i);
     while (m != 0) {
       out->push_back(static_cast<uint32_t>(
@@ -240,11 +127,7 @@ __attribute__((target("avx2"))) void Avx2AppendPositions(
       m &= m - 1;
     }
   }
-  for (; i < n; ++i) {
-    if (t.table[static_cast<uint8_t>(data[i])] != 0) {
-      out->push_back(static_cast<uint32_t>(i));
-    }
-  }
+  TableAppendPositions(t, text, i, out);
 }
 
 __attribute__((target("avx2"))) size_t Avx2FindFirst(const ByteClassTables& t,
@@ -252,60 +135,26 @@ __attribute__((target("avx2"))) size_t Avx2FindFirst(const ByteClassTables& t,
                                                      size_t from) {
   const __m256i lo0 = Avx2Broadcast16(t.lo0);
   const __m256i lo1 = Avx2Broadcast16(t.lo1);
-  const __m256i hi0 = Avx2Broadcast16(t.hi0);
-  const __m256i hi1 = Avx2Broadcast16(t.hi1);
+  const __m256i hi0 = Avx2Broadcast16(kHigh0);
+  const __m256i hi1 = Avx2Broadcast16(kHigh1);
   const char* const data = text.data();
-  const size_t n = text.size();
   size_t q = from;
-  for (; q + 32 <= n; q += 32) {
+  for (; q + 32 <= text.size(); q += 32) {
     const uint32_t m = Avx2Mask32(lo0, lo1, hi0, hi1, data + q);
     if (m != 0) return q + static_cast<size_t>(__builtin_ctz(m));
   }
-  for (; q < n; ++q) {
-    if (t.table[static_cast<uint8_t>(data[q])] != 0) return q;
-  }
-  return n;
+  return TableFindFirst(t, text, q);
 }
 
-#endif  // DATAMARAN_BYTECLASS_X86
+#endif  // DATAMARAN_BYTECLASS_AVX2
 
 }  // namespace
 
-CharsetEngine ResolveCharsetEngine(CharsetEngine requested) {
-  switch (requested) {
-    case CharsetEngine::kSimd:
-#ifdef DATAMARAN_BYTECLASS_X86
-      return CharsetEngine::kSimd;  // SSE2 is the x86-64 baseline
-#else
-      return kLittleEndian ? CharsetEngine::kSwar : CharsetEngine::kScalar;
-#endif
-    case CharsetEngine::kSwar:
-      return kLittleEndian ? CharsetEngine::kSwar : CharsetEngine::kScalar;
-    case CharsetEngine::kScalar:
-      break;
-  }
-  return CharsetEngine::kScalar;
-}
-
 const char* CharsetEngineName(CharsetEngine engine) {
-  switch (engine) {
-    case CharsetEngine::kScalar:
-      return "scalar";
-    case CharsetEngine::kSwar:
-      return "swar";
-    case CharsetEngine::kSimd:
-      return "simd";
-  }
-  return "scalar";
+  return engine == CharsetEngine::kSimd ? "simd" : "scalar";
 }
 
-const char* CharsetSimdLevel() {
-#ifdef DATAMARAN_BYTECLASS_X86
-  return HaveAvx2() ? "avx2" : "sse2";
-#else
-  return "none";
-#endif
-}
+const char* CharsetSimdLevel() { return HaveAvx2() ? "avx2" : "none"; }
 
 void ByteClassifier::BuildTables(const CharSet& set) {
   tables_ = ByteClassTables{};
@@ -321,49 +170,12 @@ void ByteClassifier::BuildTables(const CharSet& set) {
       tables_.lo1[static_cast<size_t>(lo)] |=
           static_cast<uint8_t>(1u << (hi - 8));
     }
-    if (tables_.member_count < 16) {
-      tables_.member_bytes[static_cast<size_t>(tables_.member_count)] =
-          static_cast<uint8_t>(c);
-    }
-    if (tables_.member_count < kSwarMaxMembers) {
-      tables_.bcast[static_cast<size_t>(tables_.member_count)] =
-          0x0101010101010101ull * static_cast<uint8_t>(c);
-    }
-    ++tables_.member_count;
-  }
-  for (int h = 0; h < 16; ++h) {
-    tables_.hi0[static_cast<size_t>(h)] =
-        h < 8 ? static_cast<uint8_t>(1u << h) : 0;
-    tables_.hi1[static_cast<size_t>(h)] =
-        h >= 8 ? static_cast<uint8_t>(1u << (h - 8)) : 0;
   }
 }
 
-ByteClassifier::ByteClassifier(const CharSet& set, CharsetEngine engine) {
+ByteClassifier::ByteClassifier(const CharSet& set, CharsetEngine engine)
+    : avx2_(engine == CharsetEngine::kSimd && HaveAvx2()) {
   BuildTables(set);
-  engine_ = ResolveCharsetEngine(engine);
-  switch (engine_) {
-    case CharsetEngine::kScalar:
-      tier_ = Tier::kScalar;
-      break;
-    case CharsetEngine::kSwar:
-      tier_ = Tier::kSwar;
-      break;
-    case CharsetEngine::kSimd:
-      if (HaveAvx2()) {
-        tier_ = Tier::kAvx2;
-      } else if (tables_.member_count <= 16) {
-        tier_ = Tier::kSse2;
-      } else {
-        // SSE2 classifies by one compare per member; past 16 members the
-        // SWAR table gather is the better (and simpler) fallback rung.
-        tier_ = Tier::kSwar;
-      }
-      break;
-  }
-#ifndef DATAMARAN_BYTECLASS_X86
-  if (tier_ == Tier::kSse2 || tier_ == Tier::kAvx2) tier_ = Tier::kSwar;
-#endif
 }
 
 uint64_t ByteClassifier::MaskBlock(std::string_view text, size_t pos) const {
@@ -371,87 +183,30 @@ uint64_t ByteClassifier::MaskBlock(std::string_view text, size_t pos) const {
   const char* const p = text.data() + pos;
   const size_t len =
       text.size() - pos < 64 ? text.size() - pos : size_t{64};
-  switch (tier_) {
-#ifdef DATAMARAN_BYTECLASS_X86
-    case Tier::kAvx2:
-      return Avx2Mask64(tables_, p, len);
-    case Tier::kSse2:
-      return Sse2Mask64(tables_, p, len);
-#else
-    case Tier::kAvx2:
-    case Tier::kSse2:
-      break;
+#ifdef DATAMARAN_BYTECLASS_AVX2
+  if (avx2_) return Avx2Mask64(tables_, p, len);
 #endif
-    case Tier::kSwar:
-      return SwarMask64(tables_, p, len);
-    case Tier::kScalar:
-      break;
-  }
-  return ScalarMask64(tables_, p, len);
+  return TableMask64(tables_, p, len);
 }
 
 void ByteClassifier::AppendMemberPositions(std::string_view text,
                                            std::vector<uint32_t>* out) const {
-#ifdef DATAMARAN_BYTECLASS_X86
-  if (tier_ == Tier::kAvx2) {
+#ifdef DATAMARAN_BYTECLASS_AVX2
+  if (avx2_) {
     Avx2AppendPositions(tables_, text, out);
     return;
   }
-  if (tier_ == Tier::kSse2) {
-    Sse2AppendPositions(tables_, text, out);
-    return;
-  }
 #endif
-  if (tier_ == Tier::kSwar) {
-    const char* const data = text.data();
-    const size_t n = text.size();
-    size_t i = 0;
-    for (; i + 8 <= n; i += 8) {
-      uint64_t m = SwarMask8(tables_, data + i);
-      while (m != 0) {
-        out->push_back(static_cast<uint32_t>(
-            i + static_cast<size_t>(__builtin_ctzll(m))));
-        m &= m - 1;
-      }
-    }
-    for (; i < n; ++i) {
-      if (tables_.table[static_cast<uint8_t>(data[i])] != 0) {
-        out->push_back(static_cast<uint32_t>(i));
-      }
-    }
-    return;
-  }
-  for (size_t i = 0; i < text.size(); ++i) {
-    if (tables_.table[static_cast<uint8_t>(text[i])] != 0) {
-      out->push_back(static_cast<uint32_t>(i));
-    }
-  }
+  TableAppendPositions(tables_, text, 0, out);
 }
 
 size_t ByteClassifier::FindFirstMember(std::string_view text,
                                        size_t from) const {
-  const size_t n = text.size();
-  if (from >= n) return n;
-#ifdef DATAMARAN_BYTECLASS_X86
-  if (tier_ == Tier::kAvx2) return Avx2FindFirst(tables_, text, from);
-  if (tier_ == Tier::kSse2) return Sse2FindFirst(tables_, text, from);
+  if (from >= text.size()) return text.size();
+#ifdef DATAMARAN_BYTECLASS_AVX2
+  if (avx2_) return Avx2FindFirst(tables_, text, from);
 #endif
-  if (tier_ == Tier::kSwar) {
-    const char* const data = text.data();
-    size_t q = from;
-    for (; q + 8 <= n; q += 8) {
-      const uint64_t m = SwarMask8(tables_, data + q);
-      if (m != 0) return q + static_cast<size_t>(__builtin_ctzll(m));
-    }
-    for (; q < n; ++q) {
-      if (tables_.table[static_cast<uint8_t>(data[q])] != 0) return q;
-    }
-    return n;
-  }
-  for (size_t q = from; q < n; ++q) {
-    if (tables_.table[static_cast<uint8_t>(text[q])] != 0) return q;
-  }
-  return n;
+  return TableFindFirst(tables_, text, from);
 }
 
 }  // namespace datamaran

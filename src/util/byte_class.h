@@ -10,71 +10,55 @@
 #include "util/char_class.h"
 #include "util/charset_engine.h"
 
-/// Vectorized charset-membership scans (the DatamaranOptions::charset_engine
-/// tentpole). A ByteClassifier is a CharSet frozen into whatever lookup
-/// structures its engine tier needs, with three block operations the hot
-/// loops consume:
+/// Vectorized charset-membership scans. A ByteClassifier is a CharSet
+/// frozen into lookup tables, with three block operations the hot loops
+/// consume:
 ///
 ///   MaskBlock             — 64-bit membership mask of up to 64 bytes
+///                           (the Dataset line index, on '\n')
 ///   AppendMemberPositions — positions of every member byte in a buffer
 ///                           (generation's per-line special-position index)
 ///   FindFirstMember       — first member at/after an offset (the compiled
 ///                           engine's wide-stop-set field scan)
 ///
-/// Engine tiers, fastest first:
+/// Two kernels serve them:
 ///   AVX2 — 32 bytes per step via the nibble-shuffle technique: the set is
 ///          compiled into two 16-entry low-nibble LUTs whose bits are keyed
 ///          by the high nibble, so two shuffles + two ANDs classify 32
 ///          arbitrary bytes against an arbitrary 256-bit set.
-///   SSE2 — 16 bytes per step, one compare per member byte (used for sets
-///          of at most 16 members; larger sets drop to the SWAR tier).
-///   SWAR — 8 bytes per step on plain uint64_t: broadcast-XOR zero-byte
-///          masks for small sets, branchless table gathers otherwise.
-///   scalar — the per-byte table loop, kept bit-for-bit as the reference
-///          the differential tests (tests/charclass_test.cc) compare
-///          every other tier against.
+///   table walk — one 256-entry table load per byte: the reference the
+///          differential tests (tests/charclass_test.cc) compare AVX2
+///          against, and the kernel wherever AVX2 is absent.
 ///
-/// All tiers produce identical results for every input (including NUL and
-/// 0xFF members, unaligned buffers, and tails shorter than the vector
-/// width — tails are copied into a zero-padded stack block and the padding
-/// bits masked off, so no load ever touches bytes outside the buffer).
-/// Runtime dispatch: AVX2 code is compiled with a per-function target
-/// attribute and selected via CPU detection, so the rest of the binary
-/// stays baseline-ISA.
+/// Both produce identical results for every input (including NUL and 0xFF
+/// members, unaligned buffers, and tails shorter than the vector width —
+/// AVX2 mask tails are copied into a zero-padded stack block and the
+/// padding bits masked off, so no load ever touches bytes outside the
+/// buffer). The AVX2 code carries a per-function target attribute and is
+/// selected by CPU detection, so the rest of the binary stays baseline-ISA.
 
 namespace datamaran {
 
-/// Internal lookup tables, grouped so the ISA-specific kernels (free
-/// functions in byte_class.cc carrying target attributes) can take them by
-/// reference without friending each one.
+/// Internal lookup tables, grouped so the AVX2 kernels (free functions in
+/// byte_class.cc carrying target attributes) can take them by reference
+/// without friending each one.
 struct ByteClassTables {
-  /// 1 = member; the scalar reference and all tail paths read this.
+  /// 1 = member; the table walk and the AVX2 tails read this.
   std::array<uint8_t, 256> table{};
   /// AVX2 nibble LUTs: lo0[l] bit h (h<8) and lo1[l] bit h-8 (h>=8) are
-  /// set iff byte (h<<4)|l is a member; hi0/hi1 are the matching one-hot
-  /// high-nibble keys.
+  /// set iff byte (h<<4)|l is a member.
   alignas(16) std::array<uint8_t, 16> lo0{};
   alignas(16) std::array<uint8_t, 16> lo1{};
-  alignas(16) std::array<uint8_t, 16> hi0{};
-  alignas(16) std::array<uint8_t, 16> hi1{};
-  /// Member bytes (ascending) for the SSE2 compare kernel and the SWAR
-  /// broadcast masks (first kSwarMaxMembers of them).
-  std::array<uint8_t, 16> member_bytes{};
-  int member_count = 0;  ///< total set size (may exceed 16)
-  std::array<uint64_t, 8> bcast{};  ///< broadcast member bytes (SWAR)
 };
 
 class ByteClassifier {
  public:
-  /// Empty set, scalar tier — a valid classifier that matches nothing.
+  /// Empty set, table walk — a valid classifier that matches nothing.
   ByteClassifier() { BuildTables(CharSet()); }
 
-  /// Freezes `set` under `engine` (resolved via ResolveCharsetEngine; the
-  /// SSE2 rung additionally drops to SWAR for sets wider than 16 members).
+  /// Freezes `set`. kSimd classifies with AVX2 when the CPU has it and
+  /// with the table walk otherwise; kScalar always walks the table.
   ByteClassifier(const CharSet& set, CharsetEngine engine);
-
-  /// The resolved engine actually driving the block operations.
-  CharsetEngine engine() const { return engine_; }
 
   bool Contains(unsigned char c) const { return tables_.table[c] != 0; }
 
@@ -89,19 +73,10 @@ class ByteClassifier {
   /// Position of the first member at or after `from`; text.size() if none.
   size_t FindFirstMember(std::string_view text, size_t from) const;
 
-  /// SWAR broadcast-compare pays off only for narrow sets; wider ones use
-  /// the branchless table gather.
-  static constexpr int kSwarMaxMembers = 8;
-
  private:
-  /// The kernel family serving this classifier; a resolved kSimd engine
-  /// maps to kAvx2 or kSse2 by CPU detection (and set width for SSE2).
-  enum class Tier : uint8_t { kScalar, kSwar, kSse2, kAvx2 };
-
   void BuildTables(const CharSet& set);
 
-  CharsetEngine engine_ = CharsetEngine::kScalar;
-  Tier tier_ = Tier::kScalar;
+  bool avx2_ = false;
   ByteClassTables tables_;
 };
 

@@ -8,32 +8,25 @@
 
 namespace datamaran {
 
-/// Which charset-membership engine the byte-classification hot loops use
-/// (generation's per-line tokenization, the compiled match engine's
-/// wide-stop-set field scans). Output is byte-identical across all three;
-/// kScalar is the per-byte reference kept for differential testing.
+/// Which algorithms the byte-classification hot loops run. Output is
+/// byte-identical between the two; kScalar is the per-byte reference kept
+/// for differential testing.
 enum class CharsetEngine {
-  /// Per-byte table lookups — the reference implementation.
+  /// Per-byte references: generation tokenizes every line per trial
+  /// charset, and the compiled engine scans wide stop sets by table.
   kScalar,
-  /// 8-bytes-at-a-time std::uint64_t SWAR scans (little-endian only).
-  kSwar,
-  /// 16/32-bytes-at-a-time SSE2/AVX2 scans, chosen by runtime CPU
-  /// detection; falls back down the ladder (kSwar, then kScalar) when the
-  /// hardware lacks vector support.
+  /// Generation's special-position index, and the compiled engine's
+  /// classifier scan for stop sets of five or more members. Both classify
+  /// with AVX2 when the CPU has it and with the table walk otherwise.
   kSimd,
 };
 
-/// Maps a requested engine to the one that can actually run here: kSimd
-/// needs an x86 CPU with at least SSE2 (else it degrades to kSwar), and
-/// kSwar needs a little-endian target (else kScalar). Idempotent.
-CharsetEngine ResolveCharsetEngine(CharsetEngine requested);
-
-/// "scalar", "swar", or "simd".
+/// "scalar" or "simd".
 const char* CharsetEngineName(CharsetEngine engine);
 
-/// The widest vector ISA the running CPU offers for classification:
-/// "avx2", "sse2", or "none". Reported in CLI/bench summaries so resolved
-/// behavior is visible without disassembly.
+/// The vector ISA the running CPU offers for classification: "avx2" or
+/// "none". Reported in CLI/bench summaries so the kernel that runs is
+/// visible without disassembly.
 const char* CharsetSimdLevel();
 
 }  // namespace datamaran

@@ -23,11 +23,11 @@
 // Differential coverage for the byte-classification engines and the MDL
 // evaluation fast path:
 //
-//  * ByteClassifier block operations — scalar vs SWAR vs the resolved SIMD
-//    tier — on adversarial buffers: all 256 byte values, unaligned
-//    offsets, tails shorter than the vector width, NUL/0xFF runs, and sets
-//    containing NUL/0xFF themselves. The scalar tier is the reference; a
-//    per-byte loop over CharSet::Contains is the oracle for all three.
+//  * ByteClassifier block operations — the table walk (kScalar) vs kSimd's
+//    kernel (AVX2 where the CPU has it) — on adversarial buffers: all 256
+//    byte values, every start offset, tails shorter than the vector width,
+//    NUL/0xFF runs, and sets containing NUL/0xFF themselves. A per-byte
+//    loop over CharSet::Contains is the oracle for both.
 //  * Generation parity: the special-position-index tokenization path must
 //    accumulate candidate bins identical to the per-byte reference.
 //  * Full-pipeline parity: byte-identical output across
@@ -42,8 +42,8 @@
 namespace datamaran {
 namespace {
 
-constexpr CharsetEngine kEngines[] = {
-    CharsetEngine::kScalar, CharsetEngine::kSwar, CharsetEngine::kSimd};
+constexpr CharsetEngine kEngines[] = {CharsetEngine::kScalar,
+                                      CharsetEngine::kSimd};
 
 const char* EngineLabel(CharsetEngine e) { return CharsetEngineName(e); }
 
@@ -106,9 +106,9 @@ std::vector<std::string> AdversarialBuffers() {
   return buffers;
 }
 
-/// Charsets spanning every tier choice: 1 member (memchr-sized), small
-/// (SWAR broadcast), medium (SSE2 compares), wide (AVX2 shuffle / SWAR
-/// gather), plus NUL/0xFF members.
+/// Charsets from 1 member (memchr-sized) through small and medium to wide
+/// (64 members, every nibble pair of the AVX2 LUTs), plus NUL/0xFF
+/// members.
 std::vector<CharSet> TrialCharsets() {
   std::vector<CharSet> sets;
   sets.push_back(CharSet::Of(","));
@@ -157,15 +157,22 @@ TEST(ByteClassifierTest, MaskBlockMatchesReferenceAcrossEngines) {
 
 TEST(ByteClassifierTest, AppendMemberPositionsMatchesReference) {
   const auto buffers = AdversarialBuffers();
+  std::vector<uint32_t> got;
   for (const CharSet& set : TrialCharsets()) {
     for (CharsetEngine engine : kEngines) {
       const ByteClassifier cls(set, engine);
       for (const std::string& buf : buffers) {
-        std::vector<uint32_t> got;
-        cls.AppendMemberPositions(buf, &got);
-        ASSERT_EQ(got, ReferencePositions(set, buf))
-            << EngineLabel(engine) << " set{" << set.ToString() << "} len "
-            << buf.size();
+        // Every start offset, as generation passes each sample line as a
+        // view into its buffer: covers unaligned starts and every tail
+        // length past the last full vector.
+        for (size_t start = 0; start <= buf.size(); ++start) {
+          const std::string_view view = std::string_view(buf).substr(start);
+          got.clear();
+          cls.AppendMemberPositions(view, &got);
+          ASSERT_EQ(got, ReferencePositions(set, view))
+              << EngineLabel(engine) << " set{" << set.ToString() << "} len "
+              << buf.size() << " start " << start;
+        }
       }
     }
   }
@@ -214,35 +221,24 @@ TEST(ByteClassifierTest, RandomizedDifferentialSweep) {
       }
     }
     const ByteClassifier scalar(set, CharsetEngine::kScalar);
-    const ByteClassifier swar(set, CharsetEngine::kSwar);
     const ByteClassifier simd(set, CharsetEngine::kSimd);
     const size_t pos = buf.empty() ? 0 : rng.Uniform(0, buf.size());
     const uint64_t want = ReferenceMask(set, buf, pos);
     ASSERT_EQ(scalar.MaskBlock(buf, pos), want) << "trial " << trial;
-    ASSERT_EQ(swar.MaskBlock(buf, pos), want) << "trial " << trial;
     ASSERT_EQ(simd.MaskBlock(buf, pos), want) << "trial " << trial;
-    std::vector<uint32_t> a, b, c;
+    std::vector<uint32_t> a, b;
     scalar.AppendMemberPositions(buf, &a);
-    swar.AppendMemberPositions(buf, &b);
-    simd.AppendMemberPositions(buf, &c);
+    simd.AppendMemberPositions(buf, &b);
     ASSERT_EQ(a, ReferencePositions(set, buf)) << "trial " << trial;
     ASSERT_EQ(b, a) << "trial " << trial;
-    ASSERT_EQ(c, a) << "trial " << trial;
   }
 }
 
-TEST(ByteClassifierTest, ResolutionDegradesDownTheLadder) {
-  // Whatever the host CPU, the resolved engine must be a valid rung, and
-  // requesting the scalar reference must stay scalar everywhere.
-  EXPECT_EQ(ResolveCharsetEngine(CharsetEngine::kScalar),
-            CharsetEngine::kScalar);
-  const CharsetEngine swar = ResolveCharsetEngine(CharsetEngine::kSwar);
-  EXPECT_TRUE(swar == CharsetEngine::kSwar || swar == CharsetEngine::kScalar);
-  const CharsetEngine simd = ResolveCharsetEngine(CharsetEngine::kSimd);
-  EXPECT_TRUE(simd == CharsetEngine::kSimd || simd == CharsetEngine::kSwar ||
-              simd == CharsetEngine::kScalar);
+TEST(ByteClassifierTest, SimdLevelNamesAKeptKernel) {
+  // kSimd classifies with AVX2 or, without it, the table walk; the CLI
+  // prints which.
   const std::string_view level = CharsetSimdLevel();
-  EXPECT_TRUE(level == "avx2" || level == "sse2" || level == "none");
+  EXPECT_TRUE(level == "avx2" || level == "none") << level;
 }
 
 // ------------------------------------------------------- generation parity --
@@ -353,8 +349,7 @@ TEST(CharsetEnginePipelineTest, ByteIdenticalAcrossEngineMatrix) {
           opts.num_threads = threads;
           opts.enable_mdl_pruning = pruning;
           EXPECT_EQ(PipelineSignature(text, opts), want)
-              << EngineLabel(charset) << " x "
-              << (match == MatchEngine::kCompiled ? "compiled" : "tree")
+              << EngineLabel(charset) << " x " << MatchEngineName(match)
               << " x threads=" << threads << " x pruning=" << pruning;
         }
       }

@@ -21,6 +21,7 @@
 #include "extraction/sinks.h"
 #include "util/file_io.h"
 #include "util/gzip.h"
+#include "util/json.h"
 #include "util/strings.h"
 
 // End-to-end golden harness for `datamaran_cli --out`: runs the real binary
@@ -197,6 +198,7 @@ void WriteGzipped(const std::string& path, const std::string& text) {
 /// in chronological order, for every thread count (every engine and
 /// input path: CliEngineMatrixTest.RotatedGzipStitch).
 TEST(CliInputsTest, RotatedGzipMatchesConcatenatedMatrix) {
+  if (!GzipSupported()) GTEST_SKIP() << "built without zlib";
   if (!HaveGzipTool()) GTEST_SKIP() << "no gzip tool on PATH";
   const std::string dir = ::testing::TempDir() + "dm_cli_rotated";
   fs::remove_all(dir);
@@ -241,6 +243,7 @@ TEST(CliInputsTest, RotatedGzipMatchesConcatenatedMatrix) {
 }
 
 TEST(CliInputsTest, CorruptGzipFailsWithErrorSummary) {
+  if (!GzipSupported()) GTEST_SKIP() << "built without zlib";
   if (!HaveGzipTool()) GTEST_SKIP() << "no gzip tool on PATH";
   const std::string dir = ::testing::TempDir() + "dm_cli_corrupt";
   fs::remove_all(dir);
@@ -450,6 +453,24 @@ TEST(CliCrawlTest, CrawlClustersExtractsAndWarmRunIsIdentical) {
   EXPECT_NE(m.value().find("\"file_count\": 3"), std::string::npos);
   EXPECT_NE(m.value().find("\"format_count\": 1"), std::string::npos)
       << "both copies must cluster into one catalog entry";
+  // Every file's total covers each of its timings, the unstructured
+  // readme's discovery and scan included.
+  auto parsed = ParseJson(m.value());
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  const JsonValue* files = parsed.value().Find("files");
+  ASSERT_TRUE(files != nullptr && files->is_array());
+  ASSERT_EQ(files->items.size(), 3u);
+  for (const JsonValue& file : files->items) {
+    const JsonValue* timings = file.Find("timings");
+    ASSERT_TRUE(timings != nullptr && timings->is_object());
+    const JsonValue* total = timings->Find("total_s");
+    ASSERT_TRUE(total != nullptr && total->AsDouble().has_value());
+    for (const auto& [key, value] : timings->members) {
+      ASSERT_TRUE(value.AsDouble().has_value()) << key;
+      EXPECT_GE(*total->AsDouble(), *value.AsDouble())
+          << *file.Find("path")->AsString() << " " << key;
+    }
+  }
   EXPECT_NE(m.value().find("\"unstructured_count\": 1"), std::string::npos);
   EXPECT_NE(m.value().find("\"error_count\": 0"), std::string::npos);
   EXPECT_NE(m.value().find("\"discoveries\": 2"), std::string::npos)
@@ -484,6 +505,7 @@ TEST(CliCrawlTest, CrawlClustersExtractsAndWarmRunIsIdentical) {
 /// ones in the manifest's errors section (with their Status text), and
 /// exit 1 — never abort the crawl.
 TEST(CliCrawlTest, CrawlContainsPerFileFailures) {
+  if (!GzipSupported()) GTEST_SKIP() << "built without zlib";
   if (!HaveGzipTool()) GTEST_SKIP() << "no gzip tool on PATH";
   const std::string lake = ::testing::TempDir() + "dm_crawl_fail_lake";
   const std::string out = ::testing::TempDir() + "dm_crawl_fail_out";
@@ -548,6 +570,7 @@ TEST(CliCrawlTest, CrawlContainsPerFileFailures) {
 /// the manifest as ONE logical file whose tables equal a crawl over the
 /// pre-concatenated bytes; --no-stitch-rotated restores per-file entries.
 TEST(CliCrawlTest, CrawlStitchesRotatedSiblings) {
+  if (!GzipSupported()) GTEST_SKIP() << "built without zlib";
   if (!HaveGzipTool()) GTEST_SKIP() << "no gzip tool on PATH";
   const std::string lake = ::testing::TempDir() + "dm_crawl_rot_lake";
   const std::string plain = ::testing::TempDir() + "dm_crawl_rot_plain";

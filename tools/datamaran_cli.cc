@@ -304,11 +304,8 @@ int main(int argc, char** argv) {
       s.stream_discovery_runs = static_cast<size_t>(stats.discovery_runs);
       s.stream_checkpoints = static_cast<size_t>(stats.checkpoints);
       s.stream_oversized_lines = static_cast<size_t>(stats.oversized_lines);
-      s.match_engine =
-          options.match_engine == MatchEngine::kCompiled ? "compiled"
-                                                         : "tree";
-      s.charset_engine =
-          CharsetEngineName(ResolveCharsetEngine(options.charset_engine));
+      s.match_engine = MatchEngineName(options.match_engine);
+      s.charset_engine = CharsetEngineName(options.charset_engine);
       s.threads = ThreadPool::ResolveThreadCount(options.num_threads);
       Status written = WriteFileAtomic(summary_json, FileSummaryToJson(s));
       if (!written.ok()) {
@@ -411,15 +408,13 @@ int main(int argc, char** argv) {
                   result.timings.catalog_match_s);
     }
   }
-  // Report the engine actually running, not the one requested: kSimd
-  // resolves by runtime CPU detection and degrades down the ladder.
-  const CharsetEngine resolved_charset =
-      ResolveCharsetEngine(options.charset_engine);
-  if (resolved_charset == CharsetEngine::kSimd) {
+  // kSimd names the kernel it classifies with: AVX2 when the CPU has it.
+  if (options.charset_engine == CharsetEngine::kSimd) {
     std::printf("charset engine: %s (%s)\n",
-                CharsetEngineName(resolved_charset), CharsetSimdLevel());
+                CharsetEngineName(options.charset_engine), CharsetSimdLevel());
   } else {
-    std::printf("charset engine: %s\n", CharsetEngineName(resolved_charset));
+    std::printf("charset engine: %s\n",
+                CharsetEngineName(options.charset_engine));
   }
   std::printf("evaluation: %zu candidate(s) scored, %zu pruned by MDL "
               "bound\n",

@@ -390,8 +390,6 @@ int main(int argc, char** argv) {
   // over the wave-bounded sequential extractor (the pool cannot nest);
   // the catalog is frozen now, so entry template vectors are stable.
   Timer extract_timer;
-  const std::string resolved_charset =
-      CharsetEngineName(ResolveCharsetEngine(options.charset_engine));
   const std::vector<StructureTemplate> no_templates;
   // Noise reaches the writers with its text, so they need no input view.
   const Dataset no_data{std::string()};
@@ -401,9 +399,8 @@ int main(int argc, char** argv) {
     FileSummary& s = f.summary;
     if (s.skipped) return;  // summary restored verbatim; tables kept as-is
     s.path = f.rel_path;
-    s.match_engine =
-        options.match_engine == MatchEngine::kCompiled ? "compiled" : "tree";
-    s.charset_engine = resolved_charset;
+    s.match_engine = MatchEngineName(options.match_engine);
+    s.charset_engine = CharsetEngineName(options.charset_engine);
     s.threads = 1;  // per-file scan is sequential; the crawl fans out files
     s.catalog_checked = true;
     s.catalog_hit = f.fingerprint_hit;
@@ -454,17 +451,21 @@ int main(int argc, char** argv) {
         return;
       }
     }
+    // Unstructured files too: phases 1-2 timed their catalog match and
+    // discovery, so every scanned file reports its scan time and a total.
+    s.timings.extraction_s = t.Seconds();
+    s.timings.total_s = s.timings.catalog_match_s + s.timings.generation_s +
+                        s.timings.pruning_s + s.timings.evaluation_s +
+                        s.timings.refinement_s + s.timings.extraction_s;
     ExtractionResult& stats = scanned.value();
     s.input_bytes = stats.total_chars;
+    s.total_lines = stats.total_lines;
     if (entry == nullptr) {
-      s.total_lines = stats.total_lines;
       s.noise_lines = s.total_lines;
       s.match_rate = s.total_lines == 0 ? 1.0 : 0.0;
       return;
     }
     s.records_per_template = std::move(stats.records_per_template);
-    s.timings.extraction_s = t.Seconds();
-    s.total_lines = stats.total_lines;
     s.records = stats.matched_records;
     s.noise_lines = stats.noise_line_count;
     s.match_rate = stats.line_match_rate();
@@ -473,9 +474,6 @@ int main(int argc, char** argv) {
     // does not clear the same threshold — the extractor's line accounting
     // is what surfaces this instead of silently inflating noise.
     s.drifted = f.fingerprint_hit && s.match_rate < options.catalog_min_match;
-    s.timings.total_s = s.timings.catalog_match_s + s.timings.generation_s +
-                        s.timings.pruning_s + s.timings.evaluation_s +
-                        s.timings.refinement_s + s.timings.extraction_s;
   });
   const double extract_s = extract_timer.Seconds();
 
