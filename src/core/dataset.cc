@@ -24,7 +24,18 @@ const ByteClassifier& NewlineClassifier() {
 
 }  // namespace
 
-Dataset::Dataset(std::string text) : text_(std::move(text)) {
+Dataset::Dataset(std::string text) { Reset(std::move(text)); }
+
+std::string Dataset::Release() {
+  std::string text = std::move(text_);
+  text_.clear();
+  line_begin_.clear();
+  return text;
+}
+
+void Dataset::Reset(std::string text) {
+  text_ = std::move(text);
+  line_begin_.clear();
   if (text_.empty()) return;
   if (text_.back() != '\n') text_.push_back('\n');
   // Two passes over 64-byte newline masks: the first counts, so the index

@@ -48,6 +48,20 @@ class Dataset {
   /// last block is well formed.
   explicit Dataset(std::string text);
 
+  /// An empty Dataset, for Reset to fill.
+  Dataset() = default;
+
+  /// Replaces the text, as the constructor takes it. The line index is
+  /// rebuilt in place, so a Dataset reset segment after segment allocates
+  /// its index once, at the largest segment's line count.
+  void Reset(std::string text);
+
+  /// Gives the text back, capacity included, and leaves the Dataset empty
+  /// (the line index keeps its capacity for the next Reset). A scan that
+  /// moves its buffer in with Reset and out with Release reads every
+  /// segment into one allocation.
+  std::string Release();
+
   Dataset(const Dataset&) = delete;
   Dataset& operator=(const Dataset&) = delete;
   Dataset(Dataset&&) = default;

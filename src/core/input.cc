@@ -540,10 +540,26 @@ Result<size_t> InputReader::EndOfLineAt(size_t pos, std::string* buf) const {
 Result<DatasetView> InputReader::ReadSample(const SamplerOptions& options,
                                             std::optional<Dataset>* copy) {
   if (owned_.has_value()) return SampleView(*owned_, options);
+  // The text is reserved once: grown line by line it would double, the old
+  // copy live during each move. A positioned file reserves its ranges'
+  // total. A stream reserves, for both passes, the budget plus a line-end
+  // probe per chunk, room for each chunk's last line to run past the
+  // chunk's nominal end; only a longer last line grows it. The stream's
+  // reservation stops at the default budget's: a larger budget grows the
+  // text only as far as the stream's bytes go.
   std::string text;
+  if (!positioned_) {
+    const SamplerOptions defaults;
+    text.reserve(
+        std::min(options.max_sample_bytes, defaults.max_sample_bytes) +
+        static_cast<size_t>(
+            std::clamp(options.num_chunks, 0, defaults.num_chunks)) *
+            kLineEndProbeBytes);
+  }
   if (!size_.has_value()) {
     // The first pass over a stream: the whole sample when the text ends
-    // inside the budget; past it, the pass only learns the size.
+    // inside the budget; past it, the pass only learns the size, and the
+    // text keeps its capacity for the second pass.
     LineCollector lines(options.max_line_bytes, &text);
     Pass pass(*this);
     std::string block;
@@ -552,8 +568,8 @@ Result<DatasetView> InputReader::ReadSample(const SamplerOptions& options,
       DM_RETURN_IF_ERROR(pass.Next(&block, &end));
       if (pass.position() <= options.max_sample_bytes) {
         lines.Append(block);
-      } else if (text.capacity() > 0) {
-        std::string().swap(text);
+      } else {
+        text.clear();
       }
     }
     size_ = pass.position();
@@ -567,6 +583,12 @@ Result<DatasetView> InputReader::ReadSample(const SamplerOptions& options,
   Status failed;
   if (positioned_) {
     std::string scratch;
+    // Bytes past a chunk's nominal end belong to one line; when there are
+    // more than the cap allows, that line is dropped, so they are not
+    // reserved for. The queries alternate, a chunk's end first.
+    const size_t cap = options.max_line_bytes;
+    size_t dropped = 0;
+    bool chunk_end = true;
     const std::vector<SampleRange> ranges =
         SampleRanges(size, options, [&](size_t pos) {
           if (!failed.ok()) return size;  // stops the range walk
@@ -575,9 +597,16 @@ Result<DatasetView> InputReader::ReadSample(const SamplerOptions& options,
             failed = end.status();
             return size;
           }
+          if (chunk_end && cap != 0 && end.value() - pos > cap + 1) {
+            dropped += end.value() - pos;
+          }
+          chunk_end = !chunk_end;
           return end.value();
         });
     DM_RETURN_IF_ERROR(failed);
+    size_t total = 0;
+    for (const SampleRange& r : ranges) total += r.end - r.begin;
+    text.reserve(total - dropped);
     for (const SampleRange& r : ranges) {
       for (size_t pos = r.begin; pos < r.end;) {
         const size_t n = std::min(window_bytes_, r.end - pos);
@@ -628,7 +657,17 @@ Result<ExtractionResult> InputReader::Scan(const Extractor& extractor,
     return counts;
   }
   Pass pass(*this);
+  // One buffer serves every segment: it moves into `segment` and back out,
+  // and the undecided lines move to its front. When the size is known it
+  // is reserved once, at one window for the bytes a pass appends plus one
+  // for the carried lines (or the whole text, if smaller), so only a line
+  // or an undecided span longer than a window grows it; a stream of
+  // unknown size grows it as its first bytes arrive.
   std::string buf;  // the carried lines, then the bytes passed after them
+  const size_t capacity = 2 * window_bytes_;
+  if (size_.has_value()) buf.reserve(std::min(*size_, capacity));
+  std::string partial;  // the bytes after the segment's last '\n'
+  Dataset segment;
   size_t line = 0;  // stream line number of buf's first line
   for (bool final = false; !final;) {
     const size_t carried = buf.size();
@@ -640,16 +679,18 @@ Result<ExtractionResult> InputReader::Scan(const Extractor& extractor,
       if (nl == std::string_view::npos) continue;  // a line past the window
       cut = carried + nl + 1;
     }
-    std::string partial = buf.substr(cut);
+    partial.assign(buf, cut);
     buf.resize(cut);
-    const Dataset segment(std::move(buf));
+    segment.Reset(std::move(buf));
     const size_t undecided =
         extractor.ExtractSegment(segment, final, line, sink, &counts,
                                  &buffers);
     line += undecided;
-    buf.assign(segment.text().substr(undecided < segment.line_count()
-                                         ? segment.line_begin(undecided)
-                                         : segment.size_bytes()));
+    const size_t decided = undecided < segment.line_count()
+                               ? segment.line_begin(undecided)
+                               : segment.size_bytes();
+    buf = segment.Release();
+    buf.erase(0, decided);
     buf += partial;
   }
   counts.total_chars = pass.position();

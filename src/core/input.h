@@ -293,7 +293,10 @@ class InputReader {
   /// the SampleRanges (their line-end queries only move forward). Once
   /// the size is known, only the second pass runs. Templates and scores
   /// are the same either way (the copy concatenates the chunks as
-  /// DatasetView::ResolveSpan assembles a window across a gap).
+  /// DatasetView::ResolveSpan assembles a window across a gap). The text
+  /// is reserved once: a single plain file reserves its ranges' total, a
+  /// stream the budget plus a line-end probe per chunk, at most the
+  /// default budget's.
   Result<DatasetView> ReadSample(const SamplerOptions& options,
                                  std::optional<Dataset>* copy);
 
@@ -305,7 +308,11 @@ class InputReader {
   /// is the lines undecided so far plus the complete lines of the next
   /// window; the reader holds one segment and the partial line after it,
   /// and a line longer than the window grows the segment until its '\n'
-  /// arrives.
+  /// arrives. The scan allocates its buffers once, not per segment: one
+  /// text buffer (two windows, or the whole text if smaller, when the size
+  /// is known) moves into the segment's Dataset and back out, the
+  /// undecided lines move to its front, and the line index and the
+  /// extractor's wave buffers are kept from one segment to the next.
   Result<ExtractionResult> Scan(const Extractor& extractor, EventSink* sink);
 
   /// Reads `bytes` per window instead of kWindowBytes (tests only; output

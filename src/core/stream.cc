@@ -68,7 +68,6 @@ StreamingSession::StreamingSession(const DatamaranOptions& options,
       stream_(stream_options),
       sink_(sink),
       dm_(StripCatalogPaths(options)),
-      pool_(ThreadPool::ResolveThreadCount(options.num_threads)),
       // Cap truncated content one past the extraction guard so every
       // truncated line is refused there and decided as noise (stream.h).
       framer_(options.crlf,
@@ -115,29 +114,31 @@ Status StreamingSession::Finish() {
   return status_;
 }
 
-std::vector<StructureTemplate> StreamingSession::Discover(std::string text) {
+std::vector<StructureTemplate> StreamingSession::Discover(
+    const Dataset& data) {
   stats_.discovery_runs++;
-  Dataset data(std::move(text));
   StepTimings timings;
   PipelineStats pstats;
   return dm_.DiscoverTemplates(data, &timings, &pstats, nullptr);
 }
 
 void StreamingSession::RunInitialDiscovery() {
-  std::vector<StructureTemplate> found = Discover(std::string(window_));
+  segment_.Reset(std::move(window_));
+  std::vector<StructureTemplate> found = Discover(segment_);
   if (found.empty()) {
     // Nothing structural in this window: its lines are decided as noise
     // (final — streaming never reprocesses history) and warm-up re-arms
     // on the next window's worth of lines.
-    Dataset window_data{std::string(window_)};
-    for (size_t i = 0; i < window_data.line_count(); ++i) {
-      EmitNoiseDirect(window_data.line_with_newline(i));
+    for (size_t i = 0; i < segment_.line_count(); ++i) {
+      EmitNoiseDirect(segment_.line_with_newline(i));
     }
     sink_->OnWaveEnd();
+    window_ = segment_.Release();
     window_.clear();
     window_line_count_ = 0;
     return;
   }
+  window_ = segment_.Release();
   SpliceTemplates(std::move(found));
   discovered_ = true;
   stats_.epochs = 1;
@@ -159,7 +160,7 @@ size_t StreamingSession::SpliceTemplates(
   // extractor matching on copies is sound.
   extractor_templates_.assign(templates_.begin(), templates_.end());
   extractor_ = std::make_unique<Extractor>(
-      &extractor_templates_, &pool_, options_.match_engine,
+      &extractor_templates_, dm_.pool(), options_.match_engine,
       options_.charset_engine, options_.max_line_bytes, nullptr);
   sink_->OnTemplatesAdded(added);
   return added.size();
@@ -172,7 +173,7 @@ void StreamingSession::RunEvolution() {
   for (const std::string& line : noise_ring_) noise_text += line;
   size_t added = 0;
   if (!noise_text.empty()) {
-    added = SpliceTemplates(Discover(std::move(noise_text)));
+    added = SpliceTemplates(Discover(Dataset(std::move(noise_text))));
   }
   if (added > 0) {
     stats_.evolutions++;
@@ -197,16 +198,17 @@ void StreamingSession::ProcessSegment(bool final_flush) {
   const std::function<bool()> triggered = [this] {
     return evolution_pending_;
   };
-  Extractor::ScanBuffers buffers;
   while (window_line_count_ > 0) {
-    const Dataset segment{std::string(window_)};
+    segment_.Reset(std::move(window_));
     const size_t undecided = extractor_->ExtractSegment(
-        segment, final_flush, static_cast<size_t>(stats_.lines_decided),
-        &decisions, nullptr, &buffers, triggered);
+        segment_, final_flush, static_cast<size_t>(stats_.lines_decided),
+        &decisions, nullptr, &scan_buffers_, triggered);
+    const size_t decided = undecided < segment_.line_count()
+                               ? segment_.line_begin(undecided)
+                               : segment_.size_bytes();
+    window_ = segment_.Release();
     if (undecided == 0) return;  // not enough lookahead to decide anything
-    window_.erase(0, undecided < segment.line_count()
-                         ? segment.line_begin(undecided)
-                         : window_.size());
+    window_.erase(0, decided);
     window_line_count_ -= undecided;
     if (evolution_pending_) {
       RunEvolution();

@@ -16,7 +16,6 @@
 #include "extraction/extractor.h"
 #include "template/template.h"
 #include "util/status.h"
-#include "util/thread_pool.h"
 
 /// Online streaming discovery (`datamaran_cli --follow`): structure
 /// extraction over an unbounded stream at O(window) peak memory.
@@ -63,7 +62,11 @@
 /// all bounded by the window options; the framer carry is bounded by the
 /// oversized-line cap; sinks are O(wave) by contract. Peak RSS is
 /// therefore independent of stream length — the property the stream-soak
-/// CI gate measures.
+/// CI gate measures. The window is one buffer for the session's life: it
+/// moves into the Dataset a discovery run or a segment scan reads and back
+/// out, never copied, and the scan's wave buffers and the segment's line
+/// index are kept from one segment to the next. Discovery and extraction
+/// share the Datamaran's one pool, so num_threads = N runs N threads.
 ///
 /// Determinism: every decision (record vs noise, template id, evolution
 /// trigger point, re-discovery input) is a pure function of the decided
@@ -171,8 +174,8 @@ class DriftMonitor {
 /// records via OnRecord, noise via OnNoiseText (the streaming noise hook:
 /// there is no whole-stream DatasetView for OnNoiseLine to index), new
 /// template types via OnTemplatesAdded. The sink must outlive the session;
-/// so must the options. Not thread-safe (one feeder); extraction
-/// parallelism happens internally via the session's pool.
+/// so must the options. Not thread-safe (one feeder); discovery and
+/// extraction parallelism happens internally on the session's one pool.
 class StreamingSession {
  public:
   StreamingSession(const DatamaranOptions& options,
@@ -207,8 +210,8 @@ class StreamingSession {
  private:
   friend class StreamDecisionSink;
 
-  /// Runs batch discovery over `text`, returning accepted templates.
-  std::vector<StructureTemplate> Discover(std::string text);
+  /// Runs batch discovery over `data`, returning accepted templates.
+  std::vector<StructureTemplate> Discover(const Dataset& data);
 
   /// Warm-up: discovery over the pending window; on success the window
   /// becomes the first segment. On failure the window is decided as noise
@@ -246,8 +249,9 @@ class StreamingSession {
   DatamaranOptions options_;
   StreamOptions stream_;
   EventSink* sink_;
-  Datamaran dm_;         ///< discovery engine (catalog paths cleared)
-  ThreadPool pool_;      ///< extraction pool (options_.num_threads)
+  /// Discovery engine (catalog paths cleared); its pool, the session's
+  /// only one, also runs segment extraction.
+  Datamaran dm_;
   StreamFramer framer_;
 
   /// Live templates. Deque: addresses stable across splices — sinks' row
@@ -264,6 +268,10 @@ class StreamingSession {
   bool finished_ = false;
   std::string window_;       ///< pending warm-up window / segment buffer
   size_t window_line_count_ = 0;
+  /// window_ indexed for a discovery run or a segment scan: the buffer
+  /// moves in and back out, so it is never copied.
+  Dataset segment_;
+  Extractor::ScanBuffers scan_buffers_;  ///< kept from segment to segment
 
   DriftMonitor drift_;
   std::deque<std::string> noise_ring_;  ///< last decided noise lines

@@ -566,6 +566,43 @@ TEST(CliCrawlTest, CrawlContainsPerFileFailures) {
   fs::remove(manifest);
 }
 
+/// Failure containment in every build, zlib or not: a file that starts
+/// with the gzip magic and continues with junk is a corrupt stream with
+/// zlib and an unsupported input without it. Either way the crawl records
+/// it in the manifest's errors, still extracts the good file, and exits 1.
+TEST(CliCrawlTest, CrawlContainsAJunkGzipFile) {
+  const std::string lake = ::testing::TempDir() + "dm_crawl_junk_lake";
+  const std::string out = ::testing::TempDir() + "dm_crawl_junk_out";
+  const std::string manifest =
+      ::testing::TempDir() + "dm_crawl_junk_manifest.json";
+  fs::remove_all(lake);
+  fs::remove_all(out);
+  fs::create_directories(lake);
+  fs::copy_file(SourcePath("tests/data/cli_interleaved.log"),
+                lake + "/good.log");
+  ASSERT_TRUE(WriteStringToFile(lake + "/junk.log.gz",
+                                "\x1f\x8b not a deflate stream\n")
+                  .ok());
+
+  EXPECT_EQ(RunCrawl(StrFormat("\"%s\" --out=\"%s\" --manifest=\"%s\"",
+                               lake.c_str(), out.c_str(), manifest.c_str())),
+            1);
+  ExpectDirsEqual(SourcePath("tests/golden/cli_interleaved_csv"),
+                  out + "/good.log.tables", "crawl good.log beside junk");
+  auto m = ReadFileToString(manifest);
+  ASSERT_TRUE(m.ok());
+  EXPECT_NE(m.value().find("\"error_count\": 1,"), std::string::npos)
+      << m.value();
+  EXPECT_NE(m.value().find("\"errors\": [\n    {\"path\": \"junk.log.gz\", "
+                           "\"error\": \""),
+            std::string::npos)
+      << m.value();
+
+  fs::remove_all(lake);
+  fs::remove_all(out);
+  fs::remove(manifest);
+}
+
 /// Rotation stitching inside the crawl: a rotated gzip'd triple appears in
 /// the manifest as ONE logical file whose tables equal a crawl over the
 /// pre-concatenated bytes; --no-stitch-rotated restores per-file entries.

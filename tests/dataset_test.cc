@@ -55,7 +55,8 @@ TEST(DatasetTest, LineIndexMatchesByteScan) {
   // The index is built from 64-byte newline masks. Against a byte loop:
   // newlines on and around block edges, runs of empty lines, bytes one
   // bit away from '\n' (0x0b, 0x08, 0x8a) and NUL/0xff, with and without
-  // a final newline.
+  // a final newline. One Dataset is also reset to every text in turn, its
+  // index rebuilt in place, and gives each text back.
   const char alphabet[] = {'\n', '\n', 'a', '\x0b', '\x08', '\x8a', '\0',
                            '\xff'};
   Rng rng(7);
@@ -68,6 +69,7 @@ TEST(DatasetTest, LineIndexMatchesByteScan) {
     for (char& c : text) c = alphabet[rng.Uniform(0, 7)];
     texts.push_back(std::move(text));
   }
+  Dataset reused;
   for (const std::string& text : texts) {
     std::string want_text = text;
     if (!want_text.empty() && want_text.back() != '\n') want_text += '\n';
@@ -78,11 +80,18 @@ TEST(DatasetTest, LineIndexMatchesByteScan) {
       begin = i + 1;
     }
     const Dataset data{std::string(text)};
-    ASSERT_EQ(data.text(), want_text);
-    ASSERT_EQ(data.line_count(), want.size());
-    for (size_t i = 0; i < want.size(); ++i) {
-      ASSERT_EQ(data.line_begin(i), want[i]) << "line " << i;
+    reused.Reset(std::string(text));
+    const Dataset* const both[] = {&data, &reused};
+    for (const Dataset* d : both) {
+      ASSERT_EQ(d->text(), want_text);
+      ASSERT_EQ(d->line_count(), want.size());
+      for (size_t i = 0; i < want.size(); ++i) {
+        ASSERT_EQ(d->line_begin(i), want[i]) << "line " << i;
+      }
     }
+    ASSERT_EQ(reused.Release(), want_text);
+    ASSERT_EQ(reused.size_bytes(), 0u);
+    ASSERT_EQ(reused.line_count(), 0u);
   }
 }
 

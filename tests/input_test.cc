@@ -9,7 +9,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
+#include <new>
 #include <optional>
 #include <string>
 #include <utility>
@@ -28,6 +30,48 @@
 #include <sys/resource.h>
 #include <sys/stat.h>
 #endif
+
+// Allocation counting for the InputReader allocation tests: while a
+// thread's flag is set, every operator new it calls for at least
+// kLargeAllocation bytes is counted. The nothrow forms (std::stable_sort's
+// temporary buffer) are replaced too, so every form frees with free().
+namespace {
+constexpr std::size_t kLargeAllocation = 64 * 1024;
+thread_local bool tl_count_allocations = false;
+thread_local size_t tl_large_allocations = 0;
+
+void* CountedMalloc(std::size_t size) noexcept {
+  if (tl_count_allocations && size >= kLargeAllocation) {
+    ++tl_large_allocations;
+  }
+  return std::malloc(size == 0 ? 1 : size);
+}
+}  // namespace
+
+// Neither side is inlined, so the compiler never sees malloc() meet
+// operator delete or free() meet operator new's result.
+[[gnu::noinline]] void* operator new(std::size_t size) {
+  if (void* p = CountedMalloc(size)) return p;
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void* operator new(std::size_t size,
+                                     const std::nothrow_t&) noexcept {
+  return CountedMalloc(size);
+}
+void* operator new[](std::size_t size) { return ::operator new(size); }
+void* operator new[](std::size_t size, const std::nothrow_t& tag) noexcept {
+  return ::operator new(size, tag);
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { ::operator delete(p); }
+void operator delete(void* p, std::size_t) noexcept { ::operator delete(p); }
+void operator delete[](void* p, std::size_t) noexcept { ::operator delete(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept {
+  ::operator delete(p);
+}
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  ::operator delete(p);
+}
 
 namespace datamaran {
 namespace {
@@ -297,9 +341,13 @@ void ExpectReaderServesOpenInputs(const std::vector<std::string>& paths,
   SamplerOptions capped = small;
   capped.max_line_bytes = 8;
   const SamplerOptions whole;  // the 256 KiB default: every case fits
+  // A budget far past any input, set to sample whole files: a stream's
+  // text, reserved before its size is known, must not be reserved at it.
+  SamplerOptions huge;
+  huge.max_sample_bytes = size_t{1} << 50;
   for (const size_t window :
        {size_t{1}, size_t{13}, InputReader::kWindowBytes}) {
-    for (const SamplerOptions& sampler : {small, capped, whole}) {
+    for (const SamplerOptions& sampler : {small, capped, whole, huge}) {
       SCOPED_TRACE(StrFormat("window %zu, sample budget %zu, line cap %zu",
                              window, sampler.max_sample_bytes,
                              sampler.max_line_bytes));
@@ -403,6 +451,11 @@ TEST(InputReader, EveryPathServesOpenInputsText) {
   ASSERT_EQ(outside.find("\r\n"), kCrlfProbeBytes - 1);
   WriteOrDie(dir + "/inside.log", inside);
   WriteOrDie(dir + "/outside.log", outside);
+  // The head's only CRLF straddles a 4 KiB block: '\r' at 4095, '\n' at
+  // 4096.
+  const std::string straddle = CrlfFrom(4096);
+  ASSERT_EQ(straddle.find("\r\n"), 4095u);
+  WriteOrDie(dir + "/straddle.log", straddle);
   std::vector<std::vector<std::string>> cases = {
       {dir + "/plain.log"},
       {dir + "/noeol.log"},
@@ -410,6 +463,7 @@ TEST(InputReader, EveryPathServesOpenInputsText) {
       {dir + "/crlf.log"},
       {dir + "/inside.log"},
       {dir + "/outside.log"},
+      {dir + "/straddle.log"},
       {dir + "/part.log.1", dir + "/part.log"},
       {dir + "/part.log.1", dir + "/empty.log", dir + "/part.log"},
       // One CRLF decision per member: the first strips, the second keeps.
@@ -600,6 +654,74 @@ TEST(InputReader, StitchPastTheDescriptorLimitIsAnError) {
 #else
   GTEST_SKIP() << "no descriptor limit to lower";
 #endif
+}
+
+/// Allocations of at least kLargeAllocation bytes `fn` makes on this
+/// thread.
+template <typename Fn>
+size_t LargeAllocations(Fn&& fn) {
+  tl_large_allocations = 0;
+  tl_count_allocations = true;
+  fn();
+  tl_count_allocations = false;
+  return tl_large_allocations;
+}
+
+/// At least `bytes` of 64-byte "F,F" lines: short enough lines that no
+/// 256 KiB segment's line index reaches kLargeAllocation.
+std::string WidePairLines(size_t bytes) {
+  std::string text;
+  text.reserve(bytes + 64);
+  for (int i = 0; text.size() < bytes; ++i) {
+    text += StrFormat("%09d,%053d\n", i, i * 3);
+  }
+  return text;
+}
+
+TEST(InputReader, ScanAllocatesItsBuffersOncePerReader) {
+  // The scan reads every segment into one buffer, indexes it with one line
+  // index and keeps one set of wave buffers, so a file of 64 windows makes
+  // no more large allocations than one of 16 windows.
+  const std::string dir = MakeCaseDir("scan_allocations");
+  const std::vector<StructureTemplate> templates = PairTemplates();
+  const Extractor extractor(&templates);
+  std::vector<size_t> allocations;
+  for (const size_t windows : {size_t{16}, size_t{64}}) {
+    SCOPED_TRACE(StrFormat("%zu windows", windows));
+    const std::string path = dir + StrFormat("/w%zu.log", windows);
+    const std::string text = WidePairLines(windows * InputReader::kWindowBytes);
+    WriteOrDie(path, text);
+    auto reader = InputReader::Open({path}, InputOptions{});
+    ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+    std::optional<Result<ExtractionResult>> scanned;
+    allocations.push_back(LargeAllocations(
+        [&] { scanned.emplace(reader->Scan(extractor, nullptr)); }));
+    ASSERT_TRUE(scanned->ok()) << scanned->status().ToString();
+    EXPECT_EQ(scanned->value().total_chars, text.size());
+    EXPECT_EQ(scanned->value().matched_records, text.size() / 64);
+  }
+  EXPECT_GT(allocations[0], 0u);  // the counter sees the scan's buffer
+  EXPECT_LE(allocations[1], allocations[0]);
+}
+
+TEST(InputReader, SampleTextIsAllocatedOnce) {
+  // A file past the sample budget is read in its sampled ranges, whose
+  // total is known before a byte is read: the text is reserved once
+  // instead of doubling toward the sample's size.
+  const std::string dir = MakeCaseDir("sample_allocations");
+  const std::string path = dir + "/big.log";
+  WriteOrDie(path, WidePairLines(8 * InputReader::kWindowBytes));
+  auto reader = InputReader::Open({path}, InputOptions{});
+  ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+  const SamplerOptions sampler;
+  std::optional<Dataset> copy;
+  std::optional<Result<DatasetView>> sample;
+  const size_t allocations = LargeAllocations(
+      [&] { sample.emplace(reader->ReadSample(sampler, &copy)); });
+  ASSERT_TRUE(sample->ok()) << sample->status().ToString();
+  ASSERT_TRUE(copy.has_value());
+  EXPECT_GT(copy->size_bytes(), sampler.max_sample_bytes * 3 / 4);
+  EXPECT_EQ(allocations, 1u);
 }
 
 // -------------------------------------------------------- oversized lines ---

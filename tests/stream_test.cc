@@ -1,10 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
 #include <deque>
 #include <filesystem>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <vector>
 
 #include "core/datamaran.h"
@@ -456,6 +458,45 @@ TEST(StreamChunks, OversizedLineDegradesToBoundedNoise)
   // The oversized line itself was decided as noise, truncated to cap+1.
   const size_t noise_pos = run.transcript.find(":xxxx");
   ASSERT_NE(noise_pos, std::string::npos);
+}
+
+// ------------------------------------------------------------- threads ---
+
+/// Threads of this process, from /proc/self/task.
+size_t TaskCount() {
+  size_t n = 0;
+  for (const auto& task :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    (void)task;
+    ++n;
+  }
+  return n;
+}
+
+// --threads=N means N threads: discovery and segment extraction share the
+// session's one pool, so num_threads = 3 starts two workers beside the
+// caller.
+TEST(StreamThreads, SessionRunsNumThreadsThreads) {
+  std::error_code ec;
+  if (!std::filesystem::is_directory("/proc/self/task", ec)) {
+    GTEST_SKIP() << "no /proc/self/task";
+  }
+  // A sanitizer runtime may start a helper thread beside the process's
+  // first thread: one started and joined here lets it start uncounted.
+  std::thread([] {}).join();
+  // An earlier test's joined workers may still be leaving the task list.
+  size_t before = TaskCount();
+  for (int i = 0; i < 100; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    const size_t now = TaskCount();
+    if (now == before) break;
+    before = now;
+  }
+  DatamaranOptions options;
+  options.num_threads = 3;
+  TranscriptSink sink;
+  StreamingSession session(options, StreamOptions(), &sink);
+  EXPECT_EQ(TaskCount(), before + 2);
 }
 
 }  // namespace

@@ -26,7 +26,8 @@
 // MDL evaluation + refinement) runs once per *format*, and every other
 // file is served by the catalog fast path at compiled-match speed. Three
 // phases, each deterministic (files are processed in sorted relative-path
-// order; every per-file artifact is byte-identical for any --threads):
+// order; every per-file artifact is byte-identical for any --threads), all
+// on the one pool of the crawl's Datamaran, so --threads=N runs N threads:
 //
 //   1. Fingerprint (parallel over files): read each file's discovery
 //      sample and match it against the catalog (template/catalog.h
@@ -301,7 +302,14 @@ int main(int argc, char** argv) {
   };
 
   Timer total_timer;
-  ThreadPool pool(ThreadPool::ResolveThreadCount(options.num_threads));
+  // One Datamaran for the crawl, its catalog paths cleared: its pool runs
+  // phase 2's discovery and fans phases 1 and 3 out over files, so
+  // --threads=N runs N threads.
+  DatamaranOptions discover_opts = options;
+  discover_opts.catalog_in.clear();
+  discover_opts.catalog_out.clear();
+  const Datamaran dm(discover_opts);
+  ThreadPool& pool = *dm.pool();
 
   // --- Phase 1: fingerprint every file against the incoming catalog.
   // Pure per-file reads of a shared immutable catalog: safe to fan out.
@@ -335,54 +343,48 @@ int main(int argc, char** argv) {
   // miss first re-fingerprints against the catalog as grown by earlier
   // misses (same-format files cluster behind one discovery); only a
   // genuine miss pays cold discovery. Discovery itself parallelizes
-  // internally (the Datamaran instance has its own pool), so this loop
-  // being sequential costs little and keeps entry numbering deterministic.
+  // internally on the pool, so this loop being sequential costs little and
+  // keeps entry numbering deterministic.
   Timer discovery_timer;
   size_t discoveries = 0;
-  {
-    DatamaranOptions discover_opts = options;
-    discover_opts.catalog_in.clear();
-    discover_opts.catalog_out.clear();
-    Datamaran dm(discover_opts);
-    for (CrawlFile& f : files) {
-      if (f.summary.skipped || f.entry >= 0 || !f.error.ok()) continue;
-      auto reader = open_file(f);
-      if (!reader.ok()) {
-        f.error = reader.status();
-        continue;
-      }
-      std::optional<Dataset> sample_copy;
-      auto sample = reader.value().ReadSample(sampler_opts, &sample_copy);
-      if (!sample.ok()) {
-        f.error = sample.status();
-        continue;
-      }
-      const DatasetView& sample_view = sample.value();
-      if (!catalog.empty()) {
-        Timer t;
-        const CatalogMatch m = MatchCatalog(catalog, sample_view, match_opts);
-        f.summary.timings.catalog_match_s += t.Seconds();
-        if (m.hit()) {
-          f.entry = m.entry;
-          f.fingerprint_hit = true;
-          f.fingerprint_rate = m.match_rate;
-          continue;
-        }
-      }
-      StepTimings timings;
-      PipelineStats stats;
-      std::vector<TemplateReport> reports;
-      dm.DiscoverTemplates(sample_view, &timings, &stats, &reports);
-      f.summary.timings.generation_s = timings.generation_s;
-      f.summary.timings.pruning_s = timings.pruning_s;
-      f.summary.timings.evaluation_s = timings.evaluation_s;
-      f.summary.timings.refinement_s = timings.refinement_s;
-      discoveries++;
-      if (reports.empty()) continue;  // unstructured: noise-only file
-      f.entry =
-          static_cast<int>(catalog.AddEntry(CatalogEntryFromReports(reports)));
-      f.fingerprint_rate = 1.0;  // its own discovery sample, by definition
+  for (CrawlFile& f : files) {
+    if (f.summary.skipped || f.entry >= 0 || !f.error.ok()) continue;
+    auto reader = open_file(f);
+    if (!reader.ok()) {
+      f.error = reader.status();
+      continue;
     }
+    std::optional<Dataset> sample_copy;
+    auto sample = reader.value().ReadSample(sampler_opts, &sample_copy);
+    if (!sample.ok()) {
+      f.error = sample.status();
+      continue;
+    }
+    const DatasetView& sample_view = sample.value();
+    if (!catalog.empty()) {
+      Timer t;
+      const CatalogMatch m = MatchCatalog(catalog, sample_view, match_opts);
+      f.summary.timings.catalog_match_s += t.Seconds();
+      if (m.hit()) {
+        f.entry = m.entry;
+        f.fingerprint_hit = true;
+        f.fingerprint_rate = m.match_rate;
+        continue;
+      }
+    }
+    StepTimings timings;
+    PipelineStats stats;
+    std::vector<TemplateReport> reports;
+    dm.DiscoverTemplates(sample_view, &timings, &stats, &reports);
+    f.summary.timings.generation_s = timings.generation_s;
+    f.summary.timings.pruning_s = timings.pruning_s;
+    f.summary.timings.evaluation_s = timings.evaluation_s;
+    f.summary.timings.refinement_s = timings.refinement_s;
+    discoveries++;
+    if (reports.empty()) continue;  // unstructured: noise-only file
+    f.entry =
+        static_cast<int>(catalog.AddEntry(CatalogEntryFromReports(reports)));
+    f.fingerprint_rate = 1.0;  // its own discovery sample, by definition
   }
   const double discovery_s = discovery_timer.Seconds();
 

@@ -28,31 +28,55 @@
 # over the budget, or a large-input peak over the small-input peak +
 # 2 MiB.
 #
+# Crawl mode (--crawl): write a lake of four formats (comma- and
+# pipe-separated records, a syslog-like line and a two-line record), each
+# in eight host directories as plain files of 12, 24 and 48 KiB, a 40 KiB
+# gzip'd file and a 60 KiB three-member rotation group (oldest member
+# gzip'd) — files no larger than bench_e2e's `lake_crawl` lake holds
+# (24-200 KiB), so discovery's samples stay small — and crawl it with
+# `datamaran_crawl --out --manifest` at --threads=1 and --threads=4. No
+# catalog is given, so phase 2 discovers every format. The crawl runs
+# every phase on one thread pool and each reader allocates its buffers
+# once, so a worker adds its scan state and its heap arena, not a second
+# pool's threads or buffers freed and reallocated per segment: the
+# 4-thread peak may exceed the 1-thread one by at most 3 MiB (measured
+# +1.8-2.5 MB, and +3.4-3.9 MB with a second pool and per-segment
+# buffers). Discovery on full 256 KiB samples also holds a generation
+# workspace per worker, which this lake keeps small (docs/ARCHITECTURE.md).
+# Fails on a nonzero crawl exit, a manifest error, a missing format, or a
+# 4-thread peak over the 1-thread peak plus 3 MiB.
+#
 #   tools/stream_soak.sh [total_bytes] [rss_budget_kb]
 #   tools/stream_soak.sh --batch [file_bytes] [budget_kb]
+#   tools/stream_soak.sh --crawl
 #
-# Requires the tier-1 build (./build/datamaran_cli), python3 (used only to
-# read the child's peak RSS via getrusage — GNU time is not installed
-# everywhere), and for --batch gzip, sed and GNU split.
+# Requires the tier-1 build (./build/datamaran_cli, and for --crawl
+# ./build/datamaran_crawl), python3 (used only to read the child's peak
+# RSS via getrusage — GNU time is not installed everywhere), and for
+# --batch and --crawl gzip, sed and GNU split.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 MODE=stream
-if [ "${1:-}" = "--batch" ]; then
-  MODE=batch
+if [ "${1:-}" = "--batch" ] || [ "${1:-}" = "--crawl" ]; then
+  MODE="${1#--}"
   shift
 fi
+TOOL=build/datamaran_cli
 if [ "$MODE" = batch ]; then
   TOTAL_BYTES="${1:-67108864}"  # 64 MiB; the small run is a quarter of it
   BUDGET_KB="${2:-16384}"       # 16 MiB, whatever the file size
   GROWTH_KB=2048                # large-file peak over the small-file peak
+elif [ "$MODE" = crawl ]; then
+  TOOL=build/datamaran_crawl
+  GROWTH_KB=3072                # 4-thread peak over the 1-thread peak
 else
   TOTAL_BYTES="${1:-200000000}"
   BUDGET_KB="${2:-32768}"   # 32 MiB — measured peak is ~6 MB, flat in stream length
 fi
 
-if [ ! -x build/datamaran_cli ]; then
-  echo "stream_soak: build/datamaran_cli not found (run the tier-1 build first)" >&2
+if [ ! -x "$TOOL" ]; then
+  echo "stream_soak: $TOOL not found (run the tier-1 build first)" >&2
   exit 1
 fi
 
@@ -76,15 +100,15 @@ generate() {
   }'
 }
 
-# Runs the CLI with the given arguments and this function's stdin, writing
+# Runs $TOOL with the given arguments and this function's stdin, writing
 # its stdout to $workdir/stdout.txt; the python3 wrapper reports the child's
 # peak RSS (wait4's ru_maxrss, in kB on Linux) as peak_rss_kb=N in
 # $workdir/rss.txt. ru_maxrss also counts the RSS of the address space the
 # child was exec'd from, so the wrapper forks from a bare interpreter (-I
 # -S, only `os` imported, ~5 MB) rather than through `subprocess`, which
 # would put a floor of ~10-14 MB under every measurement. Sets $peak_kb;
-# exits on a CLI failure.
-run_cli() {
+# exits on a failed run.
+run_tool() {
   local status
   set +e
   python3 -I -S -c '
@@ -98,11 +122,11 @@ if pid == 0:
 _, status, usage = os.wait4(pid, 0)
 print(f"peak_rss_kb={usage.ru_maxrss}", file=sys.stderr)
 sys.exit(os.waitstatus_to_exitcode(status))
-' ./build/datamaran_cli "$@" > "$workdir/stdout.txt" 2> "$workdir/rss.txt"
+' "./$TOOL" "$@" > "$workdir/stdout.txt" 2> "$workdir/rss.txt"
   status=$?
   set -e
   if [ "$status" -ne 0 ]; then
-    echo "stream_soak: CLI exited $status" >&2
+    echo "stream_soak: $TOOL exited $status" >&2
     cat "$workdir/rss.txt" >&2
     exit 1
   fi
@@ -146,7 +170,7 @@ run_batch() {
   esac
   rm -f "$workdir/input.log"
   echo "stream_soak: batch extraction of ${file_bytes} bytes ($2) ..."
-  run_cli "$input" --out="$workdir/out" \
+  run_tool "$input" --out="$workdir/out" \
     --summary-json="$workdir/summary.json" --threads=2 < /dev/null
   rm -rf "$workdir/in"
   if ! grep -q '"error": ""' "$workdir/summary.json"; then
@@ -169,6 +193,82 @@ run_batch() {
   fi
 }
 
+# Writes $2 bytes of format $1 (0-3) to stdout: comma-separated, pipe-
+# separated, syslog-like, and two-line records, with a comment line in
+# every 50.
+generate_format() {
+  awk -v fmt="$1" -v total="$2" 'BEGIN {
+    b = 0;
+    for (i = 0; b < total; i++) {
+      if (i % 50 == 49)   line = "# checkpoint " i;
+      else if (fmt == 0)  line = i "," (i * 7 % 1000) "," (i % 97);
+      else if (fmt == 1)  line = i "|" (i % 89) "|" (i * 3 % 1000) "|" (i % 7);
+      else if (fmt == 2)  line = "Jan " (i % 28 + 1) " " (i % 24) ":" (i % 60) \
+                                 ":" (i * 7 % 60) " host" (i % 5) " sshd[" \
+                                 (1000 + i % 900) "]: session opened for u" (i % 13);
+      else                line = "BEGIN " i "\n  v=" (i * 3 % 1000) ";";
+      print line;
+      b += length(line) + 1;
+    }
+  }'
+}
+
+# Writes the crawl lake under $workdir/lake.
+write_lake() {
+  local host fmt dir
+  for host in 0 1 2 3 4 5 6 7; do
+    dir="$workdir/lake/host$host"
+    mkdir -p "$dir"
+    for fmt in 0 1 2 3; do
+      generate_format "$fmt" 12288 > "$dir/f$fmt-small.log"
+      generate_format "$fmt" 24576 > "$dir/f$fmt-mid.log"
+      generate_format "$fmt" 49152 > "$dir/f$fmt-big.log"
+      generate_format "$fmt" 40960 | gzip -c > "$dir/f$fmt-packed.log.gz"
+      generate_format "$fmt" 61440 > "$workdir/rotate.log"
+      split -n l/3 -d -a 1 "$workdir/rotate.log" "$workdir/part."
+      gzip -c "$workdir/part.0" > "$dir/f$fmt-app.log.2.gz"
+      mv "$workdir/part.1" "$dir/f$fmt-app.log.1"
+      mv "$workdir/part.2" "$dir/f$fmt-app.log"
+      rm -f "$workdir/part.0" "$workdir/rotate.log"
+    done
+  done
+}
+
+# Crawls the lake at --threads=$1; sets $peak_kb and exits on a failed
+# crawl, a manifest error or a format not discovered.
+run_crawl() {
+  rm -rf "$workdir/out"
+  echo "stream_soak: crawling the lake at --threads=$1 ..."
+  run_tool "$workdir/lake" --out="$workdir/out" \
+    --manifest="$workdir/manifest.json" --threads="$1" < /dev/null
+  if ! grep -q '"error_count": 0,' "$workdir/manifest.json"; then
+    echo "stream_soak: FAIL — the manifest reports errors" >&2
+    cat "$workdir/manifest.json" >&2
+    exit 1
+  fi
+  if ! grep -q '"format_count": 4,' "$workdir/manifest.json"; then
+    echo "stream_soak: FAIL — the crawl did not find the lake's 4 formats" >&2
+    grep '"format_count"' "$workdir/manifest.json" >&2
+    exit 1
+  fi
+  echo "stream_soak: peak RSS ${peak_kb} kB"
+}
+
+if [ "$MODE" = crawl ]; then
+  write_lake
+  run_crawl 1
+  one_kb="$peak_kb"
+  run_crawl 4
+  echo "stream_soak: crawl: 4-thread peak ${peak_kb} kB, 1-thread peak" \
+       "${one_kb} kB (allowed growth ${GROWTH_KB} kB)"
+  if [ "$peak_kb" -gt $(( one_kb + GROWTH_KB )) ]; then
+    echo "stream_soak: FAIL — peak RSS grows past the allowance per worker" >&2
+    exit 1
+  fi
+  echo "stream_soak: OK"
+  exit 0
+fi
+
 if [ "$MODE" = batch ]; then
   for kind in plain gzip crlf stitch; do
     run_batch $(( TOTAL_BYTES / 4 )) "$kind"
@@ -186,7 +286,7 @@ if [ "$MODE" = batch ]; then
 fi
 
 echo "stream_soak: streaming ${TOTAL_BYTES} bytes through --follow=- ..."
-run_cli --follow=- --summary-json="$workdir/summary.json" \
+run_tool --follow=- --summary-json="$workdir/summary.json" \
   < <(generate "$TOTAL_BYTES")
 echo "stream_soak: peak RSS ${peak_kb} kB (budget ${BUDGET_KB} kB)"
 if [ "$peak_kb" -gt "$BUDGET_KB" ]; then
