@@ -38,8 +38,8 @@
 // under the scalar reference engine vs kSimd (candidate-set parity gates
 // the process), then times the two classification kernels, the table walk
 // against kSimd's (AVX2 where the CPU has it), on the Dataset line index's
-// newline masks and generation's special-position index (mask and position
-// parity gate the process; speed does not). A seventh
+// newline masks and generation's special-character mask (mask parity
+// gates the process; speed does not). A seventh
 // section ("evaluation") runs the single-thread pipeline with MDL
 // bound-based pruning on vs off: byte-identical output and a
 // candidate-evaluation speedup (evaluation_s; the shared top-K
@@ -983,15 +983,15 @@ SinkCase RunNormalizedSinkCase(int threads, bool quick) {
 // ---------------------------------------------------------------------------
 // Charset-engine microbench: one generation charset trial (tokenize every
 // line against an RT-CharSet, reduce, hash candidate boundaries) under the
-// scalar reference engine vs kSimd (the hoisted special-position index,
-// classified with AVX2 where the CPU has it). The candidate sets must be
-// identical field for field — a mismatch fails the process. Two kernel rows
-// follow, the table walk against kSimd's classifier on the same bytes:
+// scalar reference engine vs kSimd (the generator's shared special-character
+// mask, classified with AVX2 where the CPU has it). The candidate sets must
+// be identical field for field — a mismatch fails the process. Two kernel
+// rows follow, the table walk against kSimd's classifier on the same bytes:
 // MaskBlock on '\n' over the whole corpus (the Dataset line-index loop) and
-// AppendMemberPositions for the default special-char pool on each line (the
-// generation index). A mask or position mismatch fails the process; speed
-// is reported, not gated. Throughput is best-of-rounds with median and
-// round count.
+// BuildSpecialMask for the default special-char pool over the corpus lines
+// (generation's mask). A mask mismatch fails the process; speed is
+// reported, not gated. Throughput is best-of-rounds with median and round
+// count.
 // ---------------------------------------------------------------------------
 
 /// Best-of-rounds MB/s of a reference sweep and a vectorized one over the
@@ -1072,9 +1072,9 @@ bool RunCharsetEngineBench(FILE* f, bool quick) {
   const CharSet cs = CharSet::Of(",");
 
   // Parity first: both engines must accumulate identical candidate bins
-  // (this also builds the vectorized generator's special-position index,
-  // so the timed rounds below measure the steady state both engines reach
-  // across a real search's many trials).
+  // (the vectorized generator built its special-character mask when it was
+  // constructed, so the timed rounds below measure the steady state both
+  // engines reach across a real search's many trials).
   std::vector<CandidateTemplate> scalar_cands, simd_cands;
   scalar_gen.RunCharset(cs, &scalar_cands);
   simd_gen.RunCharset(cs, &simd_cands);
@@ -1150,30 +1150,30 @@ bool RunCharsetEngineBench(FILE* f, bool quick) {
                             [&] { return count_lines(newline_simd); }),
                  masks_identical, kRounds);
 
+  // Generation's special-character mask of the corpus lines, built by the
+  // generator's own BuildSpecialMask with each kernel.
   const ByteClassifier pool_table(DefaultSpecialChars(),
                                   CharsetEngine::kScalar);
   const ByteClassifier pool_simd(DefaultSpecialChars(), CharsetEngine::kSimd);
-  std::vector<uint32_t> positions;
-  auto index_lines = [&](const ByteClassifier& cls) {
-    positions.clear();
-    for (size_t k = 0; k < data.line_count(); ++k) {
-      cls.AppendMemberPositions(data.line_with_newline(k), &positions);
-    }
-    return static_cast<uint64_t>(positions.size());
+  std::vector<uint64_t> special_mask;
+  std::vector<size_t> line_bit;
+  auto build_mask = [&](const ByteClassifier& cls) {
+    BuildSpecialMask(data, cls, &special_mask, &line_bit);
+    return static_cast<uint64_t>(special_mask.size());
   };
-  index_lines(pool_table);
-  const std::vector<uint32_t> want = positions;
-  index_lines(pool_simd);
-  const bool positions_identical = positions == want;
-  PrintKernelRow(f, "special positions", "special_positions",
+  build_mask(pool_table);
+  const std::vector<uint64_t> want = special_mask;
+  build_mask(pool_simd);
+  const bool special_identical = special_mask == want;
+  PrintKernelRow(f, "special mask", "special_mask",
                  TimeSweeps(text.size(), kRounds, kernel_block,
-                            [&] { return index_lines(pool_table); },
-                            [&] { return index_lines(pool_simd); }),
-                 positions_identical, kRounds);
+                            [&] { return build_mask(pool_table); },
+                            [&] { return build_mask(pool_simd); }),
+                 special_identical, kRounds);
 
   std::fprintf(f, "    \"identical_candidates\": %s\n  }",
                identical ? "true" : "false");
-  return identical && masks_identical && positions_identical;
+  return identical && masks_identical && special_identical;
 }
 
 // ---------------------------------------------------------------------------

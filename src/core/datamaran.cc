@@ -115,8 +115,13 @@ std::vector<StructureTemplate> Datamaran::DiscoverTemplates(
 
     // --- Generation ---
     Timer gen_timer;
-    CandidateGenerator generator(residual, &options_, pool_.get());
-    GenerationResult gen = generator.Run();
+    GenerationResult gen;
+    {
+      // Scoped so the generator's special-character mask is freed before
+      // evaluation.
+      CandidateGenerator generator(residual, &options_, pool_.get());
+      gen = generator.Run();
+    }
     if (timings != nullptr) timings->generation_s += gen_timer.Seconds();
     if (stats != nullptr) {
       stats->charsets_tried += gen.charsets_tried;

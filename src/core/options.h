@@ -83,7 +83,7 @@ struct DatamaranOptions {
   MatchEngine match_engine = MatchEngine::kCompiled;
 
   /// Which algorithms the charset hot loops run: kSimd builds generation's
-  /// special-position index (RunCharset) and scans the compiled match
+  /// special-character mask (CandidateGenerator) and scans the compiled match
   /// engine's stop sets of five or more members with the classifier; both
   /// classify with AVX2 when the CPU has it and with the table walk
   /// otherwise (util/byte_class.h). kScalar is the per-byte reference.

@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
+#include <functional>
+#include <memory_resource>
 #include <unordered_map>
 #include <utility>
 
@@ -30,7 +33,6 @@ struct Bin {
   size_t count = 0;
   uint32_t first_i = 0;   // line index of the first candidate occurrence
   uint16_t span = 0;      // lines per candidate
-  uint32_t first_line = 0xffffffff;
   uint32_t next_free = 0;  // first line not covered by a counted occurrence
 };
 
@@ -54,69 +56,165 @@ int CountFieldsInCanonical(std::string_view canonical) {
   return fields;
 }
 
+/// Length of the prefix of `canonical` that is its minimal line period:
+/// the first p line groups, for the least p such that the whole is copies
+/// of them (the whole length when no smaller period exists).
+size_t LinePeriodLength(std::string_view canonical) {
+  if (canonical.empty() || canonical.back() != '\n') return canonical.size();
+  // '\n' is always a literal top-level character in generation-produced
+  // canonicals (arrays never span lines), so it ends every line group.
+  const auto s = static_cast<size_t>(
+      std::count(canonical.begin(), canonical.end(), '\n'));
+  size_t len = 0;  // length of the first p groups
+  for (size_t p = 1; p < s; ++p) {
+    len = canonical.find('\n', len) + 1;
+    if (s % p != 0) continue;
+    bool periodic = true;
+    for (size_t at = len; at < canonical.size() && periodic; at += len) {
+      periodic = canonical.compare(at, len, canonical.substr(0, len)) == 0;
+    }
+    if (periodic) return len;
+  }
+  return canonical.size();
+}
+
+/// Offset of the lexicographically smallest rotation of `canonical`'s line
+/// groups (the earliest on ties). Every group ends in its only '\n', so no
+/// group is a proper prefix of another, and comparing two rotations group
+/// by group orders them exactly as comparing their bytes does.
+size_t SmallestRotation(std::string_view canonical) {
+  if (canonical.empty() || canonical.back() != '\n') return 0;
+  const size_t n = canonical.size();
+  auto less = [&](size_t a, size_t b) {  // rotation at a < rotation at b
+    for (size_t i = 0; i < n; ++i) {
+      const auto x = static_cast<unsigned char>(canonical[a]);
+      const auto y = static_cast<unsigned char>(canonical[b]);
+      if (x != y) return x < y;
+      if (++a == n) a = 0;
+      if (++b == n) b = 0;
+    }
+    return false;
+  };
+  size_t best = 0;
+  for (size_t r = canonical.find('\n') + 1; r < n;
+       r = canonical.find('\n', r) + 1) {
+    if (less(r, best)) best = r;
+  }
+  return best;
+}
+
 }  // namespace
 
 std::string ReduceLinePeriod(std::string_view canonical) {
-  if (canonical.empty() || canonical.back() != '\n') {
-    return std::string(canonical);
-  }
-  // Split into line groups; '\n' is always a literal top-level character in
-  // generation-produced canonicals (arrays never span lines).
-  std::vector<std::string_view> groups;
-  size_t start = 0;
-  for (size_t i = 0; i < canonical.size(); ++i) {
-    if (canonical[i] == '\n') {
-      groups.push_back(canonical.substr(start, i + 1 - start));
-      start = i + 1;
-    }
-  }
-  const size_t s = groups.size();
-  for (size_t p = 1; p < s; ++p) {
-    if (s % p != 0) continue;
-    bool periodic = true;
-    for (size_t i = p; i < s && periodic; ++i) {
-      periodic = groups[i] == groups[i % p];
-    }
-    if (periodic) {
-      size_t len = 0;
-      for (size_t i = 0; i < p; ++i) len += groups[i].size();
-      return std::string(canonical.substr(0, len));
-    }
-  }
-  return std::string(canonical);
+  return std::string(canonical.substr(0, LinePeriodLength(canonical)));
 }
 
 std::string CanonicalizeRotation(std::string_view canonical) {
-  if (canonical.empty() || canonical.back() != '\n') {
-    return std::string(canonical);
-  }
-  std::vector<std::string_view> groups;
-  size_t start = 0;
-  for (size_t i = 0; i < canonical.size(); ++i) {
-    if (canonical[i] == '\n') {
-      groups.push_back(canonical.substr(start, i + 1 - start));
-      start = i + 1;
-    }
-  }
-  const size_t s = groups.size();
-  if (s < 2) return std::string(canonical);
-  size_t best = 0;
-  for (size_t r = 1; r < s; ++r) {
-    // Lexicographic comparison of rotation r vs rotation best.
-    for (size_t i = 0; i < s; ++i) {
-      const std::string_view a = groups[(r + i) % s];
-      const std::string_view b = groups[(best + i) % s];
-      if (a != b) {
-        if (a < b) best = r;
-        break;
-      }
-    }
-  }
-  if (best == 0) return std::string(canonical);
-  std::string out;
-  out.reserve(canonical.size());
-  for (size_t i = 0; i < s; ++i) out += groups[(best + i) % s];
+  const size_t r = SmallestRotation(canonical);
+  std::string out(canonical.substr(r));
+  out += canonical.substr(0, r);
   return out;
+}
+
+void BuildSpecialMask(const DatasetView& sample,
+                      const ByteClassifier& classifier,
+                      std::vector<uint64_t>* mask,
+                      std::vector<size_t>* line_bit) {
+  // Lay out the bits first, then classify each run where it lies in the
+  // backing text.
+  const size_t n = sample.line_count();
+  auto joins_previous = [&](size_t k) {
+    return sample.physical_line(k) == sample.physical_line(k - 1) + 1;
+  };
+  line_bit->resize(n);
+  size_t bits = 0;
+  for (size_t k = 0; k < n; ++k) {
+    if (k > 0 && !joins_previous(k)) bits = (bits + 63) / 64 * 64;
+    (*line_bit)[k] = bits;
+    bits += sample.line_with_newline(k).size();
+  }
+  mask->assign((bits + 63) / 64, 0);
+  const Dataset& data = sample.dataset();
+  for (size_t k = 0; k < n;) {
+    size_t end = k + 1;
+    while (end < n && joins_previous(end)) ++end;
+    const size_t begin = data.line_begin(sample.physical_line(k));
+    const std::string_view run = data.text().substr(
+        begin, data.line_end(sample.physical_line(end - 1)) - begin);
+    uint64_t* word = mask->data() + (*line_bit)[k] / 64;
+    for (size_t pos = 0; pos < run.size(); pos += 64) {
+      *word++ = classifier.MaskBlock(run, pos);
+    }
+    k = end;
+  }
+}
+
+void* NodeFreeList::do_allocate(size_t bytes, size_t alignment) {
+  if (bytes > kMaxBlockBytes || alignment > alignof(void*)) {
+    return std::pmr::new_delete_resource()->allocate(bytes, alignment);
+  }
+  const size_t words = std::max<size_t>(1, (bytes + 7) / 8);
+  void*& head = free_[words];
+  if (head != nullptr) {
+    void* p = head;
+    head = *static_cast<void**>(p);
+    return p;
+  }
+  if (static_cast<size_t>(end_ - next_) < words * 8) {
+    slabs_.push_back(std::make_unique_for_overwrite<std::byte[]>(kSlabBytes));
+    next_ = slabs_.back().get();
+    end_ = next_ + kSlabBytes;
+  }
+  void* p = next_;
+  next_ += words * 8;
+  return p;
+}
+
+void NodeFreeList::do_deallocate(void* p, size_t bytes, size_t alignment) {
+  if (bytes > kMaxBlockBytes || alignment > alignof(void*)) {
+    std::pmr::new_delete_resource()->deallocate(p, bytes, alignment);
+    return;
+  }
+  void*& head = free_[std::max<size_t>(1, (bytes + 7) / 8)];
+  *static_cast<void**>(p) = head;
+  head = p;
+}
+
+size_t CandidateIndex::FindOrAdd(
+    const std::vector<CandidateTemplate>& candidates,
+    std::string_view canonical) {
+  if (slots_.empty()) Grow();
+  const auto hash =
+      static_cast<uint32_t>(std::hash<std::string_view>{}(canonical));
+  const size_t mask = slots_.size() - 1;
+  size_t i = hash >> (32 - std::countr_zero(slots_.size()));
+  for (; slots_[i] != 0; i = (i + 1) & mask) {
+    const size_t at = static_cast<uint32_t>(slots_[i]) - size_t{1};
+    if (slots_[i] >> 32 == hash && candidates[at].canonical == canonical) {
+      return at;
+    }
+  }
+  slots_[i] = uint64_t{hash} << 32 | (candidates.size() + 1);
+  if (2 * ++size_ > slots_.size()) Grow();
+  return candidates.size();
+}
+
+void CandidateIndex::Clear() {
+  std::fill(slots_.begin(), slots_.end(), 0);
+  size_ = 0;
+}
+
+void CandidateIndex::Grow() {
+  std::vector<uint64_t> old(std::max(kMinSlots, 2 * slots_.size()));
+  old.swap(slots_);
+  const size_t mask = slots_.size() - 1;
+  const int shift = 32 - std::countr_zero(slots_.size());
+  for (const uint64_t s : old) {
+    if (s == 0) continue;
+    size_t i = static_cast<size_t>(s >> 32) >> shift;
+    while (slots_[i] != 0) i = (i + 1) & mask;
+    slots_[i] = s;
+  }
 }
 
 CandidateGenerator::CandidateGenerator(DatasetView sample,
@@ -141,20 +239,10 @@ CandidateGenerator::CandidateGenerator(DatasetView sample,
     pool_charset_.Add(static_cast<unsigned char>(c));
   }
   pool_charset_.Add('\n');
-  pool_classifier_ = ByteClassifier(pool_charset_, options_->charset_engine);
-}
-
-void CandidateGenerator::BuildSpecialIndex(GenerationWorkspace* ws) const {
-  const size_t n = sample_.line_count();
-  ws->special_pos.clear();
-  ws->special_begin.resize(n + 1);
-  for (size_t k = 0; k < n; ++k) {
-    ws->special_begin[k] = ws->special_pos.size();
-    pool_classifier_.AppendMemberPositions(sample_.line_with_newline(k),
-                                           &ws->special_pos);
+  if (options_->charset_engine == CharsetEngine::kSimd) {
+    const ByteClassifier classifier(pool_charset_, CharsetEngine::kSimd);
+    BuildSpecialMask(sample_, classifier, &special_mask_, &line_bit_);
   }
-  ws->special_begin[n] = ws->special_pos.size();
-  ws->special_index_built = true;
 }
 
 double CandidateGenerator::RunCharset(const CharSet& rt_charset,
@@ -171,71 +259,82 @@ double CandidateGenerator::RunCharset(const CharSet& rt_charset,
   const size_t n = sample_.line_count();
   if (n == 0) return 0;
 
-  auto& line_canonical_ = ws->line_canonical;
-  auto& line_hash_ = ws->line_hash;
-  auto& prefix_len_ = ws->prefix_len;
-  auto& prefix_field_len_ = ws->prefix_field_len;
-  auto& line_has_field_ = ws->line_has_field;
-
-  line_canonical_.resize(n);
-  line_hash_.resize(n);
-  prefix_len_.resize(n + 1);
-  prefix_field_len_.resize(n + 1);
-  line_has_field_.resize(n);
+  ws->canonicals.clear();
+  ws->canonical_begin.resize(n + 1);
+  ws->line_hash.resize(n);
+  ws->prefix_len.resize(n + 1);
+  ws->prefix_field_len.resize(n + 1);
+  ws->line_has_field.resize(n);
 
   // Per-line record templates, reduced and hashed once for this charset;
   // the field-character count falls out of the same single scan. With a
-  // vector charset engine, membership was classified once per workspace
-  // into the special-position index (every trial charset is a subset of
-  // the pool), so each trial walks only the special positions — emitting a
-  // member byte per position in the trial set and one 'F' per gap — which
-  // is exactly what the per-byte reference scan produces. Charsets outside
-  // the pool (only reachable via the public RunCharset) use the reference.
+  // vector charset engine, membership in the pool was classified once into
+  // the generator's special-character mask (every trial charset is a
+  // subset of the pool), so each trial walks only a line's set bits —
+  // emitting a member byte per bit in the trial set and one 'F' per gap —
+  // which is exactly what the per-byte reference scan produces. Charsets
+  // outside the pool (only reachable via the public RunCharset) use the
+  // reference.
   const bool indexed = options_->charset_engine == CharsetEngine::kSimd &&
                        charset.IsSubsetOf(pool_charset_);
-  if (indexed && !ws->special_index_built) BuildSpecialIndex(ws);
 
   std::string& raw_template = ws->raw_template;
-  prefix_len_[0] = prefix_field_len_[0] = 0;
+  ws->prefix_len[0] = ws->prefix_field_len[0] = 0;
   for (size_t k = 0; k < n; ++k) {
     std::string_view line = sample_.line_with_newline(k);
     raw_template.clear();
     size_t field_chars;
     if (indexed) {
-      const size_t e = ws->special_begin[k + 1];
+      const size_t first = line_bit_[k];
+      const size_t last = first + line.size();
       size_t cursor = 0;   // offset just past the last consumed member
       size_t members = 0;  // trial-set members seen on this line
-      for (size_t s = ws->special_begin[k]; s < e; ++s) {
-        const uint32_t pos = ws->special_pos[s];
-        const char c = line[pos];
-        if (!charset.Contains(static_cast<unsigned char>(c))) continue;
-        if (pos > cursor) raw_template.push_back('F');
-        raw_template.push_back(c);
-        cursor = pos + 1;
-        ++members;
+      for (size_t bit = first; bit < last;) {
+        const size_t width = std::min<size_t>(64 - bit % 64, last - bit);
+        uint64_t set = special_mask_[bit / 64] >> (bit % 64);
+        if (width < 64) set &= (uint64_t{1} << width) - 1;
+        for (; set != 0; set &= set - 1) {
+          const size_t pos =
+              bit - first + static_cast<size_t>(std::countr_zero(set));
+          const char c = line[pos];
+          if (!charset.Contains(static_cast<unsigned char>(c))) continue;
+          if (pos > cursor) raw_template.push_back('F');
+          raw_template.push_back(c);
+          cursor = pos + 1;
+          ++members;
+        }
+        bit += width;
       }
       if (cursor < line.size()) raw_template.push_back('F');
       field_chars = line.size() - members;
     } else {
       field_chars = AppendRecordTemplateCounting(line, charset, &raw_template);
     }
-    ReduceToCanonical(raw_template, &ws->reduce_ws, &line_canonical_[k]);
-    line_hash_[k] = Fnv1a(line_canonical_[k]);
-    prefix_len_[k + 1] = prefix_len_[k] + line.size();
-    prefix_field_len_[k + 1] = prefix_field_len_[k] + field_chars;
-    line_has_field_[k] =
-        line_canonical_[k].find('F') != std::string::npos ? 1 : 0;
+    const std::string& canonical = ws->line_canonical;
+    ReduceToCanonical(raw_template, &ws->reduce_ws, &ws->line_canonical);
+    ws->canonical_begin[k] = ws->canonicals.size();
+    ws->canonicals += canonical;
+    ws->line_hash[k] = Fnv1a(canonical);
+    ws->prefix_len[k + 1] = ws->prefix_len[k] + line.size();
+    ws->prefix_field_len[k + 1] = ws->prefix_field_len[k] + field_chars;
+    ws->line_has_field[k] = canonical.find('F') != std::string::npos ? 1 : 0;
   }
+  ws->canonical_begin[n] = ws->canonicals.size();
 
-  // Enumerate all candidate boundaries (i, span<=L) and hash them.
-  std::unordered_map<uint64_t, Bin> bins;
+  // Enumerate all candidate boundaries (i, span<=L) and hash them. The
+  // map's nodes and buckets come from the workspace's recycled storage,
+  // but the container, its reserve and its insertion sequence are those
+  // of a default-allocated map, so it iterates in the same order: that
+  // order fixes the candidates' order, which Run's composite filter
+  // depends on.
+  std::pmr::unordered_map<uint64_t, Bin> bins(&ws->bin_storage);
   bins.reserve(n * 2);
   const int max_span = options_->max_record_span;
   for (size_t i = 0; i < n; ++i) {
     uint64_t h = kFnvOffset;
     for (int span = 1; span <= max_span && i + span <= n; ++span) {
       const size_t j = i + span;
-      h = ExtendWithHash(h, line_hash_[j - 1]);
+      h = ExtendWithHash(h, ws->line_hash[j - 1]);
       Bin& bin = bins[h];
       if (bin.count == 0) {
         bin.first_i = static_cast<uint32_t>(i);
@@ -243,16 +342,14 @@ double CandidateGenerator::RunCharset(const CharSet& rt_charset,
       }
       if (i >= bin.next_free) {
         const double len =
-            static_cast<double>(prefix_len_[j] - prefix_len_[i]);
-        const double field_len =
-            static_cast<double>(prefix_field_len_[j] - prefix_field_len_[i]);
+            static_cast<double>(ws->prefix_len[j] - ws->prefix_len[i]);
+        const double field_len = static_cast<double>(
+            ws->prefix_field_len[j] - ws->prefix_field_len[i]);
         bin.coverage += len;
         bin.non_field_coverage += len - field_len;
         bin.count++;
         bin.next_free = static_cast<uint32_t>(i) + static_cast<uint32_t>(span);
       }
-      bin.first_line = std::min<uint32_t>(bin.first_line,
-                                          static_cast<uint32_t>(i));
       ++ws->records_hashed;
     }
   }
@@ -264,44 +361,58 @@ double CandidateGenerator::RunCharset(const CharSet& rt_charset,
   double best_assimilation = 0;
   // Dedupe within this charset: stacked/rotated bins canonicalize to the
   // same template; keep the strongest stats.
-  std::unordered_map<std::string, size_t> local_index;
+  ws->trial_index.Clear();
   const size_t out_base = out->size();
+  std::string& canonical = ws->candidate;
   for (const auto& [hash, bin] : bins) {
     if (bin.coverage < min_coverage) continue;
+    const size_t end = bin.first_i + bin.span;
     bool has_field = false;
-    for (size_t k = bin.first_i; k < bin.first_i + bin.span; ++k) {
-      if (line_has_field_[k]) {
+    for (size_t k = bin.first_i; k < end; ++k) {
+      if (ws->line_has_field[k]) {
         has_field = true;
         break;
       }
     }
     if (!has_field) continue;
-    CandidateTemplate cand;
-    for (size_t k = bin.first_i; k < bin.first_i + bin.span; ++k) {
-      cand.canonical += line_canonical_[k];
-    }
-    cand.canonical = CanonicalizeRotation(ReduceLinePeriod(cand.canonical));
-    cand.coverage = bin.coverage;
-    cand.non_field_coverage = bin.non_field_coverage;
-    cand.span = static_cast<int>(
-        std::count(cand.canonical.begin(), cand.canonical.end(), '\n'));
-    cand.count = bin.count;
-    cand.first_line = bin.first_line;
-    cand.field_count = CountFieldsInCanonical(cand.canonical);
-    best_assimilation = std::max(best_assimilation, cand.assimilation());
-    auto it = local_index.find(cand.canonical);
-    if (it == local_index.end()) {
-      local_index.emplace(cand.canonical, out->size());
-      out->push_back(std::move(cand));
+    // The window's line canonicals, reduced to one line period and
+    // rotated to the smallest rotation, assembled in scratch: only a new
+    // candidate's canonical is allocated.
+    const size_t begin = ws->canonical_begin[bin.first_i];
+    const std::string_view window(ws->canonicals.data() + begin,
+                                  ws->canonical_begin[end] - begin);
+    const std::string_view period = window.substr(0, LinePeriodLength(window));
+    const size_t rotation = SmallestRotation(period);
+    canonical.assign(period.substr(rotation));
+    canonical.append(period.substr(0, rotation));
+    const int span =
+        static_cast<int>(std::count(canonical.begin(), canonical.end(), '\n'));
+    const double assimilation = bin.coverage * bin.non_field_coverage;
+    best_assimilation = std::max(best_assimilation, assimilation);
+    const size_t at = ws->trial_index.FindOrAdd(*out, canonical);
+    if (at == out->size()) {
+      CandidateTemplate& cand = out->emplace_back();
+      // Reserving the whole window first makes the string heap-backed
+      // exactly when the window is longer than the small-string buffer,
+      // as it was when candidates were built by appending their lines;
+      // FilterComposites reads through views that depend on it.
+      cand.canonical.reserve(window.size());
+      cand.canonical = canonical;
+      cand.coverage = bin.coverage;
+      cand.non_field_coverage = bin.non_field_coverage;
+      cand.span = span;
+      cand.count = bin.count;
+      cand.first_line = bin.first_i;
+      cand.field_count = CountFieldsInCanonical(canonical);
     } else {
-      CandidateTemplate& existing = (*out)[it->second];
-      DM_CHECK(it->second >= out_base);
-      existing.first_line = std::min(existing.first_line, cand.first_line);
-      if (cand.assimilation() > existing.assimilation()) {
-        existing.coverage = cand.coverage;
-        existing.non_field_coverage = cand.non_field_coverage;
-        existing.count = cand.count;
-        existing.span = cand.span;
+      CandidateTemplate& existing = (*out)[at];
+      DM_CHECK(at >= out_base);
+      existing.first_line = std::min<size_t>(existing.first_line, bin.first_i);
+      if (assimilation > existing.assimilation()) {
+        existing.coverage = bin.coverage;
+        existing.non_field_coverage = bin.non_field_coverage;
+        existing.count = bin.count;
+        existing.span = span;
       }
     }
   }
@@ -309,19 +420,14 @@ double CandidateGenerator::RunCharset(const CharSet& rt_charset,
 }
 
 void CandidateGenerator::MergeCandidates(
-    std::vector<CandidateTemplate>* accumulated, MergeIndex* index,
+    std::vector<CandidateTemplate>* accumulated, CandidateIndex* index,
     std::vector<CandidateTemplate>&& fresh) const {
-  // `index` persists across all of a search's merges, so each trial costs
-  // O(fresh), not a full O(accumulated) re-index. Keys are owned copies:
-  // views into `accumulated` would dangle when push_back reallocates and
-  // SSO string bodies move.
   for (auto& cand : fresh) {
-    auto it = index->find(cand.canonical);
-    if (it == index->end()) {
-      index->emplace(cand.canonical, accumulated->size());
+    const size_t at = index->FindOrAdd(*accumulated, cand.canonical);
+    if (at == accumulated->size()) {
       accumulated->push_back(std::move(cand));
     } else {
-      CandidateTemplate& existing = (*accumulated)[it->second];
+      CandidateTemplate& existing = (*accumulated)[at];
       // The same minimal template found under a different charset: keep the
       // strongest evidence.
       existing.first_line = std::min(existing.first_line, cand.first_line);
@@ -336,7 +442,7 @@ void CandidateGenerator::MergeCandidates(
 
 GenerationResult CandidateGenerator::ExhaustiveSearch() {
   GenerationResult result;
-  MergeIndex index;
+  CandidateIndex index;
   const size_t c = search_chars_.size();
   const size_t subsets = size_t{1} << c;
   const int workers =
@@ -377,7 +483,7 @@ GenerationResult CandidateGenerator::ExhaustiveSearch() {
 
 GenerationResult CandidateGenerator::GreedySearch() {
   GenerationResult result;
-  MergeIndex index;
+  CandidateIndex index;
   CharSet current;  // '\n' is implicit
   std::vector<char> remaining = search_chars_;
   const int workers =
@@ -430,6 +536,16 @@ namespace {
 /// templates. For a true k-line record type, any line-split part co-occurs
 /// with the whole (counts match); for a chance adjacency of two interleaved
 /// single-line types, the composite occurs far less often than either part.
+///
+/// Which composites survive depends on the candidates' order: `count_of`
+/// keys are views into the candidates' canonicals, and std::remove_if
+/// move-assigns later candidates over removed ones while the predicate
+/// still looks parts up through those keys. Until the accuracy work
+/// replaces this filter (ROADMAP.md), generation must therefore hand it
+/// the candidates in exactly the order it always has;
+/// GenerationTest.CandidateOrderIsPinned holds that order. Flagging every
+/// candidate before compacting removes the dependence, but changes the
+/// accepted templates (Figure 17: 83.1% to 79.8%).
 void FilterComposites(std::vector<CandidateTemplate>* candidates) {
   std::unordered_map<std::string_view, size_t> count_of;
   count_of.reserve(candidates->size());

@@ -1,9 +1,13 @@
 #ifndef DATAMARAN_GENERATION_GENERATOR_H_
 #define DATAMARAN_GENERATION_GENERATOR_H_
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
+#include <memory>
+#include <memory_resource>
 #include <string>
-#include <unordered_map>
+#include <string_view>
 #include <vector>
 
 #include "core/dataset.h"
@@ -51,9 +55,20 @@ std::string ReduceLinePeriod(std::string_view canonical);
 /// refinement later picks the correctly aligned rotation.
 std::string CanonicalizeRotation(std::string_view canonical);
 
+/// Generation's special-character mask of `sample`: one bit per live byte,
+/// set iff `classifier` holds the byte. Each run of physically contiguous
+/// live lines starts on a word boundary and is classified in place, 64
+/// bytes per MaskBlock; live line k's bytes are bits [(*line_bit)[k],
+/// (*line_bit)[k] + its length).
+void BuildSpecialMask(const DatasetView& sample,
+                      const ByteClassifier& classifier,
+                      std::vector<uint64_t>* mask,
+                      std::vector<size_t>* line_bit);
+
 /// Outcome of the generation step across all enumerated charsets.
 struct GenerationResult {
-  /// Deduplicated candidates meeting the coverage threshold, unordered.
+  /// Deduplicated candidates meeting the coverage threshold, in the fixed
+  /// order the search merged them (first-found first).
   std::vector<CandidateTemplate> candidates;
   /// Number of RT-CharSet values enumerated.
   size_t charsets_tried = 0;
@@ -61,27 +76,92 @@ struct GenerationResult {
   size_t records_hashed = 0;
 };
 
+/// Dedup of candidates by canonical: an open-addressed table of candidate
+/// indices. A slot holds 1 + the candidate's index in its vector (0 marks
+/// an empty slot) in its low 32 bits and the canonical's 32-bit hash above
+/// them; a table of 2^k slots, at most half full, places a candidate by the
+/// top k bits of that hash. So it keeps no node and no copy of any key, and
+/// growing never hashes a canonical again.
+class CandidateIndex {
+ public:
+  /// The index in `candidates` of the candidate whose canonical is
+  /// `canonical`. When there is none, records `canonical` at
+  /// candidates.size() and returns that: the caller appends it next.
+  size_t FindOrAdd(const std::vector<CandidateTemplate>& candidates,
+                   std::string_view canonical);
+
+  /// Forgets every candidate, keeping the table's storage.
+  void Clear();
+
+ private:
+  static constexpr size_t kMinSlots = 16;
+
+  /// Doubles the table (at least kMinSlots), re-placing each slot by its
+  /// stored hash bits.
+  void Grow();
+
+  std::vector<uint64_t> slots_;
+  size_t size_ = 0;
+};
+
+/// Node storage for a worker's bin maps, recycled from trial to trial:
+/// word-aligned blocks of up to kMaxBlockBytes are carved from slabs of
+/// kSlabBytes at their exact size (in words) and, once freed, kept on one
+/// free list per size, so a trial's map reuses the nodes the previous
+/// trial's map freed. Larger requests (bucket arrays) pass to the default
+/// resource. Memory held is the largest trial's nodes, rounded up to a
+/// slab; the slabs are freed with the workspace.
+class NodeFreeList final : public std::pmr::memory_resource {
+ public:
+  NodeFreeList() = default;
+  // Maps hold its address.
+  NodeFreeList(const NodeFreeList&) = delete;
+  NodeFreeList& operator=(const NodeFreeList&) = delete;
+
+ private:
+  static constexpr size_t kMaxBlockBytes = 128;
+  static constexpr size_t kSlabBytes = 64 * 1024;
+
+  void* do_allocate(size_t bytes, size_t alignment) override;
+  void do_deallocate(void* p, size_t bytes, size_t alignment) override;
+  bool do_is_equal(
+      const std::pmr::memory_resource& other) const noexcept override {
+    return this == &other;
+  }
+
+  /// Freed blocks of 8 * i bytes, linked through their first word.
+  std::array<void*, kMaxBlockBytes / 8 + 1> free_{};
+  std::vector<std::unique_ptr<std::byte[]>> slabs_;
+  std::byte* next_ = nullptr;  // the newest slab's uncarved bytes
+  std::byte* end_ = nullptr;
+};
+
 /// Per-thread scratch for RunCharset. Each worker owns one workspace for
-/// the lifetime of a search, so the steady state performs no per-charset
-/// allocation and concurrent charset trials never share mutable state.
+/// the lifetime of a search, and concurrent charset trials never share
+/// mutable state. Every buffer is reused from trial to trial, so a trial
+/// allocates only a bin map's bucket array and its surviving candidates.
 struct GenerationWorkspace {
   ReduceWorkspace reduce_ws;
   std::string raw_template;
-  std::vector<std::string> line_canonical;
+  std::string line_canonical;  // one line's, before it is stored below
+  /// The trial's per-line canonicals back to back: line k's is
+  /// canonicals[canonical_begin[k], canonical_begin[k+1]), so the lines
+  /// [i, i+span) of a candidate window are one substring.
+  std::string canonicals;
+  std::vector<size_t> canonical_begin;
   std::vector<uint64_t> line_hash;
   std::vector<size_t> prefix_len;         // raw chars, prefix sum
   std::vector<size_t> prefix_field_len;   // field chars, prefix sum
   std::vector<uint8_t> line_has_field;
-  /// The hoisted per-line class vector: for every line, the positions of
-  /// the bytes in the generator's special-character pool (line-relative,
-  /// ascending; line k owns special_pos[special_begin[k] ..
-  /// special_begin[k+1])). Every trial RT-CharSet is a subset of the pool,
-  /// so membership is classified once per workspace — with the configured
-  /// charset engine — and each trial only walks these positions instead of
-  /// re-scanning every byte of every line per charset.
-  std::vector<uint32_t> special_pos;
-  std::vector<size_t> special_begin;
-  bool special_index_built = false;
+  /// Node storage of each trial's bin map. A trial's map returns its nodes
+  /// here when it is destroyed, and the next trial's map reuses them, so
+  /// the search allocates nodes for its largest trial once instead of one
+  /// per distinct window per trial.
+  NodeFreeList bin_storage;
+  /// The trial's dedup of its own candidates, and the canonical it looks
+  /// up next.
+  CandidateIndex trial_index;
+  std::string candidate;
   /// (boundary pair, charset) candidates hashed, accumulated across calls.
   size_t records_hashed = 0;
 };
@@ -124,19 +204,14 @@ class CandidateGenerator {
   const std::vector<char>& search_chars() const { return search_chars_; }
 
  private:
-  /// Canonical -> index into the accumulated candidate vector. Kept
-  /// alongside the accumulator for the whole search so merging each trial
-  /// is O(fresh) instead of O(accumulated + fresh).
-  using MergeIndex = std::unordered_map<std::string, size_t>;
-
   GenerationResult ExhaustiveSearch();
   GenerationResult GreedySearch();
+  /// Merges a trial's candidates into the search's accumulator. `index`
+  /// is the accumulator's dedup, kept for the whole search so merging
+  /// each trial is O(fresh) instead of O(accumulated + fresh).
   void MergeCandidates(std::vector<CandidateTemplate>* accumulated,
-                       MergeIndex* index,
+                       CandidateIndex* index,
                        std::vector<CandidateTemplate>&& fresh) const;
-  /// Builds the workspace's special-position index (one classifier pass
-  /// over every live line of the sample).
-  void BuildSpecialIndex(GenerationWorkspace* ws) const;
 
   DatasetView sample_;
   const DatamaranOptions* options_;
@@ -144,8 +219,12 @@ class CandidateGenerator {
   std::vector<char> search_chars_;
   /// search_chars_ plus '\n' — the superset every trial charset draws from.
   CharSet pool_charset_;
-  /// Pool-charset classifier driving BuildSpecialIndex.
-  ByteClassifier pool_classifier_;
+  /// The special-character mask of pool_charset_ (BuildSpecialMask),
+  /// built once under kSimd and read by every worker: each trial charset
+  /// drawn from the pool walks only its set bits instead of classifying
+  /// every byte again.
+  std::vector<uint64_t> special_mask_;
+  std::vector<size_t> line_bit_;
   size_t records_hashed_ = 0;
 
   // Scratch for the single-threaded public RunCharset overload.

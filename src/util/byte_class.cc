@@ -32,15 +32,6 @@ uint64_t TableMask64(const ByteClassTables& t, const char* p, size_t len) {
   return m;
 }
 
-void TableAppendPositions(const ByteClassTables& t, std::string_view text,
-                          size_t from, std::vector<uint32_t>* out) {
-  for (size_t i = from; i < text.size(); ++i) {
-    if (t.table[static_cast<uint8_t>(text[i])] != 0) {
-      out->push_back(static_cast<uint32_t>(i));
-    }
-  }
-}
-
 size_t TableFindFirst(const ByteClassTables& t, std::string_view text,
                       size_t from) {
   for (size_t q = from; q < text.size(); ++q) {
@@ -110,26 +101,6 @@ __attribute__((target("avx2"))) uint64_t Avx2Mask64(const ByteClassTables& t,
           << 32);
 }
 
-__attribute__((target("avx2"))) void Avx2AppendPositions(
-    const ByteClassTables& t, std::string_view text,
-    std::vector<uint32_t>* out) {
-  const __m256i lo0 = Avx2Broadcast16(t.lo0);
-  const __m256i lo1 = Avx2Broadcast16(t.lo1);
-  const __m256i hi0 = Avx2Broadcast16(kHigh0);
-  const __m256i hi1 = Avx2Broadcast16(kHigh1);
-  const char* const data = text.data();
-  size_t i = 0;
-  for (; i + 32 <= text.size(); i += 32) {
-    uint32_t m = Avx2Mask32(lo0, lo1, hi0, hi1, data + i);
-    while (m != 0) {
-      out->push_back(static_cast<uint32_t>(
-          i + static_cast<size_t>(__builtin_ctz(m))));
-      m &= m - 1;
-    }
-  }
-  TableAppendPositions(t, text, i, out);
-}
-
 __attribute__((target("avx2"))) size_t Avx2FindFirst(const ByteClassTables& t,
                                                      std::string_view text,
                                                      size_t from) {
@@ -187,17 +158,6 @@ uint64_t ByteClassifier::MaskBlock(std::string_view text, size_t pos) const {
   if (avx2_) return Avx2Mask64(tables_, p, len);
 #endif
   return TableMask64(tables_, p, len);
-}
-
-void ByteClassifier::AppendMemberPositions(std::string_view text,
-                                           std::vector<uint32_t>* out) const {
-#ifdef DATAMARAN_BYTECLASS_AVX2
-  if (avx2_) {
-    Avx2AppendPositions(tables_, text, out);
-    return;
-  }
-#endif
-  TableAppendPositions(tables_, text, 0, out);
 }
 
 size_t ByteClassifier::FindFirstMember(std::string_view text,

@@ -5,21 +5,19 @@
 #include <cstddef>
 #include <cstdint>
 #include <string_view>
-#include <vector>
 
 #include "util/char_class.h"
 #include "util/charset_engine.h"
 
 /// Vectorized charset-membership scans. A ByteClassifier is a CharSet
-/// frozen into lookup tables, with three block operations the hot loops
+/// frozen into lookup tables, with two block operations the hot loops
 /// consume:
 ///
-///   MaskBlock             — 64-bit membership mask of up to 64 bytes
-///                           (the Dataset line index, on '\n')
-///   AppendMemberPositions — positions of every member byte in a buffer
-///                           (generation's per-line special-position index)
-///   FindFirstMember       — first member at/after an offset (the compiled
-///                           engine's wide-stop-set field scan)
+///   MaskBlock       — 64-bit membership mask of up to 64 bytes (the
+///                     Dataset line index, on '\n', and generation's
+///                     special-character mask of the sample)
+///   FindFirstMember — first member at/after an offset (the compiled
+///                     engine's wide-stop-set field scan)
 ///
 /// Two kernels serve them:
 ///   AVX2 — 32 bytes per step via the nibble-shuffle technique: the set is
@@ -65,10 +63,6 @@ class ByteClassifier {
   /// Membership mask of text[pos, pos+64): bit i (LSB-first) is set iff
   /// text[pos+i] is a member. Bits at or past text.size() are clear.
   uint64_t MaskBlock(std::string_view text, size_t pos) const;
-
-  /// Appends the position of every member byte of `text`, ascending.
-  void AppendMemberPositions(std::string_view text,
-                             std::vector<uint32_t>* out) const;
 
   /// Position of the first member at or after `from`; text.size() if none.
   size_t FindFirstMember(std::string_view text, size_t from) const;

@@ -15,7 +15,7 @@ enum class CharsetEngine {
   /// Per-byte references: generation tokenizes every line per trial
   /// charset, and the compiled engine scans wide stop sets by table.
   kScalar,
-  /// Generation's special-position index, and the compiled engine's
+  /// Generation's shared special-character mask, and the compiled engine's
   /// classifier scan for stop sets of five or more members. Both classify
   /// with AVX2 when the CPU has it and with the table walk otherwise.
   kSimd,

@@ -19,6 +19,7 @@
 #include "util/charset_engine.h"
 #include "util/hashing.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 // Differential coverage for the byte-classification engines and the MDL
 // evaluation fast path:
@@ -28,8 +29,10 @@
 //    byte values, every start offset, tails shorter than the vector width,
 //    NUL/0xFF runs, and sets containing NUL/0xFF themselves. A per-byte
 //    loop over CharSet::Contains is the oracle for both.
-//  * Generation parity: the special-position-index tokenization path must
-//    accumulate candidate bins identical to the per-byte reference.
+//  * Generation parity: tokenizing through the generator's shared
+//    special-character mask must give candidates identical, in order, to
+//    the per-byte reference — on gapped views whose live lines straddle
+//    the mask's 64-bit words, with and without a thread pool.
 //  * Full-pipeline parity: byte-identical output across
 //    charset_engine x match_engine x threads x pruning.
 //  * ScoreBounded exactness: a returned value is the exact total; nullopt
@@ -59,17 +62,6 @@ uint64_t ReferenceMask(const CharSet& set, std::string_view text,
     }
   }
   return mask;
-}
-
-std::vector<uint32_t> ReferencePositions(const CharSet& set,
-                                         std::string_view text) {
-  std::vector<uint32_t> out;
-  for (size_t i = 0; i < text.size(); ++i) {
-    if (set.Contains(static_cast<unsigned char>(text[i]))) {
-      out.push_back(static_cast<uint32_t>(i));
-    }
-  }
-  return out;
 }
 
 /// Buffers chosen to hit every kernel edge: vector-width blocks, unaligned
@@ -155,29 +147,6 @@ TEST(ByteClassifierTest, MaskBlockMatchesReferenceAcrossEngines) {
   }
 }
 
-TEST(ByteClassifierTest, AppendMemberPositionsMatchesReference) {
-  const auto buffers = AdversarialBuffers();
-  std::vector<uint32_t> got;
-  for (const CharSet& set : TrialCharsets()) {
-    for (CharsetEngine engine : kEngines) {
-      const ByteClassifier cls(set, engine);
-      for (const std::string& buf : buffers) {
-        // Every start offset, as generation passes each sample line as a
-        // view into its buffer: covers unaligned starts and every tail
-        // length past the last full vector.
-        for (size_t start = 0; start <= buf.size(); ++start) {
-          const std::string_view view = std::string_view(buf).substr(start);
-          got.clear();
-          cls.AppendMemberPositions(view, &got);
-          ASSERT_EQ(got, ReferencePositions(set, view))
-              << EngineLabel(engine) << " set{" << set.ToString() << "} len "
-              << buf.size() << " start " << start;
-        }
-      }
-    }
-  }
-}
-
 TEST(ByteClassifierTest, FindFirstMemberMatchesReference) {
   const auto buffers = AdversarialBuffers();
   for (const CharSet& set : TrialCharsets()) {
@@ -226,11 +195,6 @@ TEST(ByteClassifierTest, RandomizedDifferentialSweep) {
     const uint64_t want = ReferenceMask(set, buf, pos);
     ASSERT_EQ(scalar.MaskBlock(buf, pos), want) << "trial " << trial;
     ASSERT_EQ(simd.MaskBlock(buf, pos), want) << "trial " << trial;
-    std::vector<uint32_t> a, b;
-    scalar.AppendMemberPositions(buf, &a);
-    simd.AppendMemberPositions(buf, &b);
-    ASSERT_EQ(a, ReferencePositions(set, buf)) << "trial " << trial;
-    ASSERT_EQ(b, a) << "trial " << trial;
   }
 }
 
@@ -259,37 +223,122 @@ std::string GenerationCorpus() {
   return text;
 }
 
-TEST(CharsetEngineGenerationTest, CandidateBinsIdenticalAcrossEngines) {
-  Dataset data(GenerationCorpus());
-  std::vector<std::vector<CandidateTemplate>> results;
-  for (CharsetEngine engine : kEngines) {
-    DatamaranOptions opts;
-    opts.charset_engine = engine;
-    CandidateGenerator gen(&data, &opts);
-    GenerationResult r = gen.Run();
-    results.push_back(std::move(r.candidates));
+void ExpectSameCandidates(const std::vector<CandidateTemplate>& want,
+                          const std::vector<CandidateTemplate>& got,
+                          const std::string& label) {
+  ASSERT_EQ(got.size(), want.size()) << label;
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got[i].canonical, want[i].canonical) << label << " #" << i;
+    EXPECT_EQ(got[i].coverage, want[i].coverage) << label << " #" << i;
+    EXPECT_EQ(got[i].non_field_coverage, want[i].non_field_coverage)
+        << label << " #" << i;
+    EXPECT_EQ(got[i].span, want[i].span) << label << " #" << i;
+    EXPECT_EQ(got[i].count, want[i].count) << label << " #" << i;
+    EXPECT_EQ(got[i].first_line, want[i].first_line) << label << " #" << i;
+    EXPECT_EQ(got[i].field_count, want[i].field_count) << label << " #" << i;
   }
-  for (size_t e = 1; e < results.size(); ++e) {
-    ASSERT_EQ(results[e].size(), results[0].size())
-        << EngineLabel(kEngines[e]);
-    for (size_t i = 0; i < results[0].size(); ++i) {
-      const CandidateTemplate& want = results[0][i];
-      const CandidateTemplate& got = results[e][i];
-      EXPECT_EQ(got.canonical, want.canonical) << EngineLabel(kEngines[e]);
-      EXPECT_EQ(got.coverage, want.coverage) << want.canonical;
-      EXPECT_EQ(got.non_field_coverage, want.non_field_coverage)
-          << want.canonical;
-      EXPECT_EQ(got.span, want.span) << want.canonical;
-      EXPECT_EQ(got.count, want.count) << want.canonical;
-      EXPECT_EQ(got.first_line, want.first_line) << want.canonical;
-      EXPECT_EQ(got.field_count, want.field_count) << want.canonical;
+}
+
+/// A line of exactly `len` bytes, '\n' included: comma-separated fields
+/// with a key=value head, padded with a letter run.
+std::string LineOfLength(size_t len, Rng* rng) {
+  std::string line = "k" + std::to_string(rng->Uniform(0, 9)) + "=";
+  while (line.size() + 4 < len) {
+    line += std::to_string(rng->Uniform(10, 99)) + ",";
+  }
+  while (line.size() + 1 < len) line.push_back('x');
+  line.resize(len - 1);
+  line.push_back('\n');
+  return line;
+}
+
+/// Lines whose bytes straddle the special mask's 64-bit words: 63, 64, 65,
+/// 128 and 130 bytes, an empty line, and a line whose special characters
+/// are NUL and 0xFF. Seven shapes, so a view that drops every third line
+/// keeps some of each.
+std::string WordEdgeCorpus() {
+  Rng rng(61);
+  std::string text;
+  for (int i = 0; i < 280; ++i) {
+    switch (i % 7) {
+      case 0: text += LineOfLength(63, &rng); break;
+      case 1: text += LineOfLength(64, &rng); break;
+      case 2: text += LineOfLength(65, &rng); break;
+      case 3: text += LineOfLength(130, &rng); break;
+      case 4: text += "\n"; break;
+      case 5: text += LineOfLength(128, &rng); break;
+      default:
+        text += "a" + std::to_string(rng.Uniform(0, 99));
+        text.push_back('\0');
+        text += std::to_string(rng.Uniform(0, 99)) + "\xff" +
+                std::to_string(rng.Uniform(0, 99)) + "\n";
+        break;
+    }
+  }
+  return text;
+}
+
+TEST(CharsetEngineGenerationTest, CandidateBinsIdenticalAcrossEngines) {
+  // Every trial of each search, per engine, on the whole sample and on
+  // gapped views: live runs start mid-word in the backing text, and each
+  // run starts a new mask word.
+  struct Corpus {
+    const char* name;
+    std::string text;
+    CharSet special_chars;
+  };
+  CharSet edge_chars = CharSet::Of(",=");
+  edge_chars.Add('\0');
+  edge_chars.Add(0xff);
+  const Corpus corpora[] = {
+      {"generation", GenerationCorpus(), DefaultSpecialChars()},
+      {"word-edge", WordEdgeCorpus(), edge_chars},
+  };
+  ThreadPool pool(4);
+  for (const Corpus& corpus : corpora) {
+    const Dataset data(corpus.text);
+    std::vector<std::pair<std::string, DatasetView>> views;
+    views.emplace_back("all lines", DatasetView(data));
+    std::vector<uint32_t> third_dead, random_dead;
+    Rng rng(8);
+    for (uint32_t k = 0; k < data.line_count(); ++k) {
+      if (k % 3 != 2) third_dead.push_back(k);
+      if (rng.Uniform(0, 9) < 6) random_dead.push_back(k);
+    }
+    views.emplace_back("every third line dead",
+                       DatasetView(data, std::move(third_dead)));
+    views.emplace_back("random lines dead",
+                       DatasetView(data, std::move(random_dead)));
+    for (const auto& [view_name, view] : views) {
+      for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+        std::vector<std::vector<CandidateTemplate>> results;
+        for (CharsetEngine engine : kEngines) {
+          DatamaranOptions opts;
+          opts.charset_engine = engine;
+          opts.special_chars = corpus.special_chars;
+          CandidateGenerator gen(view, &opts, p);
+          if (std::string_view(corpus.name) == "word-edge") {
+            // NUL and 0xFF are in the pool.
+            ASSERT_EQ(gen.search_chars().size(), 4u);
+          }
+          results.push_back(gen.Run().candidates);
+        }
+        ASSERT_FALSE(results[0].empty());
+        for (size_t e = 1; e < results.size(); ++e) {
+          ExpectSameCandidates(
+              results[0], results[e],
+              std::string(corpus.name) + ", " + view_name + ", " +
+                  (p != nullptr ? "4 threads" : "no pool") + ": " +
+                  EngineLabel(kEngines[e]));
+        }
+      }
     }
   }
 }
 
 TEST(CharsetEngineGenerationTest, OutOfPoolCharsetFallsBackToReference) {
   // RunCharset with a charset outside the generator's special-char pool
-  // cannot use the special-position index; it must still match the scalar
+  // cannot use the special-character mask; it must still match the scalar
   // reference bit for bit.
   Dataset data(GenerationCorpus());
   DatamaranOptions scalar_opts;

@@ -1,16 +1,46 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdlib>
+#include <new>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "core/dataset.h"
 #include "core/options.h"
+#include "datagen/manual_datasets.h"
 #include "generation/generator.h"
 #include "pruning/pruner.h"
+#include "util/hashing.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
+
+// Global allocation counting for GenerationTest.RunAllocatesPerCandidate:
+// while a thread's flag is set, every operator new it calls is counted.
+namespace {
+thread_local bool tl_count_allocations = false;
+thread_local size_t tl_allocations = 0;
+}  // namespace
+
+void* operator new(std::size_t size) {
+  if (tl_count_allocations) ++tl_allocations;
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t size) { return ::operator new(size); }
+// Not inlined, so the compiler never sees free() meet operator new's result.
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { ::operator delete(p); }
+void operator delete(void* p, std::size_t) noexcept { ::operator delete(p); }
+void operator delete[](void* p, std::size_t) noexcept { ::operator delete(p); }
 
 namespace datamaran {
 namespace {
+
+constexpr int kGithubLog4 = 23;       // BuildManualDataset index
+constexpr int kStackexchangeXml = 16;  // BuildManualDataset index
 
 bool HasCandidate(const std::vector<CandidateTemplate>& cands,
                   std::string_view canonical) {
@@ -108,6 +138,96 @@ TEST(GenerationTest, ReduceLinePeriodBasics) {
   EXPECT_EQ(ReduceLinePeriod("F,F\n"), "F,F\n");
   // Three groups with only two equal: not periodic.
   EXPECT_EQ(ReduceLinePeriod("x\nx\ny\n"), "x\nx\ny\n");
+}
+
+/// The group-by-group forms generation used before it reduced and rotated
+/// windows in place: the oracle for ReduceLinePeriod and
+/// CanonicalizeRotation.
+std::vector<std::string_view> LineGroups(std::string_view canonical) {
+  std::vector<std::string_view> groups;
+  size_t start = 0;
+  for (size_t i = 0; i < canonical.size(); ++i) {
+    if (canonical[i] == '\n') {
+      groups.push_back(canonical.substr(start, i + 1 - start));
+      start = i + 1;
+    }
+  }
+  return groups;
+}
+
+std::string ReferencePeriod(std::string_view canonical) {
+  if (canonical.empty() || canonical.back() != '\n') {
+    return std::string(canonical);
+  }
+  const auto groups = LineGroups(canonical);
+  const size_t s = groups.size();
+  for (size_t p = 1; p < s; ++p) {
+    if (s % p != 0) continue;
+    bool periodic = true;
+    for (size_t i = p; i < s && periodic; ++i) {
+      periodic = groups[i] == groups[i % p];
+    }
+    if (periodic) {
+      size_t len = 0;
+      for (size_t i = 0; i < p; ++i) len += groups[i].size();
+      return std::string(canonical.substr(0, len));
+    }
+  }
+  return std::string(canonical);
+}
+
+std::string ReferenceRotation(std::string_view canonical) {
+  if (canonical.empty() || canonical.back() != '\n') {
+    return std::string(canonical);
+  }
+  const auto groups = LineGroups(canonical);
+  const size_t s = groups.size();
+  size_t best = 0;
+  for (size_t r = 1; r < s; ++r) {
+    for (size_t i = 0; i < s; ++i) {
+      const std::string_view a = groups[(r + i) % s];
+      const std::string_view b = groups[(best + i) % s];
+      if (a != b) {
+        if (a < b) best = r;
+        break;
+      }
+    }
+  }
+  std::string out;
+  for (size_t i = 0; i < s; ++i) out += groups[(best + i) % s];
+  return out;
+}
+
+TEST(GenerationTest, CanonicalizeRotationBasics) {
+  EXPECT_EQ(CanonicalizeRotation("b: F\na: F\n"), "a: F\nb: F\n");
+  EXPECT_EQ(CanonicalizeRotation("a: F\nb: F\n"), "a: F\nb: F\n");
+  // A shorter line orders by its '\n' against the longer line's byte.
+  EXPECT_EQ(CanonicalizeRotation("ab\na\n"), "a\nab\n");
+  EXPECT_EQ(CanonicalizeRotation("F\n"), "F\n");
+  EXPECT_EQ(CanonicalizeRotation("F,F"), "F,F");
+}
+
+TEST(GenerationTest, PeriodAndRotationMatchGroupReference) {
+  // Random multi-line canonicals over a few line shapes, so periods and
+  // tied rotations are common; bytes above 0x7f check the unsigned order.
+  const std::string_view shapes[] = {"F\n", "a\n", "ab\n", "F,F\n",
+                                     "\xe9" "F\n", "\n", "aF\n"};
+  Rng rng(31);
+  for (int trial = 0; trial < 3000; ++trial) {
+    std::string unit;
+    const uint64_t lines = rng.Uniform(1, 4);
+    for (uint64_t l = 0; l < lines; ++l) {
+      unit += shapes[rng.Uniform(0, std::size(shapes) - 1)];
+    }
+    std::string canonical;
+    const uint64_t copies = rng.Uniform(1, 3);
+    for (uint64_t c = 0; c < copies; ++c) canonical += unit;
+    if (rng.Uniform(0, 9) == 0) canonical += "tail";
+    ASSERT_EQ(ReduceLinePeriod(canonical), ReferencePeriod(canonical))
+        << canonical;
+    ASSERT_EQ(CanonicalizeRotation(canonical), ReferenceRotation(canonical))
+        << canonical;
+  }
 }
 
 TEST(GenerationTest, EmptyCharsetYieldsTrivialTemplate) {
@@ -229,6 +349,124 @@ TEST(GenerationTest, SearchCharsCappedAndFrequencySorted) {
   CandidateGenerator gen(&data, &opts);
   ASSERT_EQ(gen.search_chars().size(), 2u);
   EXPECT_EQ(gen.search_chars()[0], ',');
+}
+
+// ------------------------------------------------------- candidate order --
+
+/// FNV-1a over a candidate list in order: each canonical, its count, the
+/// bit patterns of its coverage and non_field_coverage, its first_line and
+/// its span.
+uint64_t CandidateOrderHash(const std::vector<CandidateTemplate>& cands) {
+  uint64_t h = kFnvOffset;
+  auto add = [&h](uint64_t v) {
+    for (int b = 0; b < 8; ++b) {
+      h = Fnv1aByte(h, static_cast<unsigned char>(v >> (b * 8)));
+    }
+  };
+  for (const CandidateTemplate& c : cands) {
+    h = Fnv1a(c.canonical, h);
+    add(c.count);
+    add(std::bit_cast<uint64_t>(c.coverage));
+    add(std::bit_cast<uint64_t>(c.non_field_coverage));
+    add(c.first_line);
+    add(static_cast<uint64_t>(c.span));
+  }
+  return h;
+}
+
+/// Three interleaved line types: a timestamped record, a braced request
+/// and a rarer note line. One draw per statement, so the text does not
+/// depend on the compiler's argument evaluation order.
+std::string InterleavedLog() {
+  Rng rng(2024);
+  auto num = [&rng](uint64_t lo, uint64_t hi) {
+    return std::to_string(rng.Uniform(lo, hi));
+  };
+  std::string text;
+  for (int i = 0; i < 600; ++i) {
+    const uint64_t pick = rng.Uniform(0, 9);
+    if (pick < 5) {
+      text += "2024-03-" + num(10, 28);
+      text += " " + num(10, 23);
+      text += ":" + num(10, 59);
+      text += " INFO [worker-" + num(0, 9);
+      text += "] done id=" + num(0, 99999) + "\n";
+    } else if (pick < 8) {
+      text += "req " + num(0, 999);
+      text += " {path: /api/v" + num(1, 3);
+      text += ", ms: " + num(0, 999) + "}\n";
+    } else {
+      text += "-- note " + num(0, 99) + " --\n";
+    }
+  }
+  return text;
+}
+
+// Generation's candidate order is part of its output. The hash bins'
+// iteration order decides which stacked variant's count a period-reduced
+// candidate keeps on equal assimilation, and the order candidates reach
+// FilterComposites (generation/generator.cc) decides which composites it
+// drops: its lookups read through views into canonicals that its
+// remove_if move-assigns over. Even whether a short canonical sits in a
+// heap buffer or in the string's own small buffer changes what those
+// views read. So the bin map's container, reserve and insertion sequence,
+// and the way a candidate's string is built, must not change until that
+// filter is replaced. The expected values were recorded from the
+// generator as it was before its storage was recycled.
+TEST(GenerationTest, CandidateOrderIsPinned) {
+  const GeneratedDataset log4 =
+      BuildManualDataset(kGithubLog4, DefaultManualBytes(kGithubLog4));
+  const Dataset sample(log4.text);
+  ASSERT_EQ(sample.size_bytes(), 24859u);
+  const DatamaranOptions opts;
+  {
+    CandidateGenerator gen(&sample, &opts);
+    const GenerationResult r = gen.Run();
+    EXPECT_EQ(r.candidates.size(), 2972u);
+    EXPECT_EQ(CandidateOrderHash(r.candidates), 0x2cdd431095eec47cull);
+  }
+  {
+    // The same sample with every third line dead.
+    std::vector<uint32_t> live;
+    for (uint32_t k = 0; k < sample.line_count(); ++k) {
+      if (k % 3 != 2) live.push_back(k);
+    }
+    CandidateGenerator gen(DatasetView(sample, std::move(live)), &opts);
+    const GenerationResult r = gen.Run();
+    EXPECT_EQ(r.candidates.size(), 3397u);
+    EXPECT_EQ(CandidateOrderHash(r.candidates), 0x8fd22dbfa8b58fa5ull);
+  }
+  {
+    const Dataset log(InterleavedLog());
+    DatamaranOptions greedy;
+    greedy.search = CharsetSearch::kGreedy;
+    ThreadPool pool(4);
+    CandidateGenerator gen(&log, &greedy, &pool);
+    const GenerationResult r = gen.Run();
+    EXPECT_EQ(r.candidates.size(), 718u);
+    EXPECT_EQ(CandidateOrderHash(r.candidates), 0x99df0a450e3fbdb8ull);
+  }
+}
+
+TEST(GenerationTest, RunAllocatesPerCandidate) {
+  // A full exhaustive search hashes millions of windows. Bin nodes come
+  // from each worker's recycled storage, line canonicals share one buffer,
+  // both dedups hold indices, and a window is reduced and rotated in
+  // scratch, so allocations follow candidates, not windows: one per
+  // distinct window per trial would be several percent of records_hashed.
+  const GeneratedDataset xml =
+      BuildManualDataset(kStackexchangeXml, 100 * 1024);
+  const Dataset sample(xml.text);
+  const DatamaranOptions opts;
+  CandidateGenerator gen(&sample, &opts);
+  tl_allocations = 0;
+  tl_count_allocations = true;
+  const GenerationResult r = gen.Run();
+  tl_count_allocations = false;
+  ASSERT_GT(r.records_hashed, 1000000u);
+  EXPECT_LT(tl_allocations * 100, r.records_hashed)
+      << tl_allocations << " allocations for " << r.records_hashed
+      << " records hashed";
 }
 
 // --------------------------------------------------------------- pruning --
