@@ -226,7 +226,7 @@ class Extractor {
   };
 
   /// Cap on the automatic chunk size. A wave buffers threads x 2 chunks of
-  /// attempts and MatchEvents (40 bytes per field or array event, often
+  /// attempts and MatchEvents (24 bytes per field or array event, often
   /// several times the text they describe), so without a cap one wave of a
   /// file scanned at n / (threads x 16) lines per chunk holds an eighth of
   /// the file's events. With it, wave state is bounded by the thread count

@@ -108,7 +108,7 @@ void FillRowFromEvents(const TemplateNode& node, EventCursor* cur,
     case NodeKind::kField: {
       size_t i = static_cast<size_t>((*leaf)++);
       const MatchEvent& ev = cur->Next();
-      std::string_view v = text.substr(ev.begin, ev.end - ev.begin);
+      std::string_view v = text.substr(ev.begin, ev.end() - ev.begin);
       if ((*filled)[i]) {
         (*cells)[i].push_back(join_sep == 0 ? ' ' : join_sep);
         (*cells)[i].append(v);
@@ -128,7 +128,7 @@ void FillRowFromEvents(const TemplateNode& node, EventCursor* cur,
     case NodeKind::kArray: {
       const MatchEvent& ev = cur->Next();
       int saved = *leaf;
-      for (size_t r = 0; r < ev.count; ++r) {
+      for (size_t r = 0; r < ev.count(); ++r) {
         *leaf = saved;
         FillRowFromEvents(*node.children[0], cur, text, node.ch, leaf, cells,
                           filled);
@@ -355,7 +355,7 @@ void NormalizedRowBuilder::Fill(const TemplateNode& node,
       DM_CHECK(*cursor < num_events);
       const MatchEvent& ev = events[(*cursor)++];
       rows_[row_index].fields[static_cast<size_t>(slot.column)].assign(
-          text.substr(ev.begin, ev.end - ev.begin));
+          text.substr(ev.begin, ev.end() - ev.begin));
       break;
     }
     case NodeKind::kChar:
@@ -373,7 +373,7 @@ void NormalizedRowBuilder::Fill(const TemplateNode& node,
       const size_t parent_relative_id = rows_[row_index].id;
       const int saved_leaf = *leaf;
       const int saved_array = *array;
-      for (size_t r = 0; r < ev.count; ++r) {
+      for (size_t r = 0; r < ev.count(); ++r) {
         const size_t child_row =
             AppendRow(child_table, table, parent_relative_id, r);
         *leaf = saved_leaf;

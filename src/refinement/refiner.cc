@@ -127,19 +127,19 @@ std::vector<ArrayCountStats> CollectArrayCounts(const DatasetView& sample,
       // arrays once per enclosing repetition — emits one kArrayCount event,
       // exactly the visits the old ParsedValue walk made.
       for (const MatchEvent& ev : events) {
-        if (ev.kind != MatchEvent::kArrayCount) continue;
+        if (ev.kind() != MatchEvent::kArrayCount) continue;
         ArrayCountStats& s =
             stats[static_cast<size_t>(array_index.at(ev.node))];
+        const size_t count = ev.count();
         if (s.occurrences == 0) {
-          s.min_count = s.max_count = ev.count;
-        } else if (s.min_count == s.max_count &&
-                   ev.count != s.min_count) {
-          s.min_count = std::min(s.min_count, ev.count);
-          s.max_count = std::max(s.max_count, ev.count);
+          s.min_count = s.max_count = count;
+        } else if (s.min_count == s.max_count && count != s.min_count) {
+          s.min_count = std::min(s.min_count, count);
+          s.max_count = std::max(s.max_count, count);
           ++nonconstant;  // constant -> non-constant, a one-way transition
         } else {
-          s.min_count = std::min(s.min_count, ev.count);
-          s.max_count = std::max(s.max_count, ev.count);
+          s.min_count = std::min(s.min_count, count);
+          s.max_count = std::max(s.max_count, count);
         }
         s.occurrences++;
       }

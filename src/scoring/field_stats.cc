@@ -221,13 +221,13 @@ void TemplateStatsCollector::AddRecordFlat(
     const std::vector<MatchEvent>& events, std::string_view text) {
   ++records_;
   for (const MatchEvent& ev : events) {
-    switch (ev.kind) {
+    switch (ev.kind()) {
       case MatchEvent::kFieldValue:
         columns_[static_cast<size_t>(field_column_.at(ev.node))].Add(
-            text.substr(ev.begin, ev.end - ev.begin));
+            text.substr(ev.begin, ev.end() - ev.begin));
         break;
       case MatchEvent::kArrayCount:
-        array_bits_ += GammaBits(ev.count);
+        array_bits_ += GammaBits(ev.count());
         break;
     }
   }

@@ -382,12 +382,7 @@ bool CompiledTemplate::Run(std::string_view text, size_t* pos,
         if (p == start) return false;  // fields are non-empty
         fields += p - start;
         if constexpr (kEmitEvents) {
-          MatchEvent ev;
-          ev.kind = MatchEvent::kFieldValue;
-          ev.node = nodes_[inst.a];
-          ev.begin = start;
-          ev.end = p;
-          events->push_back(ev);
+          events->push_back(MatchEvent::FieldValue(nodes_[inst.a], start, p));
         }
         break;
       }
@@ -397,12 +392,7 @@ bool CompiledTemplate::Run(std::string_view text, size_t* pos,
         if (p == start) return false;
         fields += p - start;
         if constexpr (kEmitEvents) {
-          MatchEvent ev;
-          ev.kind = MatchEvent::kFieldValue;
-          ev.node = nodes_[inst.a];
-          ev.begin = start;
-          ev.end = p;
-          events->push_back(ev);
+          events->push_back(MatchEvent::FieldValue(nodes_[inst.a], start, p));
         }
         if (p >= size || static_cast<uint8_t>(data[p]) != inst.byte) {
           return false;
@@ -418,12 +408,8 @@ bool CompiledTemplate::Run(std::string_view text, size_t* pos,
           if (p == start) return false;
           fields += p - start;
           if constexpr (kEmitEvents) {
-            MatchEvent ev;
-            ev.kind = MatchEvent::kFieldValue;
-            ev.node = nodes_[inst.a + i];
-            ev.begin = start;
-            ev.end = p;
-            events->push_back(ev);
+            events->push_back(
+                MatchEvent::FieldValue(nodes_[inst.a + i], start, p));
           }
           if (p >= size ||
               static_cast<uint8_t>(data[p]) != static_cast<uint8_t>(lits[i])) {
@@ -437,10 +423,7 @@ bool CompiledTemplate::Run(std::string_view text, size_t* pos,
         size_t count_idx = 0;
         if constexpr (kEmitEvents) {
           count_idx = events->size();
-          MatchEvent ev;
-          ev.kind = MatchEvent::kArrayCount;
-          ev.node = nodes_[inst.b];
-          events->push_back(ev);
+          events->push_back(MatchEvent::ArrayCount(nodes_[inst.b]));
         }
         size_t reps = 0;
         for (;;) {
@@ -449,12 +432,7 @@ bool CompiledTemplate::Run(std::string_view text, size_t* pos,
           if (p == start) return false;
           fields += p - start;
           if constexpr (kEmitEvents) {
-            MatchEvent ev;
-            ev.kind = MatchEvent::kFieldValue;
-            ev.node = nodes_[inst.a];
-            ev.begin = start;
-            ev.end = p;
-            events->push_back(ev);
+            events->push_back(MatchEvent::FieldValue(nodes_[inst.a], start, p));
           }
           ++reps;
           if (p < size && static_cast<uint8_t>(data[p]) == inst.byte) {
@@ -464,7 +442,7 @@ bool CompiledTemplate::Run(std::string_view text, size_t* pos,
           break;
         }
         if constexpr (kEmitEvents) {
-          (*events)[count_idx].count = reps;
+          (*events)[count_idx].set_count(reps);
         }
         break;
       }
@@ -473,10 +451,7 @@ bool CompiledTemplate::Run(std::string_view text, size_t* pos,
           ArrayFrame& frame = frames[fp++];
           frame.reps = 1;
           frame.count_idx = events->size();
-          MatchEvent ev;
-          ev.kind = MatchEvent::kArrayCount;
-          ev.node = nodes_[inst.b];
-          events->push_back(ev);
+          events->push_back(MatchEvent::ArrayCount(nodes_[inst.b]));
         }
         break;
       }
@@ -487,7 +462,7 @@ bool CompiledTemplate::Run(std::string_view text, size_t* pos,
           ip = inst.a - 1;  // loop back to the element program
         } else if constexpr (kEmitEvents) {
           const ArrayFrame& frame = frames[--fp];
-          (*events)[frame.count_idx].count = frame.reps;
+          (*events)[frame.count_idx].set_count(frame.reps);
         }
         break;
       }

@@ -22,7 +22,7 @@ void ReplayNode(const TemplateNode& node, ReplayCursor* cursor,
       break;
     case NodeKind::kField: {
       const MatchEvent& ev = cursor->events[cursor->next_event++];
-      cursor->pos = ev.end;
+      cursor->pos = ev.end();
       break;
     }
     case NodeKind::kStruct: {
@@ -37,8 +37,8 @@ void ReplayNode(const TemplateNode& node, ReplayCursor* cursor,
     case NodeKind::kArray: {
       const MatchEvent& ev = cursor->events[cursor->next_event++];
       const TemplateNode& elem = *node.children[0];
-      out->children.reserve(ev.count);
-      for (size_t r = 0; r < ev.count; ++r) {
+      out->children.reserve(ev.count());
+      for (size_t r = 0; r < ev.count(); ++r) {
         if (r > 0) ++cursor->pos;  // the separator between repetitions
         ParsedValue v;
         ReplayNode(elem, cursor, &v);

@@ -91,12 +91,7 @@ bool TemplateMatcher::ParseFlatNode(const TemplateNode& node,
       *field_chars += p - start;
       *pos = p;
       if (events != nullptr) {
-        MatchEvent ev;
-        ev.kind = MatchEvent::kFieldValue;
-        ev.node = &node;
-        ev.begin = start;
-        ev.end = p;
-        events->push_back(ev);
+        events->push_back(MatchEvent::FieldValue(&node, start, p));
       }
       return true;
     }
@@ -114,10 +109,7 @@ bool TemplateMatcher::ParseFlatNode(const TemplateNode& node,
       size_t count_idx = 0;
       if (events != nullptr) {
         count_idx = events->size();
-        MatchEvent ev;
-        ev.kind = MatchEvent::kArrayCount;
-        ev.node = &node;
-        events->push_back(ev);
+        events->push_back(MatchEvent::ArrayCount(&node));
       }
       size_t reps = 1;
       if (!ParseFlatNode(elem, text, pos, field_chars, events)) return false;
@@ -128,7 +120,7 @@ bool TemplateMatcher::ParseFlatNode(const TemplateNode& node,
         }
         ++reps;
       }
-      if (events != nullptr) (*events)[count_idx].count = reps;
+      if (events != nullptr) (*events)[count_idx].set_count(reps);
       return true;
     }
   }

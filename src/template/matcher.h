@@ -57,17 +57,48 @@ struct MatchStats {
 /// all a consumer needs to attribute the event to a relational column
 /// (each distinct kField node is one column; array repetitions revisit the
 /// same element nodes and pool into the same columns).
+///
+/// Three words: the kind is not stored but read from the node (a kField
+/// node is a field value, a kArray node an array count), and one word
+/// holds a field value's end or an array's repetition count, which never
+/// occur together. A parallel scan buffers threads x 2 chunks of events
+/// per wave (extraction/extractor.h), so their size sets that state.
 struct MatchEvent {
   enum Kind : uint8_t {
-    kFieldValue,  ///< `node` is a kField leaf; [begin, end) is the value
-    kArrayCount,  ///< `node` is a kArray; `count` repetitions were parsed
+    kFieldValue,  ///< `node` is a kField leaf; [begin, end()) is the value
+    kArrayCount,  ///< `node` is a kArray; count() repetitions were parsed
   };
-  Kind kind;
-  const TemplateNode* node;
-  size_t begin = 0;  ///< kFieldValue: value span start
-  size_t end = 0;    ///< kFieldValue: value span end
-  size_t count = 0;  ///< kArrayCount: number of repetitions
+
+  static MatchEvent FieldValue(const TemplateNode* node, size_t begin,
+                               size_t end) {
+    MatchEvent ev;
+    ev.node = node;
+    ev.begin = begin;
+    ev.end_or_count_ = end;
+    return ev;
+  }
+  /// The count is patched in with set_count() once the array is parsed.
+  static MatchEvent ArrayCount(const TemplateNode* node) {
+    MatchEvent ev;
+    ev.node = node;
+    return ev;
+  }
+
+  Kind kind() const {
+    return node->kind == NodeKind::kArray ? kArrayCount : kFieldValue;
+  }
+  size_t end() const { return end_or_count_; }    ///< kFieldValue only
+  size_t count() const { return end_or_count_; }  ///< kArrayCount only
+  void set_count(size_t count) { end_or_count_ = count; }
+
+  const TemplateNode* node = nullptr;
+  size_t begin = 0;  ///< kFieldValue: value span start (kArrayCount: 0)
+
+ private:
+  size_t end_or_count_ = 0;
 };
+static_assert(sizeof(MatchEvent) == 24,
+              "MatchEvent is three words: node, begin, end or count");
 
 /// The reference tree-walking matcher, bound to one structure template.
 /// Cheap to construct; holds only pointers/derived sets, so the template

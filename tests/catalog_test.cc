@@ -155,10 +155,13 @@ void ExpectEventParity(const std::vector<MatchEvent>& a,
                        const std::string& context) {
   ASSERT_EQ(a.size(), b.size()) << context;
   for (size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].kind, b[i].kind) << context << " event " << i;
+    EXPECT_EQ(a[i].kind(), b[i].kind()) << context << " event " << i;
     EXPECT_EQ(a[i].begin, b[i].begin) << context << " event " << i;
-    EXPECT_EQ(a[i].end, b[i].end) << context << " event " << i;
-    EXPECT_EQ(a[i].count, b[i].count) << context << " event " << i;
+    if (a[i].kind() == MatchEvent::kFieldValue) {
+      EXPECT_EQ(a[i].end(), b[i].end()) << context << " event " << i;
+    } else {
+      EXPECT_EQ(a[i].count(), b[i].count()) << context << " event " << i;
+    }
   }
 }
 

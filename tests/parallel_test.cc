@@ -2,9 +2,11 @@
 
 #include <atomic>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <map>
 #include <memory>
+#include <new>
 #include <numeric>
 #include <string>
 #include <utility>
@@ -30,10 +32,60 @@
 // Determinism-parity tests for the parallel hot paths: with identical
 // inputs, num_threads=1 and num_threads=N must produce identical accepted
 // templates, scores, and extraction output. Plus unit tests for the thread
-// pool itself and for the allocation-free flat-match path.
+// pool itself, for the allocation-free flat-match path, and for the bytes
+// one parallel scan's wave allocates.
+
+// Byte counting for the wave-memory test: while g_count_bytes is set,
+// every operator new on any thread (pool workers grow the chunk buffers)
+// adds its size to g_allocated_bytes. The nothrow forms are replaced too,
+// so every form frees with free().
+namespace {
+std::atomic<bool> g_count_bytes{false};
+std::atomic<size_t> g_allocated_bytes{0};
+
+void* CountedMalloc(std::size_t size) noexcept {
+  if (g_count_bytes) g_allocated_bytes += size;
+  return std::malloc(size == 0 ? 1 : size);
+}
+}  // namespace
+
+// Neither side is inlined, so the compiler never sees malloc() meet
+// operator delete or free() meet operator new's result.
+[[gnu::noinline]] void* operator new(std::size_t size) {
+  if (void* p = CountedMalloc(size)) return p;
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void* operator new(std::size_t size,
+                                     const std::nothrow_t&) noexcept {
+  return CountedMalloc(size);
+}
+void* operator new[](std::size_t size) { return ::operator new(size); }
+void* operator new[](std::size_t size, const std::nothrow_t& tag) noexcept {
+  return ::operator new(size, tag);
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { ::operator delete(p); }
+void operator delete(void* p, std::size_t) noexcept { ::operator delete(p); }
+void operator delete[](void* p, std::size_t) noexcept { ::operator delete(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept {
+  ::operator delete(p);
+}
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  ::operator delete(p);
+}
 
 namespace datamaran {
 namespace {
+
+/// Bytes that operator new hands out, on any thread, while `fn` runs.
+template <typename Fn>
+size_t AllocatedBytes(Fn&& fn) {
+  g_allocated_bytes = 0;
+  g_count_bytes = true;
+  fn();
+  g_count_bytes = false;
+  return g_allocated_bytes;
+}
 
 // ---------------------------------------------------------------------------
 // ThreadPool unit tests
@@ -297,6 +349,48 @@ TEST(ParallelExtractionTest, SingleLineParity) {
   ExpectSameExtraction(seq.Extract(data), par.Extract(data));
 }
 
+TEST(ParallelExtractionTest, WaveBuffersHoldTwentyFourByteEvents) {
+  // A segment of 8,192 six-field records scanned on two threads: each wave
+  // is 4 chunks of 256 lines (the minimum chunk size), and each chunk
+  // buffers 256 records x 6 field events. The chunk vectors grow by
+  // doubling, so the allocations stay under twice the wave's events at
+  // 24 bytes apiece, plus the same again for the chunks' 256 attempts of
+  // at most 80 bytes, plus 32 KiB for the pool's tasks and the counts.
+  // Later waves reuse the first wave's capacity. With libstdc++ the scan
+  // allocates 444,368 bytes against a bound of 491,520; with 40-byte
+  // events it allocated 641,552.
+  auto st = StructureTemplate::FromCanonical("F,F,F,F,F,F\n");
+  ASSERT_TRUE(st.ok());
+  std::vector<StructureTemplate> templates;
+  templates.push_back(std::move(st.value()));
+  constexpr size_t kLines = 8192;
+  constexpr size_t kFields = 6;
+  std::string text;
+  for (size_t i = 0; i < kLines; ++i) {
+    text += StrFormat("%zu,%zu,%zu,%zu,%zu,%zu\n", i, i * 7 % 1000, i % 97,
+                      i * 3 % 1000, i % 7, i % 89);
+  }
+  const Dataset segment(std::move(text));
+  ThreadPool pool(2);
+  const Extractor extractor(&templates, &pool);
+  Extractor::ScanBuffers buffers;
+  ExtractionResult counts;
+  size_t decided = 0;
+  const size_t bytes = AllocatedBytes([&] {
+    decided = extractor.ExtractSegment(segment, /*final=*/true, 0, nullptr,
+                                       &counts, &buffers);
+  });
+  EXPECT_EQ(decided, kLines);
+  EXPECT_EQ(counts.matched_records, kLines);
+
+  constexpr size_t kChunks = 4;
+  constexpr size_t kChunkLines = 256;
+  constexpr size_t kEventBytes = 2 * kChunks * kChunkLines * kFields * 24;
+  constexpr size_t kAttemptBytes = 2 * kChunks * kChunkLines * 80;
+  EXPECT_GT(bytes, kEventBytes / 2);  // the counter sees the wave's events
+  EXPECT_LE(bytes, kEventBytes + kAttemptBytes + 32 * 1024);
+}
+
 // ---------------------------------------------------------------------------
 // Streaming columnar sink determinism under tiny waves
 // ---------------------------------------------------------------------------
@@ -513,14 +607,24 @@ TEST(StreamingSinkDeterminismTest, CappedAutoChunksAreByteIdentical) {
 // ---------------------------------------------------------------------------
 
 /// Streaming sink that serializes every decision — records with their
-/// template id and line, noise with its carried bytes — into one string.
+/// template id, line, bytes and flat parse (each field value's span and
+/// each array's count, relative to the record), noise with its carried
+/// bytes — into one string.
 class StreamTranscriptSink : public EventSink {
  public:
   void OnRecord(int template_id, size_t first_line, std::string_view text,
-                size_t pos, size_t end, const MatchEvent* /*events*/,
-                size_t /*num_events*/) override {
+                size_t pos, size_t end, const MatchEvent* events,
+                size_t num_events) override {
     log += StrFormat("R%d@%zu:", template_id, first_line);
     log.append(text.data() + pos, end - pos);
+    for (size_t i = 0; i < num_events; ++i) {
+      const MatchEvent& ev = events[i];
+      if (ev.kind() == MatchEvent::kFieldValue) {
+        log += StrFormat("|F%zu-%zu", ev.begin - pos, ev.end() - pos);
+      } else {
+        log += StrFormat("|A%zu", ev.count());
+      }
+    }
     log += '\x1f';
   }
   void OnNoiseText(size_t line_index,
@@ -537,14 +641,17 @@ TEST(StreamingSessionDeterminismTest, DriftCorpusMatrixIsByteIdentical) {
   // drift-triggered evolution — re-run across every combination of thread
   // count, match engine, and chunk-delivery schedule over the committed
   // drift corpus. The decision transcript (every record and noise line, in
-  // order, with bytes) and the evolved template set must be byte-identical
+  // order, with bytes, each record with its field spans and array counts)
+  // and the evolved template set must be byte-identical
   // everywhere: parallelism and I/O chunking must not leak into decisions,
-  // even across an evolution epoch boundary.
+  // even across an evolution epoch boundary. 128-line segments scan
+  // sequentially at every thread count; 1024-line segments are long enough
+  // for the chunked parallel scan at 2 and 4 threads, whose buffered
+  // events the transcript then compares with the sequential scan's.
   auto bytes = ReadFileToString(std::string(DM_SOURCE_DIR) +
                                 "/tests/data/stream_drift.log");
   ASSERT_TRUE(bytes.ok());
   StreamOptions stream_options;
-  stream_options.window_lines = 128;
   stream_options.drift_window_lines = 64;
   stream_options.drift_threshold = 0.5;
   stream_options.min_epoch_lines = 128;
@@ -580,21 +687,24 @@ TEST(StreamingSessionDeterminismTest, DriftCorpusMatrixIsByteIdentical) {
                            session.stats().evolutions);
   };
 
-  const auto want = run(1, MatchEngine::kCompiled, 0);
-  ASSERT_GE(std::get<3>(want), 1u) << "corpus must drive an evolution";
-  for (const int threads : {1, 2, 4}) {
-    for (const MatchEngine engine :
-         {MatchEngine::kCompiled, MatchEngine::kTree}) {
-      for (const uint64_t schedule : {0ull, 1ull, 0x9E3779B97F4A7C15ull}) {
-        SCOPED_TRACE(StrFormat(
-            "threads=%d engine=%s schedule=%llu", threads,
-            engine == MatchEngine::kTree ? "tree" : "compiled",
-            static_cast<unsigned long long>(schedule)));
-        const auto got = run(threads, engine, schedule);
-        EXPECT_EQ(std::get<0>(want), std::get<0>(got));
-        EXPECT_EQ(std::get<1>(want), std::get<1>(got));
-        EXPECT_EQ(std::get<2>(want), std::get<2>(got));
-        EXPECT_EQ(std::get<3>(want), std::get<3>(got));
+  for (const size_t window_lines : {size_t{128}, size_t{1024}}) {
+    stream_options.window_lines = window_lines;
+    const auto want = run(1, MatchEngine::kCompiled, 0);
+    ASSERT_GE(std::get<3>(want), 1u) << "corpus must drive an evolution";
+    for (const int threads : {1, 2, 4}) {
+      for (const MatchEngine engine :
+           {MatchEngine::kCompiled, MatchEngine::kTree}) {
+        for (const uint64_t schedule : {0ull, 1ull, 0x9E3779B97F4A7C15ull}) {
+          SCOPED_TRACE(StrFormat(
+              "window=%zu threads=%d engine=%s schedule=%llu", window_lines,
+              threads, engine == MatchEngine::kTree ? "tree" : "compiled",
+              static_cast<unsigned long long>(schedule)));
+          const auto got = run(threads, engine, schedule);
+          EXPECT_EQ(std::get<0>(want), std::get<0>(got));
+          EXPECT_EQ(std::get<1>(want), std::get<1>(got));
+          EXPECT_EQ(std::get<2>(want), std::get<2>(got));
+          EXPECT_EQ(std::get<3>(want), std::get<3>(got));
+        }
       }
     }
   }

@@ -46,9 +46,23 @@
 # Fails on a nonzero crawl exit, a manifest error, a missing format, or a
 # 4-thread peak over the 1-thread peak plus 3 MiB.
 #
+# Follow-workers mode (--follow-workers): follow a 16 MB stream of
+# sixteen-field comma-separated records through `datamaran_cli --follow=-`
+# at --threads=1 and --threads=4. The follower scans each 4096-line
+# segment in waves of two 256-line chunks per thread, and each chunk
+# buffers its records' match events until the wave is stitched; the
+# 1-thread run scans sequentially and buffers no wave. On records this
+# wide the events are most of a worker's scan state, so the 4-thread peak
+# may exceed the 1-thread one by at most 1.25 MiB (measured +0.3-1.0 MB;
+# +1.2-1.7 MB with 40-byte events, +1.5-2.4 MB with a 1024-line minimum
+# chunk). Fails on a nonzero CLI exit, a summary error, a record count
+# other than the stream's line count, or a 4-thread peak over the
+# 1-thread peak plus 1.25 MiB.
+#
 #   tools/stream_soak.sh [total_bytes] [rss_budget_kb]
 #   tools/stream_soak.sh --batch [file_bytes] [budget_kb]
 #   tools/stream_soak.sh --crawl
+#   tools/stream_soak.sh --follow-workers
 #
 # Requires the tier-1 build (./build/datamaran_cli, and for --crawl
 # ./build/datamaran_crawl), python3 (used only to read the child's peak
@@ -58,7 +72,8 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 MODE=stream
-if [ "${1:-}" = "--batch" ] || [ "${1:-}" = "--crawl" ]; then
+if [ "${1:-}" = "--batch" ] || [ "${1:-}" = "--crawl" ] ||
+   [ "${1:-}" = "--follow-workers" ]; then
   MODE="${1#--}"
   shift
 fi
@@ -70,6 +85,9 @@ if [ "$MODE" = batch ]; then
 elif [ "$MODE" = crawl ]; then
   TOOL=build/datamaran_crawl
   GROWTH_KB=3072                # 4-thread peak over the 1-thread peak
+elif [ "$MODE" = follow-workers ]; then
+  TOTAL_BYTES=16000000
+  GROWTH_KB=1280                # 4-thread peak over the 1-thread peak
 else
   TOTAL_BYTES="${1:-200000000}"
   BUDGET_KB="${2:-32768}"   # 32 MiB — measured peak is ~6 MB, flat in stream length
@@ -139,6 +157,17 @@ sys.exit(os.waitstatus_to_exitcode(status))
   fi
 }
 
+# Exits on an error in $workdir/summary.json; sets $records to its record
+# count.
+read_summary() {
+  if ! grep -q '"error": ""' "$workdir/summary.json"; then
+    echo "stream_soak: FAIL — summary reports an error" >&2
+    cat "$workdir/summary.json" >&2
+    exit 1
+  fi
+  records="$(sed -n 's/^ *"records": \([0-9]*\).*/\1/p' "$workdir/summary.json")"
+}
+
 # Batch extraction of $1 generated bytes as input kind $2 (plain, gzip,
 # crlf or stitch); sets $peak_kb and exits on a failed run, a summary
 # error or no extracted records.
@@ -173,13 +202,7 @@ run_batch() {
   run_tool "$input" --out="$workdir/out" \
     --summary-json="$workdir/summary.json" --threads=2 < /dev/null
   rm -rf "$workdir/in"
-  if ! grep -q '"error": ""' "$workdir/summary.json"; then
-    echo "stream_soak: FAIL — summary reports an error" >&2
-    cat "$workdir/summary.json" >&2
-    exit 1
-  fi
-  local records
-  records="$(sed -n 's/^ *"records": \([0-9]*\).*/\1/p' "$workdir/summary.json")"
+  read_summary
   if [ "${records:-0}" -lt 1 ]; then
     echo "stream_soak: FAIL — no records extracted" >&2
     cat "$workdir/summary.json" >&2
@@ -253,6 +276,51 @@ run_crawl() {
   fi
   echo "stream_soak: peak RSS ${peak_kb} kB"
 }
+
+# Writes $1 bytes of sixteen-field comma-separated records to stdout.
+generate_wide() {
+  awk -v total="$1" 'BEGIN {
+    b = 0;
+    for (i = 0; b < total; i++) {
+      line = i;
+      for (f = 1; f < 16; f++)
+        line = line "," ((i * (2 * f + 1)) % (10 * f + 7));
+      print line;
+      b += length(line) + 1;
+    }
+  }'
+}
+
+# Follows the wide stream at --threads=$1; sets $peak_kb and exits on a
+# failed run, a summary error or a line not extracted.
+run_follow_workers() {
+  echo "stream_soak: following ${TOTAL_BYTES} bytes of wide records at" \
+       "--threads=$1 ..."
+  run_tool --follow=- --summary-json="$workdir/summary.json" \
+    --threads="$1" < "$workdir/wide.log"
+  read_summary
+  if [ "${records:-0}" -ne "$wide_lines" ]; then
+    echo "stream_soak: FAIL — ${records:-0} records of ${wide_lines} lines" >&2
+    exit 1
+  fi
+  echo "stream_soak: peak RSS ${peak_kb} kB"
+}
+
+if [ "$MODE" = follow-workers ]; then
+  generate_wide "$TOTAL_BYTES" > "$workdir/wide.log"
+  wide_lines="$(wc -l < "$workdir/wide.log")"
+  run_follow_workers 1
+  one_kb="$peak_kb"
+  run_follow_workers 4
+  echo "stream_soak: follow: 4-thread peak ${peak_kb} kB, 1-thread peak" \
+       "${one_kb} kB (allowed growth ${GROWTH_KB} kB)"
+  if [ "$peak_kb" -gt $(( one_kb + GROWTH_KB )) ]; then
+    echo "stream_soak: FAIL — peak RSS grows past the allowance per worker" >&2
+    exit 1
+  fi
+  echo "stream_soak: OK"
+  exit 0
+fi
 
 if [ "$MODE" = crawl ]; then
   write_lake
