@@ -741,7 +741,7 @@ WindowCase RunWindowCase(int threads, bool quick) {
       std::optional<Dataset> sample_copy;
       auto sample = reader->ReadSample(MakeSamplerOptions(opts), &sample_copy);
       if (!sample.ok()) return p;
-      r = dm.ResolveTemplates(sample.value(), nullptr);
+      r = dm.ResolveTemplates(sample.value());
     }
     const Extractor extractor(&r.templates, dm.pool());
     HashingSink sink(nullptr);
@@ -758,7 +758,7 @@ WindowCase RunWindowCase(int threads, bool quick) {
     Timer timer;
     auto data = OpenInputs({path}, MakeInputOptions(opts));
     if (!data.ok()) return p;
-    const PipelineResult r = dm.ResolveTemplates(data.value(), nullptr);
+    const PipelineResult r = dm.ResolveTemplates(data.value());
     const Extractor extractor(&r.templates, dm.pool());
     HashingSink sink(&data.value());
     hash_templates(r, &sink.sig);
@@ -1452,85 +1452,6 @@ bool RunCatalogBench(FILE* f, bool quick) {
 }
 
 // ---------------------------------------------------------------------------
-// Precompiled-program load microbench: a warm catalog load hands the
-// extractor persisted SerializeProgram blobs, and FromSerialized
-// (parse + checksum + structural validation) replaces Compile (AST
-// lowering + peephole fusion). Both are microsecond-scale and share the
-// dominant cost (scan-table derivation), so the gate is a cost-class
-// guard, not a speedup claim: every blob must load, and deserialize +
-// validate must stay within 1.5x of a fresh compile — catching a
-// validation pass turning quadratic on larger programs, the failure mode
-// that would make catalogs with programs slower to serve than without.
-// ---------------------------------------------------------------------------
-bool RunProgramLoadBench(FILE* f, bool quick) {
-  // Shapes mirroring the committed catalog fixture plus array-heavy forms.
-  const char* kCanonicals[] = {
-      "F=F;F=F;\n", "F /F/F F\n", "F:(F,)*F;\n", "(F,)*F\n",
-      "F F F (F;)*F\n",
-  };
-  std::vector<StructureTemplate> templates;
-  for (const char* canonical : kCanonicals) {
-    auto st = StructureTemplate::FromCanonical(canonical);
-    if (st.ok()) templates.push_back(std::move(st.value()));
-  }
-  std::vector<std::string> blobs;
-  for (const StructureTemplate& st : templates) {
-    const CompiledTemplate ct(&st);
-    blobs.push_back(ct.ok() ? ct.SerializeProgram() : std::string());
-  }
-
-  const int rounds = quick ? 100 : 300;
-  const int reps = 50;  // batch per timing so Timer resolution cannot dominate
-  double compile_best = 1e30, load_best = 1e30;
-  size_t compiled_ok = 0, loaded_ok = 0;
-  for (int r = 0; r < rounds; ++r) {
-    Timer compile_timer;
-    for (int k = 0; k < reps; ++k) {
-      for (const StructureTemplate& st : templates) {
-        compiled_ok += CompiledTemplate(&st).ok() ? 1 : 0;
-      }
-    }
-    compile_best = std::min(compile_best, compile_timer.Seconds());
-    Timer load_timer;
-    for (int k = 0; k < reps; ++k) {
-      for (size_t i = 0; i < templates.size(); ++i) {
-        loaded_ok +=
-            CompiledTemplate::FromSerialized(&templates[i], blobs[i])
-                    .has_value()
-                ? 1
-                : 0;
-      }
-    }
-    load_best = std::min(load_best, load_timer.Seconds());
-  }
-  const size_t per_round =
-      static_cast<size_t>(reps) * templates.size();
-  const size_t total = static_cast<size_t>(rounds) * per_round;
-  const bool all_ok = compiled_ok == total && loaded_ok == total;
-  const double relative = load_best > 0 ? compile_best / load_best : 0;
-  const double compile_us =
-      compile_best * 1e6 / static_cast<double>(per_round);
-  const double load_us = load_best * 1e6 / static_cast<double>(per_round);
-  std::printf("program load: compile %.2fus vs deserialize %.2fus per "
-              "template (best of %d rounds, %.2fx); all loaded: %s\n",
-              compile_us, load_us, rounds, relative, all_ok ? "yes" : "NO");
-
-  std::fprintf(f,
-               ",\n"
-               "  \"program_load\": {\n"
-               "    \"templates\": %zu,\n"
-               "    \"rounds\": %d,\n"
-               "    \"compile_us_per_template\": %.3f,\n"
-               "    \"deserialize_us_per_template\": %.3f,\n"
-               "    \"compile_over_deserialize\": %.3f,\n"
-               "    \"all_loaded\": %s\n"
-               "  }",
-               templates.size(), rounds, compile_us, load_us, relative,
-               all_ok ? "true" : "false");
-  return all_ok && load_best <= compile_best * 1.5;
-}
-
-// ---------------------------------------------------------------------------
 // Streaming section ("streaming"): the --follow memory and recovery
 // contract as a gate. A deterministic drifting stream (format A, an
 // alternating transition band, then format B) is fed to a StreamingSession
@@ -1943,7 +1864,6 @@ int RunPipelineBench() {
   const bool charset_ok = RunCharsetEngineBench(f, quick);
   const bool eval_ok = RunEvaluationBench(f, texts, quick);
   const bool catalog_ok = RunCatalogBench(f, quick);
-  const bool program_load_ok = RunProgramLoadBench(f, quick);
   const bool streaming_ok = ReportStreamingBench(f, streaming_runs);
   std::fprintf(f,
                ",\n"
@@ -2016,7 +1936,7 @@ int RunPipelineBench() {
   std::fclose(f);
   std::printf("wrote %s\n\n", out_path);
   return identical && window_case.identical && match_ok && charset_ok && eval_ok &&
-                 catalog_ok && program_load_ok && streaming_ok &&
+                 catalog_ok && streaming_ok &&
                  sink_case.ok && norm_case.ok && stitch_case.ok
              ? 0
              : 1;

@@ -399,17 +399,13 @@ CatalogEntry CatalogEntryFromReports(
   return entry;
 }
 
-PipelineResult Datamaran::ResolveTemplates(
-    const Dataset& data, std::vector<std::string>* programs) const {
-  return ResolveTemplates(SampleView(data, MakeSamplerOptions(options_)),
-                          programs);
+PipelineResult Datamaran::ResolveTemplates(const Dataset& data) const {
+  return ResolveTemplates(SampleView(data, MakeSamplerOptions(options_)));
 }
 
-PipelineResult Datamaran::ResolveTemplates(
-    const DatasetView& sample, std::vector<std::string>* programs) const {
+PipelineResult Datamaran::ResolveTemplates(const DatasetView& sample) const {
   PipelineResult result;
   Timer total_timer;
-  if (programs != nullptr) programs->clear();
 
   // Catalog fast path: fingerprint a sample against the loaded catalog
   // first. A hit serves the stored templates — discovery is skipped
@@ -430,7 +426,6 @@ PipelineResult Datamaran::ResolveTemplates(
         const CatalogEntry& entry =
             catalog_.entry(static_cast<size_t>(match.entry));
         result.templates = entry.templates;
-        if (programs != nullptr) *programs = entry.programs;
         result.stats.catalog_hit = true;
         result.stats.catalog_entry = match.entry;
         result.stats.catalog_match_rate = match.match_rate;
@@ -475,13 +470,11 @@ PipelineResult Datamaran::ResolveTemplates(
 
 PipelineResult Datamaran::ExtractDataset(const Dataset& data) const {
   Timer total_timer;
-  std::vector<std::string> programs;
-  PipelineResult result = ResolveTemplates(data, &programs);
+  PipelineResult result = ResolveTemplates(data);
 
   Timer extract_timer;
   Extractor extractor(&result.templates, pool_.get(), options_.match_engine,
-                      options_.charset_engine, options_.max_line_bytes,
-                      programs.empty() ? nullptr : &programs);
+                      options_.charset_engine, options_.max_line_bytes);
   result.extraction = extractor.Extract(data);
   result.timings.extraction_s = extract_timer.Seconds();
   result.timings.total_s = total_timer.Seconds();

@@ -146,18 +146,13 @@ class Datamaran {
   /// a miss, folds a cold-discovered format back into the catalog, and
   /// saves it to options().catalog_out. The result is ExtractDataset's
   /// minus the scan: `extraction` stays empty, timings.extraction_s is 0,
-  /// total_s covers resolution only, and stats.input_bytes is unset. On a
-  /// catalog hit, `*programs` (when non-null) receives the entry's
-  /// persisted compiled programs, parallel to `templates`, for the
-  /// Extractor's warm path; otherwise it is cleared. Callers run the one
-  /// scan themselves: InputReader::Scan with Extractor(&templates, pool(),
-  /// ...).
-  PipelineResult ResolveTemplates(const DatasetView& sample,
-                                  std::vector<std::string>* programs) const;
+  /// total_s covers resolution only, and stats.input_bytes is unset.
+  /// Callers run the one scan themselves: InputReader::Scan with
+  /// Extractor(&templates, pool(), ...).
+  PipelineResult ResolveTemplates(const DatasetView& sample) const;
 
   /// ResolveTemplates on SampleView(data).
-  PipelineResult ResolveTemplates(const Dataset& data,
-                                  std::vector<std::string>* programs) const;
+  PipelineResult ResolveTemplates(const Dataset& data) const;
 
   /// Runs the full pipeline over an already-opened dataset: ResolveTemplates
   /// plus a collecting Extractor::Extract. The collected result holds one

@@ -9,46 +9,26 @@ namespace datamaran {
 
 namespace {
 
-/// EventSink adapter that replays each record's event stream into a
-/// ParsedValue tree and forwards to a tree-shaped RecordSink. This is how
-/// the legacy tree path rides on the single flat-event scan.
-class TreeReplaySink : public EventSink {
+/// The sink behind Extract: replays each record's event stream into its
+/// ParsedValue tree (BuildParsedValue) and collects the records and noise
+/// line indices as they arrive.
+class CollectingSink : public EventSink {
  public:
-  TreeReplaySink(const std::vector<StructureTemplate>* templates,
-                 RecordSink* sink)
-      : templates_(templates), sink_(sink) {}
+  CollectingSink(const std::vector<StructureTemplate>& templates,
+                 const std::vector<int>& spans, ExtractionResult* out)
+      : templates_(templates), spans_(spans), out_(out) {}
 
   void OnRecord(int template_id, size_t first_line,
                 std::string_view /*text*/, size_t pos, size_t /*end*/,
                 const MatchEvent* events, size_t num_events) override {
-    sink_->OnRecord(
-        template_id, first_line,
-        BuildParsedValue((*templates_)[static_cast<size_t>(template_id)], pos,
-                         events, num_events));
-  }
-
-  void OnNoiseLine(size_t line_index) override {
-    sink_->OnNoiseLine(line_index);
-  }
-
- private:
-  const std::vector<StructureTemplate>* templates_;
-  RecordSink* sink_;
-};
-
-/// Sink that materializes ExtractedRecords.
-class CollectingSink : public RecordSink {
- public:
-  explicit CollectingSink(ExtractionResult* out) : out_(out) {}
-
-  void OnRecord(int template_id, size_t first_line,
-                ParsedValue&& value) override {
+    const size_t t = static_cast<size_t>(template_id);
     ExtractedRecord rec;
     rec.template_id = template_id;
-    rec.begin = value.begin;
-    rec.end = value.end;
+    rec.value = BuildParsedValue(templates_[t], pos, events, num_events);
+    rec.begin = rec.value.begin;
+    rec.end = rec.value.end;
     rec.first_line = first_line;
-    rec.value = std::move(value);
+    rec.line_count = spans_[t];
     out_->records.push_back(std::move(rec));
   }
 
@@ -57,6 +37,8 @@ class CollectingSink : public RecordSink {
   }
 
  private:
+  const std::vector<StructureTemplate>& templates_;
+  const std::vector<int>& spans_;
   ExtractionResult* out_;
 };
 
@@ -153,24 +135,21 @@ class SegmentForwarder : public EventSink {
 /// increasing line order, plus the first line the scan did NOT consume
 /// (>= end_line when a record spills past the chunk boundary). Record
 /// attempts buffer only their flat events (ranges into the chunk's shared
-/// event store) and window bookkeeping — no ParsedValue trees — so a wave's
-/// buffered state is a few machine words plus field/array events per
-/// record. Each vector is cleared, never shrunk, between waves and between
-/// the scans that share these buffers.
+/// event store) and match bounds in the backing text — no ParsedValue
+/// trees — so a wave's buffered state is five words per attempted line
+/// plus field/array events per record. Each vector is cleared, never
+/// shrunk, between waves and between the scans that share these buffers.
 struct Extractor::ScanBuffers::Slots {
   struct ChunkScan {
     struct Attempt {
       size_t line = 0;
       int template_id = -1;  // -1 = noise line
-      size_t pos = 0;        // records: match begin within the window text
+      size_t pos = 0;        // records: match begin within the backing text
       size_t end = 0;        // records: one past the match
       uint32_t event_begin = 0;  // records: event range in ChunkScan::events
       uint32_t event_count = 0;
-      /// A cross-gap record's window text, owned here so the event spans
-      /// stay valid until the stitcher flushes the attempt to the sink
-      /// (empty for in-place matches — always, on identity views).
-      std::string assembled_text;
     };
+    static_assert(sizeof(Attempt) == 40);
     size_t begin_line = 0;
     size_t end_line = 0;
     size_t final_line = 0;
@@ -180,10 +159,8 @@ struct Extractor::ScanBuffers::Slots {
 
   /// One per chunk of a wave, grown to the widest wave seen.
   std::vector<ChunkScan> scans;
-  std::vector<std::string> chunk_scratch;
   std::vector<std::vector<MatchEvent>> chunk_events;
-  /// The sequential scan's and the stitcher's re-match buffers.
-  std::string scratch;
+  /// The sequential scan's and the stitcher's re-match buffer.
   std::vector<MatchEvent> events;
 };
 
@@ -196,10 +173,10 @@ Extractor::ScanBuffers& Extractor::ScanBuffers::operator=(
 Extractor::Extractor(const std::vector<StructureTemplate>* templates,
                      ThreadPool* pool, MatchEngine engine,
                      CharsetEngine charset_engine, size_t max_line_bytes,
-                     const std::vector<std::string>* programs)
+                     const std::vector<std::string>* /*programs*/)
     : templates_(templates),
       pool_(pool),
-      matchers_(BuildMatchers(*templates, engine, charset_engine, programs)),
+      matchers_(BuildMatchers(*templates, engine, charset_engine)),
       index_(matchers_),
       max_line_bytes_(max_line_bytes) {
   for (const StructureTemplate& st : *templates_) {
@@ -208,19 +185,18 @@ Extractor::Extractor(const std::vector<StructureTemplate>* templates,
 }
 
 int Extractor::MatchAt(const DatasetView& data, size_t li,
-                       std::string* scratch, std::vector<MatchEvent>* events,
-                       DatasetView::SpanText* win, size_t* end) const {
+                       std::vector<MatchEvent>* events, size_t* end) const {
   // Lines always contain their '\n', so front() is safe. Dispatching on the
   // first byte attempts only templates whose FIRST set admits the line —
   // skipped templates could never have matched, so the first-match-in-
   // priority-order outcome is unchanged. The common single-template case
   // answers from the matcher's own FIRST set without touching the index.
   // Oversized-line guard: a candidate window containing any line over the
-  // cap is refused before it is resolved, so a pathological multi-MB line
-  // is pure noise — never scanned by a matcher, never assembled into
-  // cross-gap scratch, and never swallowed mid-record by a multi-line
-  // template. The common case (cap unset, or span-1 templates) costs one
-  // length comparison.
+  // cap is refused before it is matched, so a pathological multi-MB line
+  // is pure noise — never scanned by a matcher, and never swallowed
+  // mid-record by a multi-line template. The common case (cap unset, or
+  // span-1 templates) costs one length comparison. A window that runs off
+  // the end of the text fails to match, as against a standalone buffer.
   const auto window_ok = [&](size_t span) {
     if (max_line_bytes_ == 0) return true;
     const size_t stop = std::min(li + span, data.line_count());
@@ -231,19 +207,19 @@ int Extractor::MatchAt(const DatasetView& data, size_t li,
   };
   const unsigned char first =
       static_cast<unsigned char>(data.line_with_newline(li).front());
+  const std::string_view text = data.dataset().text();
+  const size_t pos = data.dataset().line_begin(li);
   if (matchers_.size() == 1) {
     if (!matchers_[0].CanStartWith(first)) return -1;
     if (!window_ok(static_cast<size_t>(spans_[0]))) return -1;
-    *win = data.ResolveSpan(li, static_cast<size_t>(spans_[0]), scratch);
-    auto stats = matchers_[0].ParseFlat(win->text, win->pos, events);
+    auto stats = matchers_[0].ParseFlat(text, pos, events);
     if (!stats.has_value()) return -1;
     *end = stats->end;
     return 0;
   }
   for (uint16_t t : index_.Candidates(first)) {
     if (!window_ok(static_cast<size_t>(spans_[t]))) continue;
-    *win = data.ResolveSpan(li, static_cast<size_t>(spans_[t]), scratch);
-    auto stats = matchers_[t].ParseFlat(win->text, win->pos, events);
+    auto stats = matchers_[t].ParseFlat(text, pos, events);
     if (!stats.has_value()) continue;
     *end = stats->end;
     return static_cast<int>(t);
@@ -252,21 +228,21 @@ int Extractor::MatchAt(const DatasetView& data, size_t li,
 }
 
 size_t Extractor::EmitAt(const DatasetView& data, size_t li, EventSink* sink,
-                         ExtractionResult* stats, std::string* scratch,
+                         ExtractionResult* stats,
                          std::vector<MatchEvent>* events) const {
-  DatasetView::SpanText win;
   size_t end = 0;
-  const int t = MatchAt(data, li, scratch, events, &win, &end);
+  const int t = MatchAt(data, li, events, &end);
   if (t < 0) {
     stats->noise_line_count += 1;
     if (sink != nullptr) sink->OnNoiseLine(li);
     return li + 1;
   }
-  stats->covered_chars += end - win.pos;
+  const size_t pos = data.dataset().line_begin(li);
+  stats->covered_chars += end - pos;
   stats->matched_records += 1;
   stats->records_per_template[static_cast<size_t>(t)] += 1;
   if (sink != nullptr) {
-    sink->OnRecord(t, li, win.text, win.pos, end, events->data(),
+    sink->OnRecord(t, li, data.dataset().text(), pos, end, events->data(),
                    events->size());
   }
   return li + static_cast<size_t>(spans_[static_cast<size_t>(t)]);
@@ -279,7 +255,6 @@ ExtractionResult Extractor::ExtractSequential(const DatasetView& data,
   stats.total_chars = data.size_bytes();
   stats.total_lines = data.line_count();
   stats.records_per_template.assign(matchers_.size(), 0);
-  std::string& scratch = buffers->slots_->scratch;
   std::vector<MatchEvent>& events = buffers->slots_->events;
   size_t li = 0;
   const size_t n = data.line_count();
@@ -293,7 +268,7 @@ ExtractionResult Extractor::ExtractSequential(const DatasetView& data,
   const size_t wave_lines = chunk_lines * 2;
   size_t next_wave = wave_lines;
   while (li < n) {
-    li = EmitAt(data, li, sink, &stats, &scratch, &events);
+    li = EmitAt(data, li, sink, &stats, &events);
     if (li >= next_wave) {
       if (sink != nullptr) sink->OnWaveEnd();
       do {
@@ -314,6 +289,8 @@ ExtractionResult Extractor::ExtractEvents(const DatasetView& data,
 ExtractionResult Extractor::ExtractEvents(const DatasetView& data,
                                           EventSink* sink,
                                           ScanBuffers* buffers) const {
+  // Every scan matches in place on the backing text.
+  DM_CHECK(data.is_identity());
   const size_t n = data.line_count();
   const int threads = pool_ != nullptr ? pool_->thread_count() : 1;
   size_t chunk_lines = lines_per_chunk_;
@@ -335,13 +312,10 @@ ExtractionResult Extractor::ExtractEvents(const DatasetView& data,
   ScanBuffers::Slots& slots = *buffers->slots_;
   if (slots.scans.size() < chunks_per_wave) {
     slots.scans.resize(chunks_per_wave);
-    slots.chunk_scratch.resize(chunks_per_wave);
     slots.chunk_events.resize(chunks_per_wave);
   }
   std::vector<ChunkScan>& scans = slots.scans;
-  std::vector<std::string>& chunk_scratch = slots.chunk_scratch;
   std::vector<std::vector<MatchEvent>>& chunk_events = slots.chunk_events;
-  std::string& stitch_scratch = slots.scratch;
   std::vector<MatchEvent>& stitch_events = slots.events;
   const std::string_view backing = data.dataset().text();
 
@@ -361,29 +335,20 @@ ExtractionResult Extractor::ExtractEvents(const DatasetView& data,
       while (cli < cs.end_line) {
         ChunkScan::Attempt attempt;
         attempt.line = cli;
-        DatasetView::SpanText win;
-        size_t match_end = 0;
-        attempt.template_id = MatchAt(data, cli, &chunk_scratch[k],
-                                      &chunk_events[k], &win, &match_end);
+        attempt.template_id = MatchAt(data, cli, &chunk_events[k],
+                                      &attempt.end);
         if (attempt.template_id >= 0) {
-          attempt.pos = win.pos;
-          attempt.end = match_end;
+          attempt.pos = data.dataset().line_begin(cli);
           attempt.event_begin = static_cast<uint32_t>(cs.events.size());
           attempt.event_count = static_cast<uint32_t>(chunk_events[k].size());
           cs.events.insert(cs.events.end(), chunk_events[k].begin(),
                            chunk_events[k].end());
-          if (win.assembled) {
-            // The buffered event spans index into the scratch text: move it
-            // into the attempt so later windows cannot overwrite it before
-            // the stitch flushes this record.
-            attempt.assembled_text = std::move(chunk_scratch[k]);
-          }
           cli += static_cast<size_t>(
               spans_[static_cast<size_t>(attempt.template_id)]);
         } else {
           cli += 1;
         }
-        cs.attempts.push_back(std::move(attempt));
+        cs.attempts.push_back(attempt);
       }
       cs.final_line = cli;
     });
@@ -409,12 +374,8 @@ ExtractionResult Extractor::ExtractEvents(const DatasetView& data,
               stats.records_per_template[static_cast<size_t>(
                   j->template_id)] += 1;
               if (sink != nullptr) {
-                const std::string_view wtext =
-                    j->assembled_text.empty()
-                        ? backing
-                        : std::string_view(j->assembled_text);
-                sink->OnRecord(j->template_id, j->line, wtext, j->pos, j->end,
-                               cs.events.data() + j->event_begin,
+                sink->OnRecord(j->template_id, j->line, backing, j->pos,
+                               j->end, cs.events.data() + j->event_begin,
                                j->event_count);
               }
             } else {
@@ -427,8 +388,7 @@ ExtractionResult Extractor::ExtractEvents(const DatasetView& data,
           // A record from an earlier chunk spilled into this one and the
           // speculative stream never attempted `li`; re-match lines until
           // the streams realign (or the chunk is exhausted).
-          li = EmitAt(data, li, sink, &stats, &stitch_scratch,
-                      &stitch_events);
+          li = EmitAt(data, li, sink, &stats, &stitch_events);
         }
       }
     }
@@ -438,29 +398,12 @@ ExtractionResult Extractor::ExtractEvents(const DatasetView& data,
   return stats;
 }
 
-ExtractionResult Extractor::ExtractStreaming(const DatasetView& data,
-                                             RecordSink* sink) const {
-  if (sink == nullptr) return ExtractEvents(data, nullptr);
-  TreeReplaySink adapter(templates_, sink);
-  return ExtractEvents(data, &adapter);
-}
-
 ExtractionResult Extractor::Extract(const DatasetView& data) const {
-  ExtractionResult out;
-  CollectingSink sink(&out);
-  ExtractionResult stats = ExtractStreaming(data, &sink);
-  out.covered_chars = stats.covered_chars;
-  out.total_chars = stats.total_chars;
-  out.total_lines = stats.total_lines;
-  out.matched_records = stats.matched_records;
-  out.noise_line_count = stats.noise_line_count;
-  out.records_per_template = std::move(stats.records_per_template);
-  // Recompute line counts for the collected records.
-  for (ExtractedRecord& rec : out.records) {
-    rec.line_count = spans_.empty()
-                         ? 1
-                         : spans_[static_cast<size_t>(rec.template_id)];
-  }
+  ExtractionResult collected;
+  CollectingSink sink(*templates_, spans_, &collected);
+  ExtractionResult out = ExtractEvents(data, &sink);
+  out.records = std::move(collected.records);
+  out.noise_lines = std::move(collected.noise_lines);
   return out;
 }
 

@@ -21,11 +21,9 @@
 /// match emits one record and skips its span, and unmatched lines are
 /// noise. Matching runs on the configured engine (compiled bytecode by
 /// default; the tree walker reference via MatchEngine::kTree) with
-/// byte-identical output either way. The usual input is an identity view,
-/// where every candidate window is matched in place on the backing buffer.
-/// Gapped views (e.g. a residual) are also supported: windows that
-/// straddle a gap are assembled into a per-scan scratch buffer, exactly
-/// like the discovery stages.
+/// byte-identical output either way. The input is an identity view (every
+/// line of its dataset live; a gapped view is a programming error), so every
+/// candidate window is matched in place on the backing buffer.
 ///
 /// Segments. The tools never scan an input or a stream as one buffer:
 /// batch reads an input in window-sized segments (core/input.h InputReader)
@@ -67,12 +65,10 @@
 ///    noise-line stream, straight to disk, never materializing a
 ///    ParsedValue, which is what keeps `datamaran_cli --out` O(wave) in
 ///    memory end to end on a multi-GB file.
-///  * RecordSink is the tree-shaped convenience: ExtractStreaming wraps it
-///    in an adapter that replays each event stream into a ParsedValue
-///    (BuildParsedValue) before forwarding — one scan implementation serves
-///    both shapes.
-///  * Extract collects everything into an ExtractionResult (a RecordSink
-///    that buffers; O(file) memory, for callers that want the records).
+///  * Extract collects everything into an ExtractionResult through a
+///    private EventSink that replays each event stream into a ParsedValue
+///    (BuildParsedValue) as the record arrives; O(file) memory, for callers
+///    that want the records.
 ///
 /// Ordering and row-id rebase contract. Speculative chunks buffer raw
 /// events only — they never see output row numbering, because a chunk
@@ -111,19 +107,15 @@ struct ExtractedRecord {
 /// sink the scan drives directly. Events arrive in scan order regardless of
 /// the extractor's thread count; the emitted byte stream of any
 /// deterministic writer is therefore identical for every thread count, both
-/// match engines, and every segmentation. Line indices are view indices
-/// (== physical line indices for the identity view); ExtractSegment
-/// renumbers them to stream lines.
+/// match engines, and every segmentation. Line indices are the dataset's
+/// line indices; ExtractSegment renumbers them to stream lines.
 class EventSink {
  public:
   virtual ~EventSink() = default;
 
   /// One record: `events[0..num_events)` is its flat parse (field spans and
   /// array counts, spans indexing into `text`), `pos`/`end` the matched
-  /// window [pos, end) within `text`. For in-place windows (always, on
-  /// identity views) `text` is the backing buffer; a cross-gap window of a
-  /// gapped view parses against transient scratch, so `text`, the spans and
-  /// `pos` are only meaningful inside the callback.
+  /// window [pos, end) within `text`, the scanned dataset's backing buffer.
   virtual void OnRecord(int template_id, size_t first_line,
                         std::string_view text, size_t pos, size_t end,
                         const MatchEvent* events, size_t num_events) = 0;
@@ -154,17 +146,6 @@ class EventSink {
   /// records: the hook where buffering writers flush, bounding their state
   /// to one wave of output. Flush timing never affects the emitted bytes.
   virtual void OnWaveEnd() {}
-};
-
-/// Tree-shaped streaming consumer: like EventSink, but each record arrives
-/// as a replayed ParsedValue. Prefer EventSink for writers that do not need
-/// the tree — it skips the per-record tree allocation entirely.
-class RecordSink {
- public:
-  virtual ~RecordSink() = default;
-  virtual void OnRecord(int template_id, size_t first_line,
-                        ParsedValue&& value) = 0;
-  virtual void OnNoiseLine(size_t /*line_index*/) {}
 };
 
 /// In-memory extraction output.
@@ -208,7 +189,7 @@ struct ExtractionResult {
 class Extractor {
  public:
   /// The buffers a scan works in: each wave's per-chunk attempts and flat
-  /// events, and the window scratch. ExtractEvents allocates a fresh set
+  /// events, and the re-match events. ExtractEvents allocates a fresh set
   /// per call; a caller deciding many segments keeps one set and passes it
   /// to every ExtractSegment, so the capacity grown in one segment serves
   /// the next. One scan at a time per set; output never depends on it.
@@ -242,43 +223,32 @@ class Extractor {
   /// more than one thread, the streaming scans shard across it.
   /// `max_line_bytes` is the oversized-line guard: a match attempt at a
   /// line whose content exceeds the cap is refused outright, so the line is
-  /// emitted as noise instead of being scanned or assembled into a record
-  /// window (0 = unlimited). The same cap excludes such lines from the
+  /// emitted as noise instead of being scanned or swallowed into a
+  /// multi-line record (0 = unlimited). The same cap excludes such lines from the
   /// discovery sample (util/sampler.h), keeping the two phases consistent.
-  /// `programs`, when non-null, is the parallel vector of persisted
-  /// compiled-program blobs from a catalog entry (dispatch.h
-  /// BuildMatchers): valid blobs skip template compilation, invalid ones
-  /// compile fresh, output identical either way.
+  /// The last parameter is ignored. It exists only because
+  /// bench_e2e/e2e/replay.cc still passes CatalogEntry::programs; it goes
+  /// with that file's next change.
   explicit Extractor(const std::vector<StructureTemplate>* templates,
                      ThreadPool* pool = nullptr,
                      MatchEngine engine = MatchEngine::kCompiled,
                      CharsetEngine charset_engine = CharsetEngine::kSimd,
                      size_t max_line_bytes = 0,
-                     const std::vector<std::string>* programs = nullptr);
+                     const std::vector<std::string>* /*programs*/ = nullptr);
 
   /// Streams each record's flat MatchEvent parse into `sink` in scan order;
-  /// returns coverage statistics. This is the one scan implementation — the
-  /// tree paths below are adapters over it. Memory stays bounded in the
-  /// parallel case too: chunks of at most kMaxLinesPerChunk lines are
-  /// processed in waves of two per thread, each chunk buffering only events
-  /// and span bookkeeping (no ParsedValue trees), flushed to the sink in
-  /// stitched order before the next wave starts — peak memory is O(wave),
-  /// independent of the file size. `sink` may be null: the scan then only
-  /// counts.
+  /// returns coverage statistics. This is the one scan implementation —
+  /// Extract and ExtractSegment run through it — and `data` must be an
+  /// identity view. Memory stays bounded in the parallel case too: chunks
+  /// of at most kMaxLinesPerChunk lines are processed in waves of two per
+  /// thread, each chunk buffering only events and span bookkeeping (no
+  /// ParsedValue trees), flushed to the sink in stitched order before the
+  /// next wave starts — peak memory is O(wave), independent of the file
+  /// size. `sink` may be null: the scan then only counts.
   ExtractionResult ExtractEvents(const DatasetView& data,
                                  EventSink* sink) const;
 
-  /// Streams records/noise into `sink` in scan order; returns coverage
-  /// statistics without retaining parsed values. Each record's ParsedValue
-  /// is replayed from its event stream (BuildParsedValue) just before the
-  /// callback; spans index into the backing text for in-place windows
-  /// (always, for identity views), and into transient scratch for a
-  /// cross-gap window of a gapped view (only meaningful inside the
-  /// callback).
-  ExtractionResult ExtractStreaming(const DatasetView& data,
-                                    RecordSink* sink) const;
-
-  /// Convenience: collects everything in memory.
+  /// Convenience: collects everything in memory (identity views only).
   ExtractionResult Extract(const DatasetView& data) const;
 
   /// Decides one segment of a longer line stream whose first line is
@@ -309,24 +279,21 @@ class Extractor {
  private:
   /// The pure first-match rule every scan shares: tries the templates the
   /// dispatch index admits for the line's first byte, in priority order, at
-  /// view line `li`; on a match fills `*events` with the flat parse,
-  /// `*win` with the resolved window (text/pos/assembled) and `*end` with
-  /// one past the match, returning the template id; else returns -1
-  /// (noise). Both the sequential scan and the parallel chunk scan go
-  /// through this single helper — the byte-identical-output contract
-  /// depends on there being exactly one copy of this policy. `scratch`
-  /// backs cross-gap windows of gapped views (identity views never touch
-  /// it); `events` is the caller's reused flat-parse buffer.
-  int MatchAt(const DatasetView& data, size_t li, std::string* scratch,
-              std::vector<MatchEvent>* events, DatasetView::SpanText* win,
-              size_t* end) const;
+  /// line `li`, in place on the backing text; on a match fills `*events`
+  /// with the flat parse and `*end` with one past the match, returning the
+  /// template id; else returns -1 (noise). Both the sequential scan and the
+  /// parallel chunk scan go through this single helper — the
+  /// byte-identical-output contract depends on there being exactly one copy
+  /// of this policy. `events` is the caller's reused flat-parse buffer.
+  int MatchAt(const DatasetView& data, size_t li,
+              std::vector<MatchEvent>* events, size_t* end) const;
 
   /// Applies MatchAt at line `li` and emits the outcome (one record or one
   /// noise line) to `sink`, updating `stats` counters; returns the next
   /// unconsumed line. Used by the sequential path and by the stitcher to
   /// re-synchronize across chunk-spill divergences.
   size_t EmitAt(const DatasetView& data, size_t li, EventSink* sink,
-                ExtractionResult* stats, std::string* scratch,
+                ExtractionResult* stats,
                 std::vector<MatchEvent>* events) const;
 
   ExtractionResult ExtractEvents(const DatasetView& data, EventSink* sink,

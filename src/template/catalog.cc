@@ -163,24 +163,10 @@ size_t TemplateCatalog::AddEntry(CatalogEntry entry) {
     } while (used_names_.count(entry.name) != 0);
   }
   entry.meta.resize(entry.templates.size());
-  entry.programs.resize(entry.templates.size());
   used_names_.insert(entry.name);
   by_signature_.emplace(sig, entries_.size());
   entries_.push_back(std::move(entry));
   return entries_.size() - 1;
-}
-
-void TemplateCatalog::PopulatePrograms() {
-  for (CatalogEntry& e : entries_) {
-    e.programs.resize(e.templates.size());
-    for (size_t t = 0; t < e.templates.size(); ++t) {
-      if (!e.programs[t].empty()) continue;
-      // Serialized programs are engine-independent (the per-engine scan
-      // strategy is re-derived on load), so any engine compiles the blob.
-      const CompiledTemplate ct(&e.templates[t]);
-      if (ct.ok()) e.programs[t] = ct.SerializeProgram();
-    }
-  }
 }
 
 int TemplateCatalog::FindSignature(
@@ -207,11 +193,6 @@ std::string TemplateCatalog::Serialize() const {
       out += " first=" + FirstSetToken(TemplateFirstBytes(st));
       out += " scan=" + ScanStrategyHint(st);
       out += '\n';
-      if (t < e.programs.size() && !e.programs[t].empty()) {
-        out += "program ";
-        out += CatalogEscape(e.programs[t]);
-        out += '\n';
-      }
     }
     for (const auto& [key, value] : e.extensions) {
       out += "kv ";
@@ -275,6 +256,10 @@ Result<TemplateCatalog> TemplateCatalog::Parse(std::string_view text) {
           StrFormat("catalog line %zu: bad template count", i + 1));
     }
     ++i;
+    // The template count at the entry's last program line: a program line
+    // that finds it unchanged (a second one for a template, or one before
+    // any template) is malformed.
+    size_t programmed = 0;
     while (true) {
       if (i >= lines.size()) {
         return Status::ParseError("catalog: truncated entry");
@@ -282,16 +267,15 @@ Result<TemplateCatalog> TemplateCatalog::Parse(std::string_view text) {
       if (lines[i] == "end") break;
       toks = Split(lines[i], ' ');
       if (v2 && !toks.empty() && toks[0] == "program") {
-        if (toks.size() != 2 ||
-            entry.programs.size() == entry.templates.size()) {
+        // A compiled program an earlier build saved: checked, then dropped.
+        if (toks.size() != 2 || programmed == entry.templates.size()) {
           return Status::ParseError(StrFormat(
               "catalog line %zu: program line must follow its template",
               i + 1));
         }
         auto blob = CatalogUnescape(toks[1]);
         if (!blob.ok()) return blob.status();
-        entry.programs.resize(entry.templates.size());
-        entry.programs.back() = std::move(blob.value());
+        programmed = entry.templates.size();
         ++i;
         continue;
       }
@@ -323,8 +307,9 @@ Result<TemplateCatalog> TemplateCatalog::Parse(std::string_view text) {
       if (!canonical.ok()) return canonical.status();
       auto st = StructureTemplate::FromCanonical(canonical.value());
       if (!st.ok()) return st.status();
-      // Exact round-trip is the contract reloaded compiled programs rest
-      // on; a canonical that re-serializes differently is corrupt.
+      // Exact round-trip is the contract catalog hits rest on: a reloaded
+      // template must compile to the program its discovery run used. A
+      // canonical that re-serializes differently is corrupt.
       if (st->canonical() != canonical.value()) {
         return Status::ParseError(
             StrFormat("catalog line %zu: canonical form does not round-trip",
@@ -410,9 +395,6 @@ Status TemplateCatalog::Save(const std::string& path,
       }
     }
   }
-  // Persisted catalogs always carry compiled programs: entries discovered
-  // this run compile once here, reloaded entries keep their blobs.
-  merged.PopulatePrograms();
   Status written = WriteFileAtomic(path, merged.Serialize());
   if (written.ok()) {
     // A successful save is done with the sidecar: clean it up (still under

@@ -35,19 +35,20 @@
 ///   entry fmt0 templates=2
 ///   template (F,)*F\n mdl=1234.5 noise=5678.9 records=42 coverage=0.97
 ///       first=... scan=swar2            (one line; wrapped here for width)
-///   program <escaped-bytecode-blob>     (optional, attaches to the
-///       preceding template: CompiledTemplate::SerializeProgram output,
-///       fingerprint-guarded — stale or corrupt blobs recompile)
 ///   template F\sF\n ...
 ///   kv <key> <value>                    (per-entry extension area: opaque
 ///       key/value pairs, preserved byte-exact across load/save)
 ///   end
 ///
-/// v1 (no program/kv lines) is still accepted by Parse and migrated in
-/// memory; Serialize always writes the current version. Tools exchanging
-/// catalogs across builds therefore upgrade files in place on their next
-/// save, and unknown per-entry state from future minor revisions rides
-/// through the kv area.
+/// A catalog stores templates only: every matcher compiles its own. Earlier
+/// v2 writers also put a `program <escaped-blob>` line (that template's
+/// compiled program) after some templates; Parse still checks such a line
+/// as strictly as they did (at most one per template, after it, one
+/// well-formed escaped token) and drops it. v1 (no program/kv lines) is
+/// still accepted by Parse and migrated in memory; Serialize always writes
+/// the current version. Tools exchanging catalogs across builds therefore
+/// upgrade files in place on their next save, and unknown per-entry state
+/// from future minor revisions rides through the kv area.
 ///
 /// Canonical forms and FIRST sets are arbitrary bytes (templates always
 /// contain '\n'; separators may be NUL or non-UTF8), so every byte-valued
@@ -91,11 +92,8 @@ struct CatalogEntry {
   std::string name;  ///< e.g. "fmt0"; unique within the catalog
   std::vector<StructureTemplate> templates;
   std::vector<CatalogTemplateMeta> meta;  ///< parallel to `templates`
-  /// Serialized compiled programs (CompiledTemplate::SerializeProgram),
-  /// parallel to `templates`; an empty element means "compile fresh".
-  /// Purely an optimization: a blob that fails its fingerprint, checksum,
-  /// or validation is ignored and the canonical form recompiled, so
-  /// extraction output never depends on this field.
+  /// Always empty. Exists only because bench_e2e/e2e/replay.cc still
+  /// passes it to the Extractor; it goes with that file's next change.
   std::vector<std::string> programs;
   /// v2 extension area: opaque key/value pairs (arbitrary bytes) preserved
   /// byte-exact across load/save. Forward-compatibility hook for minor
@@ -143,12 +141,6 @@ class TemplateCatalog {
   /// Index of the entry whose signature matches `templates`, or -1.
   int FindSignature(const std::vector<StructureTemplate>& templates) const;
 
-  /// Fills in the serialized compiled program for every template that does
-  /// not have one yet (entries past engine limits keep an empty slot).
-  /// Save runs this on the written snapshot, so persisted catalogs always
-  /// carry programs and warm loads skip compilation.
-  void PopulatePrograms();
-
   /// The versioned text form (see file comment).
   std::string Serialize() const;
 
@@ -156,8 +148,7 @@ class TemplateCatalog {
   /// (migrated in memory; the next Save rewrites the file as v%d). Every
   /// template is parsed back via FromCanonical and revalidated; any
   /// malformed line, unknown version, or invalid template fails the whole
-  /// parse. Program blobs are carried opaquely — they are verified by
-  /// CompiledTemplate::FromSerialized at use.
+  /// parse. Program lines are checked and dropped (see file comment).
   static Result<TemplateCatalog> Parse(std::string_view text);
 
   static Result<TemplateCatalog> Load(const std::string& path);

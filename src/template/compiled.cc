@@ -1,7 +1,6 @@
 #include "template/compiled.h"
 
 #include <cstring>
-#include <unordered_map>
 
 namespace datamaran {
 
@@ -54,70 +53,6 @@ constexpr bool kLittleEndian =
     false;
 #endif
 
-/// Bump whenever instruction semantics or the blob layout change; stale
-/// persisted programs are then rejected by fingerprint and recompiled.
-constexpr int kProgramFormatVersion = 1;
-
-// The blob stores multi-byte integers explicitly little-endian, so
-// serialized programs are portable across hosts.
-void PutU32(std::string* out, uint32_t v) {
-  out->push_back(static_cast<char>(v & 0xffu));
-  out->push_back(static_cast<char>((v >> 8) & 0xffu));
-  out->push_back(static_cast<char>((v >> 16) & 0xffu));
-  out->push_back(static_cast<char>((v >> 24) & 0xffu));
-}
-
-uint32_t Fnv1a(std::string_view bytes) {
-  uint32_t h = 2166136261u;
-  for (char c : bytes) {
-    h ^= static_cast<uint8_t>(c);
-    h *= 16777619u;
-  }
-  return h;
-}
-
-/// Bounds-checked cursor over a serialized program blob.
-struct ByteReader {
-  const uint8_t* p;
-  const uint8_t* end;
-
-  bool ReadU8(uint8_t* out) {
-    if (p >= end) return false;
-    *out = *p++;
-    return true;
-  }
-  bool ReadU32(uint32_t* out) {
-    if (end - p < 4) return false;
-    *out = static_cast<uint32_t>(p[0]) | (static_cast<uint32_t>(p[1]) << 8) |
-           (static_cast<uint32_t>(p[2]) << 16) |
-           (static_cast<uint32_t>(p[3]) << 24);
-    p += 4;
-    return true;
-  }
-  bool ReadBytes(size_t n, std::string_view* out) {
-    if (static_cast<size_t>(end - p) < n) return false;
-    *out = std::string_view(reinterpret_cast<const char*>(p), n);
-    p += n;
-    return true;
-  }
-};
-
-void CollectPreorder(const TemplateNode& node,
-                     std::vector<const TemplateNode*>* out) {
-  out->push_back(&node);
-  for (const auto& child : node.children) CollectPreorder(*child, out);
-}
-
-void Put256Bitmap(std::string* out, const uint8_t* flags) {
-  for (int base = 0; base < 256; base += 8) {
-    uint8_t byte = 0;
-    for (int bit = 0; bit < 8; ++bit) {
-      if (flags[base + bit]) byte |= static_cast<uint8_t>(1u << bit);
-    }
-    out->push_back(static_cast<char>(byte));
-  }
-}
-
 }  // namespace
 
 CharSet TemplateFirstBytes(const StructureTemplate& st) {
@@ -133,16 +68,8 @@ CompiledTemplate::CompiledTemplate(const StructureTemplate* st,
     stop_[static_cast<size_t>(c)] =
         charset.Contains(static_cast<unsigned char>(c)) ? 1 : 0;
   }
-  InitScanStrategy(charset.ToString(), charset_engine);
-  first_bytes_ = TemplateFirstBytes(*st_);
-  Compile(st_->root(), /*depth=*/0);
-  FlushPendingField();
-  FlushLiteral();
-  pending_literal_.shrink_to_fit();
-}
-
-void CompiledTemplate::InitScanStrategy(const std::string& members,
-                                        CharsetEngine charset_engine) {
+  // The field-scan strategy, from the RT-CharSet's members.
+  const std::string members = charset.ToString();
   if (members.size() == 1) {
     // Fields run to the line terminator: long scans, vectorized memchr.
     scan_kind_ = ScanKind::kMemchr;
@@ -163,8 +90,13 @@ void CompiledTemplate::InitScanStrategy(const std::string& members,
     // AVX2 (first-stop position semantics are the stop table's, so match
     // results don't change).
     scan_kind_ = ScanKind::kClass;
-    classifier_.emplace(st_->charset(), charset_engine);
+    classifier_.emplace(charset, charset_engine);
   }
+  first_bytes_ = TemplateFirstBytes(*st_);
+  Compile(st_->root(), /*depth=*/0);
+  FlushPendingField();
+  FlushLiteral();
+  pending_literal_.shrink_to_fit();
 }
 
 void CompiledTemplate::FlushLiteral() {
@@ -520,214 +452,6 @@ std::optional<MatchStats> CompiledTemplate::ParseFlat(
   }
   stats.end = p;
   return stats;
-}
-
-std::string CompiledTemplate::ProgramFingerprint() {
-  return "dmprog v" + std::to_string(kProgramFormatVersion) +
-         " ops=" + std::to_string(static_cast<int>(Inst::kArrayNext) + 1) +
-         " depth=" + std::to_string(kMaxArrayDepth);
-}
-
-std::string CompiledTemplate::SerializeProgram() const {
-  if (!ok_ || st_ == nullptr || st_->empty()) return std::string();
-  std::vector<const TemplateNode*> preorder;
-  CollectPreorder(st_->root(), &preorder);
-  std::unordered_map<const TemplateNode*, uint32_t> index;
-  index.reserve(preorder.size());
-  for (size_t i = 0; i < preorder.size(); ++i) {
-    index.emplace(preorder[i], static_cast<uint32_t>(i));
-  }
-
-  std::string payload;
-  payload.reserve(insts_.size() * 14 + pool_.size() + nodes_.size() * 4 + 96);
-  PutU32(&payload, static_cast<uint32_t>(insts_.size()));
-  for (const Inst& inst : insts_) {
-    payload.push_back(static_cast<char>(inst.op));
-    payload.push_back(static_cast<char>(inst.byte));
-    PutU32(&payload, inst.a);
-    PutU32(&payload, inst.b);
-    PutU32(&payload, inst.c);
-  }
-  PutU32(&payload, static_cast<uint32_t>(pool_.size()));
-  payload += pool_;
-  PutU32(&payload, static_cast<uint32_t>(nodes_.size()));
-  for (const TemplateNode* node : nodes_) {
-    auto it = index.find(node);
-    if (it == index.end()) return std::string();  // foreign node: no program
-    PutU32(&payload, it->second);
-  }
-  // Charset-derived scan state, so loading skips the CharSet walks: stop
-  // table as a 256-bit bitmap, the member string (scan-kind selection),
-  // and the FIRST-set bitmap.
-  Put256Bitmap(&payload, stop_.data());
-  const std::string members = st_->charset().ToString();
-  PutU32(&payload, static_cast<uint32_t>(members.size()));
-  payload += members;
-  std::array<uint8_t, 256> first{};
-  for (int c = 0; c < 256; ++c) {
-    first[static_cast<size_t>(c)] =
-        first_bytes_.Contains(static_cast<unsigned char>(c)) ? 1 : 0;
-  }
-  Put256Bitmap(&payload, first.data());
-
-  const std::string fp = ProgramFingerprint();
-  std::string blob;
-  blob.reserve(4 + fp.size() + 4 + payload.size());
-  PutU32(&blob, static_cast<uint32_t>(fp.size()));
-  blob += fp;
-  PutU32(&blob, Fnv1a(payload));
-  blob += payload;
-  return blob;
-}
-
-std::optional<CompiledTemplate> CompiledTemplate::FromSerialized(
-    const StructureTemplate* st, std::string_view blob,
-    CharsetEngine charset_engine) {
-  if (st == nullptr || st->empty() || blob.empty()) return std::nullopt;
-  ByteReader r{reinterpret_cast<const uint8_t*>(blob.data()),
-               reinterpret_cast<const uint8_t*>(blob.data()) + blob.size()};
-  uint32_t fp_len = 0;
-  std::string_view fp;
-  if (!r.ReadU32(&fp_len) || fp_len > 256 || !r.ReadBytes(fp_len, &fp)) {
-    return std::nullopt;
-  }
-  if (fp != ProgramFingerprint()) return std::nullopt;
-  uint32_t checksum = 0;
-  if (!r.ReadU32(&checksum)) return std::nullopt;
-  const std::string_view payload(reinterpret_cast<const char*>(r.p),
-                                 static_cast<size_t>(r.end - r.p));
-  if (Fnv1a(payload) != checksum) return std::nullopt;
-
-  CompiledTemplate ct;
-  ct.st_ = st;
-  uint32_t n_insts = 0;
-  if (!r.ReadU32(&n_insts) || n_insts > (1u << 22)) return std::nullopt;
-  ct.insts_.reserve(n_insts);
-  for (uint32_t i = 0; i < n_insts; ++i) {
-    uint8_t op = 0;
-    Inst inst;
-    if (!r.ReadU8(&op) || op > static_cast<uint8_t>(Inst::kArrayNext) ||
-        !r.ReadU8(&inst.byte) || !r.ReadU32(&inst.a) || !r.ReadU32(&inst.b) ||
-        !r.ReadU32(&inst.c)) {
-      return std::nullopt;
-    }
-    inst.op = static_cast<Inst::Op>(op);
-    ct.insts_.push_back(inst);
-  }
-  uint32_t pool_len = 0;
-  std::string_view pool;
-  if (!r.ReadU32(&pool_len) || !r.ReadBytes(pool_len, &pool)) {
-    return std::nullopt;
-  }
-  ct.pool_.assign(pool);
-  std::vector<const TemplateNode*> preorder;
-  CollectPreorder(st->root(), &preorder);
-  uint32_t n_nodes = 0;
-  if (!r.ReadU32(&n_nodes) || n_nodes > (1u << 22)) return std::nullopt;
-  ct.nodes_.reserve(n_nodes);
-  for (uint32_t i = 0; i < n_nodes; ++i) {
-    uint32_t idx = 0;
-    if (!r.ReadU32(&idx) || idx >= preorder.size()) return std::nullopt;
-    ct.nodes_.push_back(preorder[idx]);
-  }
-  std::string_view stop_bits, first_bits;
-  if (!r.ReadBytes(32, &stop_bits)) return std::nullopt;
-  for (int c = 0; c < 256; ++c) {
-    ct.stop_[static_cast<size_t>(c)] =
-        (static_cast<uint8_t>(stop_bits[static_cast<size_t>(c >> 3)]) >>
-         (c & 7)) &
-        1u;
-  }
-  uint32_t members_len = 0;
-  std::string_view members;
-  if (!r.ReadU32(&members_len) || members_len > 256 ||
-      !r.ReadBytes(members_len, &members)) {
-    return std::nullopt;
-  }
-  if (!r.ReadBytes(32, &first_bits)) return std::nullopt;
-  for (int c = 0; c < 256; ++c) {
-    if ((static_cast<uint8_t>(first_bits[static_cast<size_t>(c >> 3)]) >>
-         (c & 7)) &
-        1u) {
-      ct.first_bytes_.Add(static_cast<unsigned char>(c));
-    }
-  }
-  if (r.p != r.end) return std::nullopt;  // trailing bytes: not our blob
-  if (!ct.ValidateProgram()) return std::nullopt;
-  ct.InitScanStrategy(std::string(members), charset_engine);
-  ct.ok_ = true;
-  return ct;
-}
-
-bool CompiledTemplate::ValidateProgram() const {
-  const size_t n_nodes = nodes_.size();
-  const size_t pool_size = pool_.size();
-  const uint32_t n = static_cast<uint32_t>(insts_.size());
-  // depth_before[i] = frame-stack depth when inst i begins executing.
-  // Control flow is linear except validated backward jumps, so one pass
-  // both computes it and checks every jump lands at matching depth — the
-  // invariant that keeps Run's frame stack in [0, kMaxArrayDepth] for any
-  // (possibly hostile) deserialized program.
-  std::vector<int> depth_before(n, 0);
-  std::vector<uint32_t> begins;
-  int depth = 0;
-  for (uint32_t i = 0; i < n; ++i) {
-    depth_before[i] = depth;
-    const Inst& inst = insts_[i];
-    switch (inst.op) {
-      case Inst::kLit:
-        if (inst.b == 0 || inst.b > pool_size || inst.a > pool_size - inst.b) {
-          return false;
-        }
-        break;
-      case Inst::kLit1:
-        break;
-      case Inst::kField:
-      case Inst::kFieldLit1:
-        if (inst.a >= n_nodes || nodes_[inst.a]->kind != NodeKind::kField) {
-          return false;
-        }
-        break;
-      case Inst::kFieldLitRun: {
-        if (inst.b == 0 || inst.b > n_nodes || inst.a > n_nodes - inst.b) {
-          return false;
-        }
-        for (uint32_t k = 0; k < inst.b; ++k) {
-          if (nodes_[inst.a + k]->kind != NodeKind::kField) return false;
-        }
-        if (inst.b > pool_size || inst.c > pool_size - inst.b) return false;
-        break;
-      }
-      case Inst::kFieldArray:
-        if (inst.a >= n_nodes || nodes_[inst.a]->kind != NodeKind::kField) {
-          return false;
-        }
-        if (inst.b >= n_nodes || nodes_[inst.b]->kind != NodeKind::kArray) {
-          return false;
-        }
-        break;
-      case Inst::kArrayBegin:
-        if (inst.b >= n_nodes || nodes_[inst.b]->kind != NodeKind::kArray) {
-          return false;
-        }
-        if (depth + 1 > kMaxArrayDepth) return false;
-        begins.push_back(i);
-        ++depth;
-        break;
-      case Inst::kArrayNext: {
-        if (begins.empty()) return false;
-        const uint32_t begin = begins.back();
-        // The separator branch must jump strictly inside this array's
-        // element program, to an instruction at the same static depth.
-        if (inst.a <= begin || inst.a > i) return false;
-        if (depth_before[inst.a] != depth) return false;
-        begins.pop_back();
-        --depth;
-        break;
-      }
-    }
-  }
-  return depth == 0;
 }
 
 }  // namespace datamaran

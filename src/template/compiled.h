@@ -89,32 +89,6 @@ class CompiledTemplate {
   /// Deepest array nesting the execution stack supports.
   static constexpr int kMaxArrayDepth = 16;
 
-  /// Serializes the lowered program to a compact binary blob that
-  /// FromSerialized can rebuild without re-running Compile: instruction
-  /// stream, literal pool, event-attribution nodes as pre-order tree
-  /// indices, plus the charset-derived scan tables (all engine-independent;
-  /// the per-engine scan strategy is re-derived on load). The blob starts
-  /// with ProgramFingerprint() and a checksum of the payload. Returns an
-  /// empty string when !ok().
-  std::string SerializeProgram() const;
-
-  /// The program-format fingerprint this build emits and accepts. Encodes
-  /// the bytecode format version plus automatic tripwires (opcode count,
-  /// array-depth limit); bump kProgramFormatVersion whenever instruction
-  /// semantics change so stale persisted programs are rejected, not
-  /// misexecuted.
-  static std::string ProgramFingerprint();
-
-  /// Rebuilds a program for `st` from a SerializeProgram blob. Returns
-  /// nullopt — callers fall back to compiling fresh — on any fingerprint
-  /// mismatch, checksum failure, truncation, or structural-validation
-  /// failure (out-of-range pool/node references, malformed array jumps,
-  /// stack depth past kMaxArrayDepth). A non-nullopt result is safe to
-  /// execute and behaves identically to CompiledTemplate(st, engine).
-  static std::optional<CompiledTemplate> FromSerialized(
-      const StructureTemplate* st, std::string_view blob,
-      CharsetEngine charset_engine = CharsetEngine::kSimd);
-
  private:
   struct Inst {
     enum Op : uint8_t {
@@ -150,23 +124,9 @@ class CompiledTemplate {
     kClass,
   };
 
-  CompiledTemplate() = default;  // FromSerialized scaffolding
-
   void Compile(const TemplateNode& node, int depth);
   void FlushLiteral();
   void FlushPendingField();
-
-  /// Derives the per-engine scan strategy (stop table already populated):
-  /// scan kind, memchr byte / SWAR masks / classifier. `members` is the
-  /// RT-CharSet in CharSet::ToString() order.
-  void InitScanStrategy(const std::string& members,
-                        CharsetEngine charset_engine);
-
-  /// Structural validation of a deserialized program: every reference in
-  /// bounds, array begin/next properly nested with consistent static stack
-  /// depth at every jump target, depth within kMaxArrayDepth. Guarantees
-  /// Run cannot read out of bounds or over/underflow its frame stack.
-  bool ValidateProgram() const;
 
   template <bool kEmitEvents, ScanKind kScan>
   bool Run(std::string_view text, size_t* pos, size_t* field_chars,

@@ -61,16 +61,9 @@ ParsedValue BuildParsedValue(const StructureTemplate& st, size_t pos,
 }
 
 RecordMatcher::RecordMatcher(const StructureTemplate* st, MatchEngine engine,
-                             CharsetEngine charset_engine,
-                             const std::string* program)
+                             CharsetEngine charset_engine)
     : tree_(st), first_bytes_(TemplateFirstBytes(*st)) {
   if (engine == MatchEngine::kCompiled) {
-    if (program != nullptr && !program->empty()) {
-      compiled_ = CompiledTemplate::FromSerialized(st, *program, charset_engine);
-      if (compiled_.has_value()) return;
-      // Stale or corrupt persisted program: recompile from the canonical
-      // form — identical behavior, just without the warm-load shortcut.
-    }
     compiled_.emplace(st, charset_engine);
     if (!compiled_->ok()) compiled_.reset();
   }
@@ -98,14 +91,11 @@ TemplateSetIndex::TemplateSetIndex(const std::vector<RecordMatcher>& matchers) {
 
 std::vector<RecordMatcher> BuildMatchers(
     const std::vector<StructureTemplate>& templates, MatchEngine engine,
-    CharsetEngine charset_engine, const std::vector<std::string>* programs) {
+    CharsetEngine charset_engine) {
   std::vector<RecordMatcher> matchers;
   matchers.reserve(templates.size());
-  for (size_t t = 0; t < templates.size(); ++t) {
-    const std::string* program =
-        programs != nullptr && t < programs->size() ? &(*programs)[t]
-                                                    : nullptr;
-    matchers.emplace_back(&templates[t], engine, charset_engine, program);
+  for (const StructureTemplate& st : templates) {
+    matchers.emplace_back(&st, engine, charset_engine);
   }
   return matchers;
 }

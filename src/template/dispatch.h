@@ -48,14 +48,9 @@ class RecordMatcher {
  public:
   /// `charset_engine` tunes the compiled engine's wide-stop-set field scans
   /// (util/charset_engine.h); the tree walker ignores it. Results are
-  /// byte-identical for every combination. `program`, when non-null and
-  /// non-empty, is a persisted CompiledTemplate::SerializeProgram blob for
-  /// `st` (catalog warm loads): the compiled engine deserializes it instead
-  /// of re-lowering the tree, falling back to a fresh compile when the blob
-  /// fails its fingerprint/checksum/validation — never to different output.
+  /// byte-identical for every combination.
   RecordMatcher(const StructureTemplate* st, MatchEngine engine,
-                CharsetEngine charset_engine = CharsetEngine::kSimd,
-                const std::string* program = nullptr);
+                CharsetEngine charset_engine = CharsetEngine::kSimd);
 
   std::optional<MatchStats> TryMatch(std::string_view text, size_t pos) const {
     if (compiled_.has_value()) return compiled_->TryMatch(text, pos);
@@ -107,13 +102,10 @@ class TemplateSetIndex {
 };
 
 /// Builds one RecordMatcher per template, in order. The templates vector
-/// must outlive the result (matchers hold pointers into it). `programs`,
-/// when non-null, is the parallel vector of persisted program blobs from a
-/// catalog entry (missing/short/invalid elements compile fresh).
+/// must outlive the result (matchers hold pointers into it).
 std::vector<RecordMatcher> BuildMatchers(
     const std::vector<StructureTemplate>& templates, MatchEngine engine,
-    CharsetEngine charset_engine = CharsetEngine::kSimd,
-    const std::vector<std::string>* programs = nullptr);
+    CharsetEngine charset_engine = CharsetEngine::kSimd);
 
 }  // namespace datamaran
 

@@ -39,6 +39,7 @@
 #include "util/rng.h"
 #include "util/sampler.h"
 #include "util/status.h"
+#include "util/strings.h"
 
 namespace datamaran {
 namespace {
@@ -357,6 +358,28 @@ TEST(CatalogParseTest, RejectsMalformedInputs) {
   auto empty = TemplateCatalog::Parse("datamaran-catalog v1\n");
   ASSERT_TRUE(empty.ok());
   EXPECT_TRUE(empty.value().empty());
+
+  // The program lines earlier v2 builds wrote are dropped on load, but
+  // still only after their template, one per template, as one token with
+  // well-formed escapes.
+  const std::string head = "datamaran-catalog v2\nentry fmt0 templates=1\n";
+  const std::string tmpl =
+      "template F,F\\n mdl=1 noise=2 records=3 coverage=0.5\n";
+  EXPECT_TRUE(
+      TemplateCatalog::Parse(head + tmpl + "program \\x00ab\nend\n").ok());
+  // Before any template.
+  EXPECT_FALSE(
+      TemplateCatalog::Parse(head + "program ab\n" + tmpl + "end\n").ok());
+  // Two for the same template.
+  EXPECT_FALSE(
+      TemplateCatalog::Parse(head + tmpl + "program ab\nprogram ab\nend\n")
+          .ok());
+  // An extra token.
+  EXPECT_FALSE(
+      TemplateCatalog::Parse(head + tmpl + "program ab cd\nend\n").ok());
+  // A bad escape.
+  EXPECT_FALSE(
+      TemplateCatalog::Parse(head + tmpl + "program a\\qb\nend\n").ok());
 }
 
 TEST(CatalogParseTest, AddEntryDeduplicatesBySignature) {
@@ -537,7 +560,7 @@ TEST(MatchCatalogTest, EmptyCatalogNeverHits) {
 
 // -------------------------------------------------------- drift accounting ---
 
-// --------------------------------------------- v2: programs, kv, migration ---
+// --------------------------------------------------- v2: kv, migration ---
 
 /// One-template catalog entry around `canonical`; meta left default.
 CatalogEntry EntryFor(const std::string& canonical) {
@@ -549,43 +572,56 @@ CatalogEntry EntryFor(const std::string& canonical) {
   return entry;
 }
 
-TEST(CatalogV2Test, SerializeEmitsV2HeaderAndProgramLines) {
+TEST(CatalogV2Test, SerializeEmitsV2HeaderAndTemplatesOnly) {
   TemplateCatalog catalog;
   catalog.AddEntry(EntryFor("F=F;F=F;\n"));
-  catalog.PopulatePrograms();
   const std::string text = catalog.Serialize();
   EXPECT_EQ(text.rfind("datamaran-catalog v2\n", 0), 0u);
-  EXPECT_NE(text.find("\nprogram "), std::string::npos)
-      << "PopulatePrograms must serialize the compiled bytecode:\n" << text;
+  EXPECT_EQ(text.find("\nprogram "), std::string::npos) << text;
 }
 
-TEST(CatalogV2Test, KvExtensionsAndProgramsRoundTrip) {
+TEST(CatalogV2Test, KvExtensionsRoundTrip) {
   TemplateCatalog catalog;
   CatalogEntry entry = EntryFor("F,F\n");
   entry.extensions.emplace_back("origin", "unit test");
   entry.extensions.emplace_back("weird\nkey", "value with \\ and spaces");
   catalog.AddEntry(std::move(entry));
-  catalog.PopulatePrograms();
-  ASSERT_FALSE(catalog.entry(0).programs[0].empty());
 
   auto reloaded = TemplateCatalog::Parse(catalog.Serialize());
   ASSERT_TRUE(reloaded.ok()) << reloaded.status().message();
   const CatalogEntry& got = reloaded.value().entry(0);
   EXPECT_EQ(got.extensions, catalog.entry(0).extensions);
-  ASSERT_EQ(got.programs.size(), 1u);
-  EXPECT_EQ(got.programs[0], catalog.entry(0).programs[0])
-      << "the program blob must survive escape/unescape byte-exactly";
   // Canonical serialization: a second round trip is byte-identical.
   EXPECT_EQ(reloaded.value().Serialize(), catalog.Serialize());
 }
 
-std::string FixturePath() {
-  return std::string(DM_SOURCE_DIR) + "/tests/data/catalog_v1.txt";
+std::string FixturePath(const char* name = "catalog_v1.txt") {
+  return std::string(DM_SOURCE_DIR) + "/tests/data/" + name;
+}
+
+/// catalog_v2_programs.txt is catalog_v1.txt as a build that persisted
+/// compiled programs saved it (a `program` line after each template), plus
+/// one kv line. It loads, and serializes as the same text without the
+/// program lines.
+TEST(CatalogV2Test, ProgramLinesFromOlderBuildsAreDropped) {
+  auto text = ReadFileToString(FixturePath("catalog_v2_programs.txt"));
+  ASSERT_TRUE(text.ok());
+  auto catalog = TemplateCatalog::Parse(text.value());
+  ASSERT_TRUE(catalog.ok()) << catalog.status().message();
+  std::string want;
+  for (std::string_view line : SplitLines(text.value())) {
+    if (line.rfind("program ", 0) == 0) continue;
+    want.append(line);
+    want += '\n';
+  }
+  EXPECT_EQ(catalog.value().Serialize(), want);
+  ASSERT_EQ(catalog.value().entry(0).extensions.size(), 1u);
+  EXPECT_EQ(catalog.value().entry(0).extensions[0].first, "origin");
 }
 
 /// The committed v1 fixture gates the migration path forever: v1 files
-/// (no programs, no kv) must load, migrate in memory, and re-save as v2
-/// with identical template canonicals and freshly compiled programs.
+/// (no kv lines) must load, migrate in memory, and re-save as v2 with
+/// identical template canonicals.
 TEST(CatalogV2Test, V1FixtureLoadsMigratesAndSavesAsV2) {
   auto v1 = TemplateCatalog::Load(FixturePath());
   ASSERT_TRUE(v1.ok()) << v1.status().message();
@@ -594,10 +630,8 @@ TEST(CatalogV2Test, V1FixtureLoadsMigratesAndSavesAsV2) {
   ASSERT_EQ(v1.value().entry(1).templates.size(), 1u);
   EXPECT_EQ(v1.value().entry(0).templates[0].canonical(), "F=F;F=F;\n");
   EXPECT_EQ(v1.value().entry(1).templates[0].canonical(), "F:(F,)*F;\n");
-  // Migrated in memory: the entry shape is v2 (program/extension slots
-  // exist, empty), and Serialize writes the current version.
-  ASSERT_EQ(v1.value().entry(0).programs.size(), 2u);
-  EXPECT_TRUE(v1.value().entry(0).programs[0].empty());
+  // Migrated in memory: the entry shape is v2 (no extensions), and
+  // Serialize writes the current version.
   EXPECT_TRUE(v1.value().entry(0).extensions.empty());
 
   const std::string path =
@@ -607,8 +641,6 @@ TEST(CatalogV2Test, V1FixtureLoadsMigratesAndSavesAsV2) {
   auto text = ReadFileToString(path);
   ASSERT_TRUE(text.ok());
   EXPECT_EQ(text.value().rfind("datamaran-catalog v2\n", 0), 0u);
-  EXPECT_NE(text.value().find("\nprogram "), std::string::npos)
-      << "Save must populate precompiled programs for migrated entries";
 
   auto v2 = TemplateCatalog::Load(path);
   ASSERT_TRUE(v2.ok()) << v2.status().message();
@@ -620,124 +652,10 @@ TEST(CatalogV2Test, V1FixtureLoadsMigratesAndSavesAsV2) {
     ASSERT_EQ(got.templates.size(), want.templates.size());
     for (size_t t = 0; t < want.templates.size(); ++t) {
       EXPECT_EQ(got.templates[t].canonical(), want.templates[t].canonical());
-      EXPECT_FALSE(got.programs[t].empty());
     }
   }
   std::filesystem::remove(path);
   std::filesystem::remove(path + ".lock");
-}
-
-// -------------------------------------------------- program serialization ---
-
-TEST(CompiledProgramTest, SerializeDeserializeParity) {
-  Rng rng(20260808);
-  int checked = 0;
-  for (int iter = 0; iter < 100; ++iter) {
-    auto st = RandomTemplate(&rng);
-    ASSERT_TRUE(st.ok());
-    if (!st.value().Validate().ok()) continue;
-    const CompiledTemplate fresh(&st.value());
-    if (!fresh.ok()) continue;
-    const std::string blob = fresh.SerializeProgram();
-    ASSERT_FALSE(blob.empty());
-    auto loaded = CompiledTemplate::FromSerialized(&st.value(), blob);
-    ASSERT_TRUE(loaded.has_value()) << st.value().Display();
-    ASSERT_TRUE(loaded->ok());
-    checked++;
-
-    for (int probe = 0; probe < 20; ++probe) {
-      std::string text;
-      GenerateInstance(st.value().root(), &rng, &text);
-      if (rng.Bernoulli(0.5)) text = Mutate(std::move(text), &rng);
-      const std::string context =
-          st.value().Display() + " instance " + std::to_string(probe);
-      auto want = fresh.TryMatch(text, 0);
-      auto got = loaded->TryMatch(text, 0);
-      ASSERT_EQ(want.has_value(), got.has_value()) << context;
-      if (want.has_value()) {
-        EXPECT_EQ(want->end, got->end) << context;
-        EXPECT_EQ(want->field_chars, got->field_chars) << context;
-        std::vector<MatchEvent> want_events, got_events;
-        auto pf_want = fresh.ParseFlat(text, 0, &want_events);
-        auto pf_got = loaded->ParseFlat(text, 0, &got_events);
-        ASSERT_TRUE(pf_want.has_value() && pf_got.has_value()) << context;
-        ExpectEventParity(want_events, got_events, context);
-      }
-    }
-  }
-  EXPECT_GT(checked, 50) << "generator mostly produced invalid templates";
-}
-
-TEST(CompiledProgramTest, EverySingleByteFlipIsRejected) {
-  auto st = StructureTemplate::FromCanonical("F=F;(F,)*F|F\n");
-  ASSERT_TRUE(st.ok()) << st.status().message();
-  const CompiledTemplate fresh(&st.value());
-  ASSERT_TRUE(fresh.ok());
-  const std::string blob = fresh.SerializeProgram();
-  ASSERT_FALSE(blob.empty());
-  // The fingerprint and FNV-1a checksum cover the entire blob, so any
-  // single corrupted byte must fail closed — never load a wrong program.
-  for (size_t i = 0; i < blob.size(); ++i) {
-    std::string bad = blob;
-    bad[i] = static_cast<char>(bad[i] ^ 0x41);
-    EXPECT_FALSE(
-        CompiledTemplate::FromSerialized(&st.value(), bad).has_value())
-        << "flip at byte " << i << " loaded anyway";
-  }
-}
-
-TEST(CompiledProgramTest, TruncatedAndPaddedBlobsAreRejected) {
-  auto st = StructureTemplate::FromCanonical("F,F;F\n");
-  ASSERT_TRUE(st.ok());
-  const CompiledTemplate fresh(&st.value());
-  ASSERT_TRUE(fresh.ok());
-  const std::string blob = fresh.SerializeProgram();
-  for (size_t len = 0; len < blob.size(); ++len) {
-    EXPECT_FALSE(CompiledTemplate::FromSerialized(
-                     &st.value(), std::string_view(blob).substr(0, len))
-                     .has_value())
-        << "prefix of length " << len;
-  }
-  EXPECT_FALSE(
-      CompiledTemplate::FromSerialized(&st.value(), blob + '\0').has_value())
-      << "trailing bytes must be rejected";
-  EXPECT_TRUE(CompiledTemplate::FromSerialized(&st.value(), blob).has_value());
-}
-
-TEST(CompiledProgramTest, CorruptProgramFallsBackToIdenticalExtraction) {
-  Rng rng(5);
-  const Dataset data(KvLines(200, &rng) + ProseLines(50));
-  const DatasetView view(data);
-  std::vector<StructureTemplate> templates;
-  auto st = StructureTemplate::FromCanonical("F=F;F=F;\n");
-  ASSERT_TRUE(st.ok());
-  templates.push_back(std::move(st.value()));
-
-  const CompiledTemplate fresh(&templates[0]);
-  ASSERT_TRUE(fresh.ok());
-  std::vector<std::string> good{fresh.SerializeProgram()};
-  std::vector<std::string> corrupt{good[0]};
-  corrupt[0][corrupt[0].size() / 2] ^= 0x7f;
-  std::vector<std::string> garbage{"not a program blob"};
-
-  const Extractor baseline(&templates);
-  const ExtractionResult want = baseline.Extract(view);
-  ASSERT_EQ(want.matched_records, 200u);
-  for (const std::vector<std::string>* programs :
-       {&good, &corrupt, &garbage}) {
-    const Extractor extractor(&templates, nullptr, MatchEngine::kCompiled,
-                              CharsetEngine::kSimd, 0, programs);
-    const ExtractionResult got = extractor.Extract(view);
-    EXPECT_EQ(got.matched_records, want.matched_records);
-    EXPECT_EQ(got.noise_line_count, want.noise_line_count);
-    ASSERT_EQ(got.records.size(), want.records.size());
-    for (size_t r = 0; r < want.records.size(); ++r) {
-      EXPECT_EQ(got.records[r].template_id, want.records[r].template_id) << r;
-      EXPECT_EQ(got.records[r].begin, want.records[r].begin) << r;
-      EXPECT_EQ(got.records[r].end, want.records[r].end) << r;
-    }
-    EXPECT_EQ(got.records_per_template, want.records_per_template);
-  }
 }
 
 // ----------------------------------------------------- locked merging saves ---

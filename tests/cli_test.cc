@@ -328,8 +328,8 @@ TEST(CliCatalogTest, CatalogHitMatchesColdDiscoveryMatrix) {
   ASSERT_TRUE(catalog_text.ok());
   EXPECT_EQ(catalog_text.value().rfind("datamaran-catalog v2\n", 0), 0u)
       << "catalog file must start with the current version header";
-  EXPECT_NE(catalog_text.value().find("\nprogram "), std::string::npos)
-      << "saved catalogs carry precompiled programs";
+  EXPECT_EQ(catalog_text.value().find("\nprogram "), std::string::npos)
+      << "saved catalogs carry templates only";
 
   int run = 0;
   for (const int threads : {1, 4}) {
@@ -808,7 +808,7 @@ TEST(CliFlagTest, RemovedFlagsExitTwoNamingTheFlag) {
 /// The committed v1 catalog (written by a pre-v2 build against
 /// cli_interleaved.log) must keep serving the fast path: a warm run hits
 /// it, extracts byte-identically to the golden, and a save through
-/// --catalog-out upgrades the file to v2 with programs attached.
+/// --catalog-out upgrades the file to v2.
 TEST(CliCatalogTest, V1CatalogFixtureServesGoldenAndUpgrades) {
   const std::string input = SourcePath("tests/data/cli_interleaved.log");
   const std::string fixture = SourcePath("tests/data/catalog_v1.txt");
@@ -829,7 +829,6 @@ TEST(CliCatalogTest, V1CatalogFixtureServesGoldenAndUpgrades) {
   ASSERT_TRUE(up.ok());
   EXPECT_EQ(up.value().rfind("datamaran-catalog v2\n", 0), 0u)
       << "a save migrates v1 files to the current version";
-  EXPECT_NE(up.value().find("\nprogram "), std::string::npos);
 
   // The upgraded file is itself a working catalog.
   const std::string out2 = ::testing::TempDir() + "dm_cli_catalog_v1_out2";
@@ -844,6 +843,50 @@ TEST(CliCatalogTest, V1CatalogFixtureServesGoldenAndUpgrades) {
   fs::remove(upgraded + ".lock");
   fs::remove_all(out);
   fs::remove_all(out2);
+}
+
+/// catalog_v2_programs.txt is catalog_v1.txt as saved by an earlier v2
+/// build, which wrote each template's compiled program on a `program` line,
+/// plus one kv line. A warm run must hit it and extract byte-identically to
+/// the golden; its --catalog-out keeps the kv line and writes no program
+/// line.
+TEST(CliCatalogTest, V2CatalogWithProgramLinesServesGoldenAndDropsThem) {
+  const std::string input = SourcePath("tests/data/cli_interleaved.log");
+  const std::string fixture = SourcePath("tests/data/catalog_v2_programs.txt");
+  const std::string saved = ::testing::TempDir() + "dm_cli_catalog_v2prog.txt";
+  const std::string summary =
+      ::testing::TempDir() + "dm_cli_catalog_v2prog.json";
+  const std::string out = ::testing::TempDir() + "dm_cli_catalog_v2prog_out";
+  fs::remove(saved);
+  fs::remove_all(out);
+
+  ASSERT_EQ(RunCli(StrFormat("\"%s\" --catalog-in=\"%s\" --catalog-out=\"%s\" "
+                             "--summary-json=\"%s\" --out=\"%s\"",
+                             input.c_str(), fixture.c_str(), saved.c_str(),
+                             summary.c_str(), out.c_str())),
+            0);
+  auto sum = ReadFileToString(summary);
+  ASSERT_TRUE(sum.ok());
+  EXPECT_NE(sum.value().find("\"hit\": true"), std::string::npos)
+      << sum.value();
+  ExpectDirsEqual(SourcePath("tests/golden/cli_interleaved_csv"), out,
+                  "warm run against a catalog with program lines");
+
+  auto text = ReadFileToString(saved);
+  ASSERT_TRUE(text.ok());
+  EXPECT_EQ(text.value().rfind("datamaran-catalog v2\n", 0), 0u);
+  EXPECT_EQ(text.value().find("\nprogram "), std::string::npos)
+      << text.value();
+  EXPECT_NE(text.value().find(
+                "\nkv origin catalog_v1.txt\\sre-saved\\swith\\sprogram"
+                "\\slines\n"),
+            std::string::npos)
+      << text.value();
+
+  fs::remove(saved);
+  fs::remove(saved + ".lock");
+  fs::remove(summary);
+  fs::remove_all(out);
 }
 
 // ------------------------------------------------------- incremental crawl ---
@@ -1268,7 +1311,6 @@ void ExtractLikeCli(const std::vector<std::string>& inputs,
   auto opened = OpenInputs(inputs, MakeInputOptions(options));
   ASSERT_TRUE(opened.ok()) << opened.status().ToString();
   const Dataset& data = opened.value();
-  std::vector<std::string> programs;
   PipelineResult result;
   if (reader) {
     auto input = InputReader::Open(inputs, MakeInputOptions(options));
@@ -1276,7 +1318,7 @@ void ExtractLikeCli(const std::vector<std::string>& inputs,
     std::optional<Dataset> sample_copy;
     auto sample = input->ReadSample(MakeSamplerOptions(options), &sample_copy);
     ASSERT_TRUE(sample.ok()) << sample.status().ToString();
-    result = dm.ResolveTemplates(sample.value(), &programs);
+    result = dm.ResolveTemplates(sample.value());
     ASSERT_FALSE(result.templates.empty());
     const Dataset no_data{std::string()};
     auto sink = MakeWriteSink(&result.templates, DatasetView(no_data),
@@ -1284,27 +1326,24 @@ void ExtractLikeCli(const std::vector<std::string>& inputs,
     ASSERT_TRUE(sink->status().ok()) << sink->status().ToString();
     const Extractor extractor(&result.templates, dm.pool(),
                               options.match_engine, options.charset_engine,
-                              options.max_line_bytes,
-                              programs.empty() ? nullptr : &programs);
+                              options.max_line_bytes);
     auto scanned = input->Scan(extractor, sink.get());
     ASSERT_TRUE(scanned.ok()) << scanned.status().ToString();
     result.extraction = std::move(scanned.value());
     ASSERT_TRUE(sink->Finish().ok());
   } else {
-    result = dm.ResolveTemplates(data, &programs);
+    result = dm.ResolveTemplates(data);
     ASSERT_FALSE(result.templates.empty());
     const DatasetView view(data);
     auto sink = MakeWriteSink(&result.templates, view, normalized, out);
     ASSERT_TRUE(sink->status().ok()) << sink->status().ToString();
     const Extractor extractor(&result.templates, dm.pool(),
                               options.match_engine, options.charset_engine,
-                              options.max_line_bytes,
-                              programs.empty() ? nullptr : &programs);
+                              options.max_line_bytes);
     result.extraction = extractor.ExtractEvents(view, sink.get());
     ASSERT_TRUE(sink->Finish().ok());
   }
   if (catalog_hit != nullptr) *catalog_hit = result.stats.catalog_hit;
-  EXPECT_EQ(programs.empty(), !result.stats.catalog_hit);
 
   const PipelineResult collected = dm.ExtractDataset(data);
   ExpectSameCounts(SummarizeResult("", collected, options),

@@ -355,10 +355,11 @@ TEST(ParallelExtractionTest, WaveBuffersHoldTwentyFourByteEvents) {
   // buffers 256 records x 6 field events. The chunk vectors grow by
   // doubling, so the allocations stay under twice the wave's events at
   // 24 bytes apiece, plus the same again for the chunks' 256 attempts of
-  // at most 80 bytes, plus 32 KiB for the pool's tasks and the counts.
-  // Later waves reuse the first wave's capacity. With libstdc++ the scan
-  // allocates 444,368 bytes against a bound of 491,520; with 40-byte
-  // events it allocated 641,552.
+  // 40 bytes, plus 32 KiB for the pool's tasks and the counts. Later waves
+  // reuse the first wave's capacity. With libstdc++ the scan allocates
+  // 378,768 bytes against a bound of 409,600; with 72-byte attempts (each
+  // held a window-text string) it allocated 444,368, and with 40-byte
+  // events as well, 641,552.
   auto st = StructureTemplate::FromCanonical("F,F,F,F,F,F\n");
   ASSERT_TRUE(st.ok());
   std::vector<StructureTemplate> templates;
@@ -386,7 +387,7 @@ TEST(ParallelExtractionTest, WaveBuffersHoldTwentyFourByteEvents) {
   constexpr size_t kChunks = 4;
   constexpr size_t kChunkLines = 256;
   constexpr size_t kEventBytes = 2 * kChunks * kChunkLines * kFields * 24;
-  constexpr size_t kAttemptBytes = 2 * kChunks * kChunkLines * 80;
+  constexpr size_t kAttemptBytes = 2 * kChunks * kChunkLines * 40;
   EXPECT_GT(bytes, kEventBytes / 2);  // the counter sees the wave's events
   EXPECT_LE(bytes, kEventBytes + kAttemptBytes + 32 * 1024);
 }

@@ -335,13 +335,12 @@ int main(int argc, char** argv) {
   // catalog hit or cold discovery), then a single windowed scan of the
   // file feeds the --out writers (or no sink) and yields every count and
   // timing reported below.
-  std::vector<std::string> programs;
   PipelineResult result;
   {
     std::optional<Dataset> sample_copy;
     auto sample = reader.ReadSample(MakeSamplerOptions(options), &sample_copy);
     if (!sample.ok()) return fail(sample.status());
-    result = dm.ResolveTemplates(sample.value(), &programs);
+    result = dm.ResolveTemplates(sample.value());
   }
 
   // Both layouts stream through the same WriteSinkBase machinery; noise
@@ -364,8 +363,7 @@ int main(int argc, char** argv) {
   }
   const Extractor extractor(&result.templates, dm.pool(),
                             options.match_engine, options.charset_engine,
-                            options.max_line_bytes,
-                            programs.empty() ? nullptr : &programs);
+                            options.max_line_bytes);
   auto scanned = reader.Scan(extractor, sink.get());
   if (!scanned.ok()) return fail(scanned.status());
   result.extraction = std::move(scanned.value());

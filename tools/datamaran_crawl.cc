@@ -424,13 +424,8 @@ int main(int argc, char** argv) {
       s.templates.push_back(st.Display());
     }
     Timer t;
-    // Warm path: entries loaded from a v2 catalog carry precompiled
-    // programs, so the matchers deserialize instead of recompiling.
     Extractor extractor(&templates, /*pool=*/nullptr, options.match_engine,
-                        options.charset_engine, options.max_line_bytes,
-                        entry != nullptr && !entry->programs.empty()
-                            ? &entry->programs
-                            : nullptr);
+                        options.charset_engine, options.max_line_bytes);
     std::unique_ptr<ColumnarWriteSink> sink;
     if (entry != nullptr && !out_dir.empty()) {
       sink = std::make_unique<ColumnarWriteSink>(
