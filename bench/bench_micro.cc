@@ -1280,7 +1280,8 @@ std::string MakeLakeFile(int format, uint64_t seed, size_t target_bytes) {
                std::to_string(rng.Uniform(0, 999)) + "\n";
         break;
       default:
-        out += "u" + std::to_string(rng.Uniform(0, 99)) + "|op" +
+        out += "u";
+        out += std::to_string(rng.Uniform(0, 99)) + "|op" +
                std::to_string(rng.Uniform(0, 9)) + "|" +
                std::to_string(rng.Uniform(0, 99999)) + "|ok\n";
         break;

@@ -44,7 +44,11 @@ std::string FirstSetToken(const CharSet& first) {
       complement.Add(static_cast<unsigned char>(b));
     }
   }
-  return "!" + CatalogEscape(complement.ToString());
+  // Appended, not `"!" + std::string`: GCC 12 flags that inlined insert
+  // with a false -Wrestrict overlap.
+  std::string token = "!";
+  token += CatalogEscape(complement.ToString());
+  return token;
 }
 
 std::optional<double> ParseDoubleToken(std::string_view s) {

@@ -242,7 +242,8 @@ void ExpectSameCandidates(const std::vector<CandidateTemplate>& want,
 /// A line of exactly `len` bytes, '\n' included: comma-separated fields
 /// with a key=value head, padded with a letter run.
 std::string LineOfLength(size_t len, Rng* rng) {
-  std::string line = "k" + std::to_string(rng->Uniform(0, 9)) + "=";
+  std::string line = "k";
+  line += std::to_string(rng->Uniform(0, 9)) + "=";
   while (line.size() + 4 < len) {
     line += std::to_string(rng->Uniform(10, 99)) + ",";
   }
@@ -268,7 +269,8 @@ std::string WordEdgeCorpus() {
       case 4: text += "\n"; break;
       case 5: text += LineOfLength(128, &rng); break;
       default:
-        text += "a" + std::to_string(rng.Uniform(0, 99));
+        text += "a";
+        text += std::to_string(rng.Uniform(0, 99));
         text.push_back('\0');
         text += std::to_string(rng.Uniform(0, 99)) + "\xff" +
                 std::to_string(rng.Uniform(0, 99)) + "\n";

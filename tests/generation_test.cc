@@ -282,7 +282,8 @@ TEST(GenerationTest, GreedyTriesFewerCharsetsThanExhaustive) {
   std::string text;
   Rng rng(7);
   for (int i = 0; i < 150; ++i) {
-    text += "[" + std::to_string(rng.Uniform(10, 99)) + ":" +
+    text += "[";
+    text += std::to_string(rng.Uniform(10, 99)) + ":" +
             std::to_string(rng.Uniform(10, 99)) + "] user=" +
             std::to_string(rng.Uniform(0, 9)) + ";host=" +
             std::to_string(rng.Uniform(0, 9)) + "\n";

@@ -492,7 +492,10 @@ TEST(InputReader, EveryPathServesOpenInputsText) {
   const Extractor extractor(&templates);
   for (const std::vector<std::string>& paths : cases) {
     std::string names;
-    for (const std::string& p : paths) names += " " + fs::path(p).filename().string();
+    for (const std::string& p : paths) {
+      names += " ";
+      names += fs::path(p).filename().string();
+    }
     SCOPED_TRACE(names);
     ExpectReaderServesOpenInputs(paths, InputOptions{}, extractor);
   }

@@ -791,9 +791,11 @@ std::string WindowCorpus(int items, uint64_t seed, bool final_newline) {
       const int lines = rng.Bernoulli(0.2)
                             ? static_cast<int>(rng.Uniform(1, 11))
                             : 12;
-      text += "<" + field() + "\n";
+      text += "<";
+      text += field() + "\n";
       for (int k = 1; k < lines && k < 11; ++k) {
-        text += "|" + field() + "|" + field() + "\n";
+        text += "|";
+        text += field() + "|" + field() + "\n";
       }
       if (lines == 12) text += ">" + field() + "\n";
     } else if (kind == 2) {

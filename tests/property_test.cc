@@ -82,7 +82,9 @@ GeneratedDataset MakeDataset(Rng* rng, const RandomFormat& fmt, int records,
     b.BeginRecord(0);
     b.Append(fmt.lead);
     for (size_t i = 0; i < fmt.kinds.size(); ++i) {
-      b.Target("f" + std::to_string(i), RenderValue(rng, fmt.kinds[i]));
+      std::string name = "f";
+      name += std::to_string(i);
+      b.Target(name, RenderValue(rng, fmt.kinds[i]));
       b.Append(std::string_view(&fmt.seps[i], 1));
     }
     b.EndRecord();
