@@ -1,8 +1,10 @@
 #!/bin/sh
-# Static C++ runtime gate: fails when a tool binary lists the shared C++
-# runtime (libstdc++.so or libgcc_s.so) as NEEDED. CMakeLists.txt links
-# both tools with -static-libstdc++ -static-libgcc wherever the toolchain
-# has libstdc++.a, and registers this test only then. Exits 77, the test's
+# Static-pie gate: fails when a tool binary has a program interpreter
+# (PT_INTERP), any NEEDED shared object, or an ELF type other than DYN.
+# CMakeLists.txt links both tools with -static-pie wherever its configure
+# probe passes, and registers this test only then: such a tool maps no
+# loader and no shared object at start, and stays position-independent, so
+# the kernel still randomizes where it loads. Exits 77, the test's
 # SKIP_RETURN_CODE, when readelf is missing.
 #
 #   sh tests/static_runtime_test.sh build/datamaran_cli build/datamaran_crawl
@@ -17,19 +19,34 @@ fi
 
 fail=0
 for bin in "$@"; do
-  if ! dynamic=$(readelf -d "$bin"); then
+  if ! header=$(readelf -h "$bin") || ! segments=$(readelf -l "$bin") ||
+     ! dynamic=$(readelf -d "$bin"); then
     echo "$bin: readelf failed"
     fail=1
     continue
   fi
-  runtime=$(printf '%s\n' "$dynamic" |
-            grep '(NEEDED)' | grep -E 'lib(stdc\+\+|gcc_s)\.so')
-  if [ -n "$runtime" ]; then
-    echo "$bin loads the C++ runtime dynamically:"
-    printf '%s\n' "$runtime"
-    fail=1
+  bad=0
+  type=$(printf '%s\n' "$header" | sed -n 's/^ *Type: *//p')
+  case "$type" in
+    DYN*) ;;
+    *) echo "$bin: ELF type is '$type', not DYN (position-independent)"
+       bad=1 ;;
+  esac
+  if printf '%s\n' "$segments" | grep -q '^ *INTERP '; then
+    echo "$bin has a program interpreter:"
+    printf '%s\n' "$segments" | grep 'program interpreter'
+    bad=1
+  fi
+  needed=$(printf '%s\n' "$dynamic" | grep '(NEEDED)')
+  if [ -n "$needed" ]; then
+    echo "$bin loads shared objects:"
+    printf '%s\n' "$needed"
+    bad=1
+  fi
+  if [ "$bad" -eq 0 ]; then
+    echo "$bin: static-pie (type DYN, no INTERP, no NEEDED)"
   else
-    echo "$bin: no libstdc++.so or libgcc_s.so NEEDED"
+    fail=1
   fi
 done
 exit "$fail"

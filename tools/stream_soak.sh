@@ -8,7 +8,7 @@
 # through `datamaran_cli --follow=-`. The run must survive a
 # drift-triggered template evolution mid-stream, and peak RSS must stay
 # O(window), independent of stream length, far below the bytes streamed:
-# under a fixed budget (default 32 MiB; measured ~6 MB). Fails on a
+# under a fixed budget (default 32 MiB; measured ~2.7 MB). Fails on a
 # nonzero CLI exit, a missing evolution, or peak RSS above the budget.
 #
 # Batch mode (--batch): write the generator's output (default 64 MiB, and
@@ -21,7 +21,7 @@
 # kind), extraction one window-sized segment at a time, gzip members
 # inflated and CRLFs stripped as the window passes — so no memory grows
 # with the input: every peak must stay under a fixed budget (default
-# 16 MiB; measured ~6-7.5 MB for every kind and size), and for each kind
+# 16 MiB; measured ~4.1-4.8 MB for every kind and size), and for each kind
 # the large input's peak may exceed the small one's by at most 2 MiB, so
 # any term that grows with the input fails even below the budget. Fails
 # on a nonzero CLI exit, a summary error, no extracted records, a peak
@@ -40,9 +40,10 @@
 # once, so a worker adds its scan state and its heap arena, not a second
 # pool's threads or buffers freed and reallocated per segment: the
 # 4-thread peak may exceed the 1-thread one by at most 3 MiB (measured
-# +1.8-2.5 MB, and +3.4-3.9 MB with a second pool and per-segment
-# buffers). Discovery on full 256 KiB samples also holds a generation
-# workspace per worker, which this lake keeps small (docs/ARCHITECTURE.md).
+# +1.4-1.5 MB over a 1-thread peak of ~3.0 MB, and +3.4-3.9 MB with a
+# second pool and per-segment buffers). Discovery on full 256 KiB samples
+# also holds a generation workspace per worker, which this lake keeps
+# small (docs/ARCHITECTURE.md).
 # Fails on a nonzero crawl exit, a manifest error, a missing format, or a
 # 4-thread peak over the 1-thread peak plus 3 MiB.
 #
@@ -53,7 +54,9 @@
 # buffers its records' match events until the wave is stitched; the
 # 1-thread run scans sequentially and buffers no wave. On records this
 # wide the events are most of a worker's scan state, so the 4-thread peak
-# may exceed the 1-thread one by at most 1.25 MiB (measured +0.3-1.0 MB;
+# may exceed the 1-thread one by at most 1.25 MiB (measured +0.8-1.0 MB
+# over a 1-thread peak of ~2.4 MB on a quiet host, though with a compile
+# running beside it one run in eight read +1.34 MB, over the gate;
 # +1.2-1.7 MB with 40-byte events, +1.5-2.4 MB with a 1024-line minimum
 # chunk). Fails on a nonzero CLI exit, a summary error, a record count
 # other than the stream's line count, or a 4-thread peak over the
@@ -64,9 +67,9 @@
 #   tools/stream_soak.sh --crawl
 #   tools/stream_soak.sh --follow-workers
 #
-# Requires the tier-1 build (./build/datamaran_cli, and for --crawl
-# ./build/datamaran_crawl), python3 (used only to read the child's peak
-# RSS via getrusage — GNU time is not installed everywhere), and for
+# Requires the tier-1 build (./build/datamaran_cli, for --crawl
+# ./build/datamaran_crawl, and ./build/peak_rss, the launcher that reads
+# the child's peak RSS from wait4, built from tests/peak_rss.cc), and for
 # --batch and --crawl gzip, sed and GNU split.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -90,13 +93,16 @@ elif [ "$MODE" = follow-workers ]; then
   GROWTH_KB=1280                # 4-thread peak over the 1-thread peak
 else
   TOTAL_BYTES="${1:-200000000}"
-  BUDGET_KB="${2:-32768}"   # 32 MiB — measured peak is ~6 MB, flat in stream length
+  BUDGET_KB="${2:-32768}"   # 32 MiB — measured peak is ~2.7 MB, flat in stream length
 fi
 
-if [ ! -x "$TOOL" ]; then
-  echo "stream_soak: $TOOL not found (run the tier-1 build first)" >&2
-  exit 1
-fi
+LAUNCHER=build/peak_rss
+for bin in "$TOOL" "$LAUNCHER"; do
+  if [ ! -x "$bin" ]; then
+    echo "stream_soak: $bin not found (run the tier-1 build first)" >&2
+    exit 1
+  fi
+done
 
 workdir="$(mktemp -d)"
 trap 'rm -rf "$workdir"' EXIT
@@ -119,28 +125,16 @@ generate() {
 }
 
 # Runs $TOOL with the given arguments and this function's stdin, writing
-# its stdout to $workdir/stdout.txt; the python3 wrapper reports the child's
-# peak RSS (wait4's ru_maxrss, in kB on Linux) as peak_rss_kb=N in
-# $workdir/rss.txt. ru_maxrss also counts the RSS of the address space the
-# child was exec'd from, so the wrapper forks from a bare interpreter (-I
-# -S, only `os` imported, ~5 MB) rather than through `subprocess`, which
-# would put a floor of ~10-14 MB under every measurement. Sets $peak_kb;
-# exits on a failed run.
+# its stdout to $workdir/stdout.txt; $LAUNCHER reports the child's peak RSS
+# (wait4's ru_maxrss, in kB on Linux) as peak_rss_kb=N in $workdir/rss.txt.
+# ru_maxrss also counts the RSS of the address space the child was exec'd
+# from, so the launcher is a small program built like the tools (about
+# 0.6 MB of its own, where a bare python3 put a 5 MB floor under every
+# reading). Sets $peak_kb; exits on a failed run.
 run_tool() {
   local status
   set +e
-  python3 -I -S -c '
-import os, sys
-pid = os.fork()
-if pid == 0:
-    try:
-        os.execv(sys.argv[1], sys.argv[1:])
-    finally:
-        os._exit(127)
-_, status, usage = os.wait4(pid, 0)
-print(f"peak_rss_kb={usage.ru_maxrss}", file=sys.stderr)
-sys.exit(os.waitstatus_to_exitcode(status))
-' "./$TOOL" "$@" > "$workdir/stdout.txt" 2> "$workdir/rss.txt"
+  "$LAUNCHER" "./$TOOL" "$@" > "$workdir/stdout.txt" 2> "$workdir/rss.txt"
   status=$?
   set -e
   if [ "$status" -ne 0 ]; then
