@@ -70,7 +70,8 @@ void AblateAssimilation(const std::vector<GeneratedDataset>& corpus) {
     }
     // Rank by G and by coverage alone; does the top-25 contain the best?
     auto by_g = PruneCandidates(candidates, 25);
-    auto by_cov = candidates;
+    std::vector<CandidateTemplate> by_cov(candidates.begin(),
+                                          candidates.end());
     std::sort(by_cov.begin(), by_cov.end(),
               [](const CandidateTemplate& a, const CandidateTemplate& b) {
                 return a.coverage > b.coverage;

@@ -129,7 +129,8 @@ std::vector<StructureTemplate> Datamaran::DiscoverTemplates(
     }
     if (gen.candidates.empty()) break;
 
-    // --- Pruning ---
+    // --- Pruning --- takes the list, so the candidates it drops and the
+    // list's blocks are freed before evaluation allocates.
     Timer prune_timer;
     std::vector<CandidateTemplate> retained =
         PruneCandidates(std::move(gen.candidates), options_.num_retained);

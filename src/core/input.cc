@@ -377,6 +377,21 @@ class InputReader::Pass {
   /// Logical bytes passed so far.
   size_t position() const { return position_; }
 
+  /// Empties `*block` for the next Next. A block holds at most a window,
+  /// a '\r' held from the block before and a member's final '\n', and
+  /// once the pass has passed its first block, `*block` is reserved at
+  /// that once, so no later block grows it by doubling. A text that fits
+  /// in its first block allocates only its own size.
+  void Reuse(std::string* block) const {
+    block->clear();
+    const size_t most = reader_.window_bytes_ + 2;
+    if (position_ > 0 && block->capacity() < most) {
+      // Freed first: a reserve below twice the capacity would double it.
+      std::string().swap(*block);
+      block->reserve(most);
+    }
+  }
+
   /// Reads on from where the last Consume stopped: up to logical offset
   /// `to`, or through the next '\n' when `to` is npos, handing the bytes
   /// to `*lines` unless it is null. Returns the offset reached (the size,
@@ -387,7 +402,7 @@ class InputReader::Pass {
       if (reached == to) return reached;
       if (at_ == block_.size()) {
         if (ended_) return reached;
-        block_.clear();
+        Reuse(&block_);
         at_ = 0;
         DM_RETURN_IF_ERROR(Next(&block_, &ended_));
         continue;
@@ -449,14 +464,28 @@ class InputReader::Pass {
       offset_ += n;
       pending_ = compressed_;
     }
-    decoded_.resize(window);
-    auto n = inflater_->Inflate(&pending_, offset_ == size, decoded_.data(),
-                                window);
-    if (!n.ok()) return WithContext(n.status(), m.file.path());
-    text_->Append(std::string_view(decoded_.data(), n.value()), out);
+    // The bytes one inflate with a window of room gives, inflated into
+    // decoded_, which grows only as inflate fills it: from
+    // kFirstDecodeBytes, doubling up to the window. So a small member
+    // never zero-fills a window.
+    const size_t first = std::min(window, kFirstDecodeBytes);
+    if (decoded_.size() < first) decoded_.resize(first);
+    size_t n = 0;
+    for (;;) {
+      const size_t room = decoded_.size();
+      auto got = inflater_->Inflate(&pending_, offset_ == size,
+                                    decoded_.data() + n, room - n);
+      if (!got.ok()) return WithContext(got.status(), m.file.path());
+      n += got.value();
+      if (n < room || room == window) break;
+      decoded_.resize(std::min(window, 2 * room));
+    }
+    text_->Append(std::string_view(decoded_.data(), n), out);
     *member_end = inflater_->finished();
     return Status::Ok();
   }
+
+  static constexpr size_t kFirstDecodeBytes = 4096;
 
   const InputReader& reader_;
   size_t member_ = 0;
@@ -564,7 +593,7 @@ Result<DatasetView> InputReader::ReadSample(const SamplerOptions& options,
     Pass pass(*this);
     std::string block;
     for (bool end = false; !end;) {
-      block.clear();
+      pass.Reuse(&block);
       DM_RETURN_IF_ERROR(pass.Next(&block, &end));
       if (pass.position() <= options.max_sample_bytes) {
         lines.Append(block);

@@ -27,14 +27,19 @@ namespace {
 /// instantiated records" by up to the span factor. Occurrences arrive in
 /// increasing line order, so skipping windows that overlap the previously
 /// counted one yields the unbiased greedy estimate in O(1) per occurrence.
+/// Counted occurrences never overlap, so both coverages are at most the
+/// sample's size, which the generator holds under 4 GiB: exact 32-bit
+/// sums, converted to double only to be scored.
 struct Bin {
-  double coverage = 0;
-  double non_field_coverage = 0;
-  size_t count = 0;
+  uint32_t coverage = 0;
+  uint32_t non_field_coverage = 0;
+  uint32_t count = 0;
   uint32_t first_i = 0;   // line index of the first candidate occurrence
-  uint16_t span = 0;      // lines per candidate
   uint32_t next_free = 0;  // first line not covered by a counted occurrence
+  uint16_t span = 0;      // lines per candidate
 };
+// With its 8-byte key and next pointer, a bin map node is 40 bytes.
+static_assert(sizeof(Bin) == 24);
 
 /// Extends `h` with the bytes of a per-line hash (little-endian order).
 uint64_t ExtendWithHash(uint64_t h, uint64_t line_hash) {
@@ -180,9 +185,9 @@ void NodeFreeList::do_deallocate(void* p, size_t bytes, size_t alignment) {
   head = p;
 }
 
-size_t CandidateIndex::FindOrAdd(
-    const std::vector<CandidateTemplate>& candidates,
-    std::string_view canonical) {
+template <typename List>
+size_t CandidateIndex::FindOrAdd(const List& candidates,
+                                 std::string_view canonical) {
   if (slots_.empty()) Grow();
   const auto hash =
       static_cast<uint32_t>(std::hash<std::string_view>{}(canonical));
@@ -198,6 +203,12 @@ size_t CandidateIndex::FindOrAdd(
   if (2 * ++size_ > slots_.size()) Grow();
   return candidates.size();
 }
+
+template size_t CandidateIndex::FindOrAdd(
+    const std::vector<CandidateTemplate>& candidates,
+    std::string_view canonical);
+template size_t CandidateIndex::FindOrAdd(const CandidateList& candidates,
+                                          std::string_view canonical);
 
 void CandidateIndex::Clear() {
   std::fill(slots_.begin(), slots_.end(), 0);
@@ -239,6 +250,8 @@ CandidateGenerator::CandidateGenerator(DatasetView sample,
     pool_charset_.Add(static_cast<unsigned char>(c));
   }
   pool_charset_.Add('\n');
+  // A bin's coverages are 32-bit sums of at most the sample's bytes.
+  DM_CHECK(sample_.size_bytes() < (uint64_t{1} << 32));
   if (options_->charset_engine == CharsetEngine::kSimd) {
     const ByteClassifier classifier(pool_charset_, CharsetEngine::kSimd);
     BuildSpecialMask(sample_, classifier, &special_mask_, &line_bit_);
@@ -341,9 +354,9 @@ double CandidateGenerator::RunCharset(const CharSet& rt_charset,
         bin.span = static_cast<uint16_t>(span);
       }
       if (i >= bin.next_free) {
-        const double len =
-            static_cast<double>(ws->prefix_len[j] - ws->prefix_len[i]);
-        const double field_len = static_cast<double>(
+        const auto len =
+            static_cast<uint32_t>(ws->prefix_len[j] - ws->prefix_len[i]);
+        const auto field_len = static_cast<uint32_t>(
             ws->prefix_field_len[j] - ws->prefix_field_len[i]);
         bin.coverage += len;
         bin.non_field_coverage += len - field_len;
@@ -365,7 +378,9 @@ double CandidateGenerator::RunCharset(const CharSet& rt_charset,
   const size_t out_base = out->size();
   std::string& canonical = ws->candidate;
   for (const auto& [hash, bin] : bins) {
-    if (bin.coverage < min_coverage) continue;
+    const double coverage = bin.coverage;
+    const double non_field_coverage = bin.non_field_coverage;
+    if (coverage < min_coverage) continue;
     const size_t end = bin.first_i + bin.span;
     bool has_field = false;
     for (size_t k = bin.first_i; k < end; ++k) {
@@ -387,7 +402,7 @@ double CandidateGenerator::RunCharset(const CharSet& rt_charset,
     canonical.append(period.substr(0, rotation));
     const int span =
         static_cast<int>(std::count(canonical.begin(), canonical.end(), '\n'));
-    const double assimilation = bin.coverage * bin.non_field_coverage;
+    const double assimilation = coverage * non_field_coverage;
     best_assimilation = std::max(best_assimilation, assimilation);
     const size_t at = ws->trial_index.FindOrAdd(*out, canonical);
     if (at == out->size()) {
@@ -398,8 +413,8 @@ double CandidateGenerator::RunCharset(const CharSet& rt_charset,
       // FilterComposites reads through views that depend on it.
       cand.canonical.reserve(window.size());
       cand.canonical = canonical;
-      cand.coverage = bin.coverage;
-      cand.non_field_coverage = bin.non_field_coverage;
+      cand.coverage = coverage;
+      cand.non_field_coverage = non_field_coverage;
       cand.span = span;
       cand.count = bin.count;
       cand.first_line = bin.first_i;
@@ -409,8 +424,8 @@ double CandidateGenerator::RunCharset(const CharSet& rt_charset,
       DM_CHECK(at >= out_base);
       existing.first_line = std::min<size_t>(existing.first_line, bin.first_i);
       if (assimilation > existing.assimilation()) {
-        existing.coverage = bin.coverage;
-        existing.non_field_coverage = bin.non_field_coverage;
+        existing.coverage = coverage;
+        existing.non_field_coverage = non_field_coverage;
         existing.count = bin.count;
         existing.span = span;
       }
@@ -420,7 +435,7 @@ double CandidateGenerator::RunCharset(const CharSet& rt_charset,
 }
 
 void CandidateGenerator::MergeCandidates(
-    std::vector<CandidateTemplate>* accumulated, CandidateIndex* index,
+    CandidateList* accumulated, CandidateIndex* index,
     std::vector<CandidateTemplate>&& fresh) const {
   for (auto& cand : fresh) {
     const size_t at = index->FindOrAdd(*accumulated, cand.canonical);
@@ -546,7 +561,7 @@ namespace {
 /// GenerationTest.CandidateOrderIsPinned holds that order. Flagging every
 /// candidate before compacting removes the dependence, but changes the
 /// accepted templates (Figure 17: 83.1% to 79.8%).
-void FilterComposites(std::vector<CandidateTemplate>* candidates) {
+void FilterComposites(CandidateList* candidates) {
   std::unordered_map<std::string_view, size_t> count_of;
   count_of.reserve(candidates->size());
   for (const auto& c : *candidates) count_of.emplace(c.canonical, c.count);

@@ -69,7 +69,7 @@ void BuildSpecialMask(const DatasetView& sample,
 struct GenerationResult {
   /// Deduplicated candidates meeting the coverage threshold, in the fixed
   /// order the search merged them (first-found first).
-  std::vector<CandidateTemplate> candidates;
+  CandidateList candidates;
   /// Number of RT-CharSet values enumerated.
   size_t charsets_tried = 0;
   /// Number of (boundary pair, charset) candidates hashed.
@@ -77,18 +77,19 @@ struct GenerationResult {
 };
 
 /// Dedup of candidates by canonical: an open-addressed table of candidate
-/// indices. A slot holds 1 + the candidate's index in its vector (0 marks
+/// indices. A slot holds 1 + the candidate's index in its list (0 marks
 /// an empty slot) in its low 32 bits and the canonical's 32-bit hash above
 /// them; a table of 2^k slots, at most half full, places a candidate by the
 /// top k bits of that hash. So it keeps no node and no copy of any key, and
 /// growing never hashes a canonical again.
 class CandidateIndex {
  public:
-  /// The index in `candidates` of the candidate whose canonical is
-  /// `canonical`. When there is none, records `canonical` at
-  /// candidates.size() and returns that: the caller appends it next.
-  size_t FindOrAdd(const std::vector<CandidateTemplate>& candidates,
-                   std::string_view canonical);
+  /// The index in `candidates` (a trial's vector or the search's
+  /// CandidateList) of the candidate whose canonical is `canonical`. When
+  /// there is none, records `canonical` at candidates.size() and returns
+  /// that: the caller appends it next.
+  template <typename List>
+  size_t FindOrAdd(const List& candidates, std::string_view canonical);
 
   /// Forgets every candidate, keeping the table's storage.
   void Clear();
@@ -206,11 +207,11 @@ class CandidateGenerator {
  private:
   GenerationResult ExhaustiveSearch();
   GenerationResult GreedySearch();
-  /// Merges a trial's candidates into the search's accumulator. `index`
-  /// is the accumulator's dedup, kept for the whole search so merging
-  /// each trial is O(fresh) instead of O(accumulated + fresh).
-  void MergeCandidates(std::vector<CandidateTemplate>* accumulated,
-                       CandidateIndex* index,
+  /// Merges a trial's candidates into the search's accumulator, appending
+  /// the new ones. `index` is the accumulator's dedup, kept for the whole
+  /// search so merging each trial is O(fresh) instead of
+  /// O(accumulated + fresh).
+  void MergeCandidates(CandidateList* accumulated, CandidateIndex* index,
                        std::vector<CandidateTemplate>&& fresh) const;
 
   DatasetView sample_;

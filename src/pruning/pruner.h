@@ -14,11 +14,14 @@
 
 namespace datamaran {
 
-/// Returns the top `m` candidates by assimilation score (descending).
-/// Ties break toward smaller templates (shorter canonical), then
-/// lexicographically, for determinism. Input order is irrelevant.
-std::vector<CandidateTemplate> PruneCandidates(
-    std::vector<CandidateTemplate> candidates, int m);
+/// Returns the top `m` candidates by assimilation score (descending), or
+/// all of them when `m` is negative. Ties break toward smaller templates
+/// (shorter canonical), then lexicographically, a total order over
+/// distinct canonicals, so input order is irrelevant. Only the top `m` are
+/// sorted, in place, and only they are moved out: the list, with every
+/// candidate it drops, is freed when the call returns.
+std::vector<CandidateTemplate> PruneCandidates(CandidateList candidates,
+                                               int m);
 
 }  // namespace datamaran
 

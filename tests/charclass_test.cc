@@ -223,8 +223,8 @@ std::string GenerationCorpus() {
   return text;
 }
 
-void ExpectSameCandidates(const std::vector<CandidateTemplate>& want,
-                          const std::vector<CandidateTemplate>& got,
+void ExpectSameCandidates(const CandidateList& want,
+                          const CandidateList& got,
                           const std::string& label) {
   ASSERT_EQ(got.size(), want.size()) << label;
   for (size_t i = 0; i < want.size(); ++i) {
@@ -313,7 +313,7 @@ TEST(CharsetEngineGenerationTest, CandidateBinsIdenticalAcrossEngines) {
                        DatasetView(data, std::move(random_dead)));
     for (const auto& [view_name, view] : views) {
       for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
-        std::vector<std::vector<CandidateTemplate>> results;
+        std::vector<CandidateList> results;
         for (CharsetEngine engine : kEngines) {
           DatamaranOptions opts;
           opts.charset_engine = engine;

@@ -33,16 +33,19 @@
 
 // Allocation counting for the InputReader allocation tests: while a
 // thread's flag is set, every operator new it calls for at least
-// kLargeAllocation bytes is counted. The nothrow forms (std::stable_sort's
-// temporary buffer) are replaced too, so every form frees with free().
+// kLargeAllocation bytes is counted, and every byte any call asks for.
+// The nothrow forms (std::stable_sort's temporary buffer) are replaced
+// too, so every form frees with free().
 namespace {
 constexpr std::size_t kLargeAllocation = 64 * 1024;
 thread_local bool tl_count_allocations = false;
 thread_local size_t tl_large_allocations = 0;
+thread_local size_t tl_allocated_bytes = 0;
 
 void* CountedMalloc(std::size_t size) noexcept {
-  if (tl_count_allocations && size >= kLargeAllocation) {
-    ++tl_large_allocations;
+  if (tl_count_allocations) {
+    tl_allocated_bytes += size;
+    if (size >= kLargeAllocation) ++tl_large_allocations;
   }
   return std::malloc(size == 0 ? 1 : size);
 }
@@ -670,6 +673,16 @@ size_t LargeAllocations(Fn&& fn) {
   return tl_large_allocations;
 }
 
+/// Bytes `fn` allocates on this thread.
+template <typename Fn>
+size_t AllocatedBytes(Fn&& fn) {
+  tl_allocated_bytes = 0;
+  tl_count_allocations = true;
+  fn();
+  tl_count_allocations = false;
+  return tl_allocated_bytes;
+}
+
 /// At least `bytes` of 64-byte "F,F" lines: short enough lines that no
 /// 256 KiB segment's line index reaches kLargeAllocation.
 std::string WidePairLines(size_t bytes) {
@@ -725,6 +738,35 @@ TEST(InputReader, SampleTextIsAllocatedOnce) {
   ASSERT_TRUE(copy.has_value());
   EXPECT_GT(copy->size_bytes(), sampler.max_sample_bytes * 3 / 4);
   EXPECT_EQ(allocations, 1u);
+}
+
+TEST(InputReader, SmallGzipSampleAllocatesItsOwnSize) {
+  // A gzip member inflates into a block that grows only as inflate fills
+  // it, and a block read whole in one step is not reserved a window ahead,
+  // so the sample of a gzip'd file of a few KiB allocates the sample's
+  // reservation and buffers of about the text's size: well under half a
+  // window, where one window-sized decode block alone would pass it.
+  if (!GzipSupported()) GTEST_SKIP() << "built without zlib";
+  const std::string dir = MakeCaseDir("gzip_sample_allocations");
+  const std::string path = dir + "/small.log.gz";
+  const std::string text = WidePairLines(6 * 1024);
+  auto gz = GzipCompress(text);
+  ASSERT_TRUE(gz.ok()) << gz.status().ToString();
+  WriteOrDie(path, gz.value());
+  auto reader = InputReader::Open({path}, InputOptions{});
+  ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+  // A stream's text is reserved at the budget plus a line-end probe per
+  // chunk, so a small budget keeps that reservation out of the count.
+  SamplerOptions sampler;
+  sampler.max_sample_bytes = 16 * 1024;
+  std::optional<Dataset> copy;
+  std::optional<Result<DatasetView>> sample;
+  const size_t bytes = AllocatedBytes(
+      [&] { sample.emplace(reader->ReadSample(sampler, &copy)); });
+  ASSERT_TRUE(sample->ok()) << sample->status().ToString();
+  ASSERT_TRUE(copy.has_value());
+  EXPECT_EQ(copy->text(), text);
+  EXPECT_LT(bytes, InputReader::kWindowBytes / 2);
 }
 
 // -------------------------------------------------------- oversized lines ---
