@@ -39,7 +39,10 @@
 // the process), then times the two classification kernels, the table walk
 // against kSimd's (AVX2 where the CPU has it), on the Dataset line index's
 // newline masks and generation's special-character mask (mask parity
-// gates the process; speed does not). A seventh
+// gates the process; speed does not). A "generation" section times one
+// exhaustive CandidateGenerator::Run under the scalar engine and under
+// kSimd's per-skeleton trials, on a fixed sample and on one where every
+// line has its own skeleton (candidate parity gates the process). A seventh
 // section ("evaluation") runs the single-thread pipeline with MDL
 // bound-based pruning on vs off: byte-identical output and a
 // candidate-evaluation speedup (evaluation_s; the shared top-K
@@ -86,6 +89,7 @@
 #include "core/input.h"
 #include "core/options.h"
 #include "datagen/github_corpus.h"
+#include "datagen/manual_datasets.h"
 #include "generation/generator.h"
 #include "scoring/mdl.h"
 #include "template/compiled.h"
@@ -1177,6 +1181,125 @@ bool RunCharsetEngineBench(FILE* f, bool quick) {
 }
 
 // ---------------------------------------------------------------------------
+// Generation bench ("generation"): one exhaustive CandidateGenerator,
+// constructed and Run, under kScalar (every trial scans every line byte by
+// byte) and under kSimd (the constructor interns each line's skeleton, and
+// every trial reduces each distinct skeleton once), on two samples: a
+// fixed Table 5 dataset (crash_log at its default size), and an
+// adversarial one in which every line has its own skeleton, so a trial
+// has as many units as lines. The two engines' candidate lists must be
+// identical, in order and field for field, or the process fails; times
+// (best and median of alternating rounds) and skeletons per line are
+// reported, not gated.
+// ---------------------------------------------------------------------------
+
+/// `lines` lines of six special characters, where the ',' and ':' between
+/// twelve short fields spell the line's index in binary: no two lines share
+/// a skeleton.
+std::string MakeDistinctSkeletonSample(int lines) {
+  Rng rng(41);
+  std::string text;
+  for (int i = 0; i < lines; ++i) {
+    text += '[';
+    text += std::to_string(rng.Uniform(0, 9999));
+    text += "] k";
+    for (int b = 0; b < 12; ++b) {
+      text += ((i >> b) & 1) != 0 ? ',' : ':';
+      text += std::to_string(rng.Uniform(0, 99));
+    }
+    text += " =";
+    text += std::to_string(rng.Uniform(0, 999999));
+    text += '\n';
+  }
+  return text;
+}
+
+/// One sample's row; returns whether the engines' candidates are identical.
+bool RunGenerationCase(FILE* f, const char* key, const char* label,
+                       const Dataset& sample, int rounds, bool last) {
+  DatamaranOptions scalar_opts;
+  scalar_opts.charset_engine = CharsetEngine::kScalar;
+  const DatamaranOptions simd_opts;  // default kSimd
+  auto run = [&sample](const DatamaranOptions& opts, size_t* skeletons) {
+    CandidateGenerator gen(&sample, &opts);
+    if (skeletons != nullptr) *skeletons = gen.skeleton_count();
+    return gen.Run();
+  };
+  size_t skeletons = 0;
+  const GenerationResult scalar = run(scalar_opts, nullptr);
+  const GenerationResult simd = run(simd_opts, &skeletons);
+  bool identical = scalar.candidates.size() == simd.candidates.size() &&
+                   scalar.charsets_tried == simd.charsets_tried;
+  for (size_t i = 0; identical && i < scalar.candidates.size(); ++i) {
+    const CandidateTemplate& a = scalar.candidates[i];
+    const CandidateTemplate& b = simd.candidates[i];
+    identical = a.canonical == b.canonical && a.coverage == b.coverage &&
+                    a.non_field_coverage == b.non_field_coverage &&
+                    a.count == b.count && a.first_line == b.first_line &&
+                    a.span == b.span && a.field_count == b.field_count;
+  }
+  std::vector<double> scalar_s, simd_s;
+  for (int round = 0; round < rounds; ++round) {
+    for (int engine = 0; engine < 2; ++engine) {
+      Timer timer;
+      const GenerationResult r =
+          run(engine == 0 ? scalar_opts : simd_opts, nullptr);
+      benchmark::DoNotOptimize(r.candidates.size());
+      (engine == 0 ? scalar_s : simd_s).push_back(timer.Seconds());
+    }
+  }
+  const double scalar_best = *std::min_element(scalar_s.begin(),
+                                               scalar_s.end());
+  const double simd_best = *std::min_element(simd_s.begin(), simd_s.end());
+  const double lines = static_cast<double>(sample.line_count());
+  const double per_line = lines > 0 ? static_cast<double>(skeletons) / lines
+                                     : 0;
+  std::printf("generation %s: %zu lines, %zu skeletons (%.4f per line), "
+              "%zu charsets, %zu candidates; scalar %.3f s, kSimd %.3f s "
+              "(%.2fx, best of %d), identical: %s\n",
+              label, sample.line_count(), skeletons, per_line,
+              simd.charsets_tried, simd.candidates.size(), scalar_best,
+              simd_best, simd_best > 0 ? scalar_best / simd_best : 0, rounds,
+              identical ? "yes" : "NO — GENERATION PARITY BUG");
+  std::fprintf(f,
+               "    \"%s\": {\n"
+               "      \"bytes\": %zu,\n"
+               "      \"lines\": %zu,\n"
+               "      \"skeletons\": %zu,\n"
+               "      \"skeletons_per_line\": %.6f,\n"
+               "      \"charsets_tried\": %zu,\n"
+               "      \"candidates\": %zu,\n"
+               "      \"rounds\": %d,\n"
+               "      \"scalar_s\": %.6f,\n"
+               "      \"scalar_s_median\": %.6f,\n"
+               "      \"simd_s\": %.6f,\n"
+               "      \"simd_s_median\": %.6f,\n"
+               "      \"identical\": %s\n"
+               "    }%s\n",
+               key, sample.size_bytes(), sample.line_count(), skeletons,
+               per_line, simd.charsets_tried, simd.candidates.size(), rounds,
+               scalar_best, Median(scalar_s), simd_best, Median(simd_s),
+               identical ? "true" : "false", last ? "" : ",");
+  return identical;
+}
+
+bool RunGenerationBench(FILE* f, bool quick) {
+  const int rounds = quick ? 3 : 5;
+  constexpr int kCrashLog = 5;  // BuildManualDataset index
+  const Dataset fixed(
+      BuildManualDataset(kCrashLog, DefaultManualBytes(kCrashLog)).text);
+  const Dataset adversarial(MakeDistinctSkeletonSample(quick ? 1024 : 4096));
+  std::fprintf(f, ",\n  \"generation\": {\n");
+  const bool fixed_ok = RunGenerationCase(f, "fixed", "crash_log", fixed,
+                                          rounds, /*last=*/false);
+  const bool adversarial_ok =
+      RunGenerationCase(f, "adversarial", "one skeleton per line",
+                        adversarial, rounds, /*last=*/true);
+  std::fprintf(f, "  }");
+  return fixed_ok && adversarial_ok;
+}
+
+// ---------------------------------------------------------------------------
 // Evaluation fast-path bench: the single-thread pipeline with MDL
 // bound-based pruning (waved bounded scoring + canonical batching +
 // bounded refinement) vs brute force (every retained candidate scored to
@@ -1863,6 +1986,7 @@ int RunPipelineBench() {
   const bool match_ok =
       RunMatchEngineBench(f, texts, std::move(workload_templates), quick);
   const bool charset_ok = RunCharsetEngineBench(f, quick);
+  const bool generation_ok = RunGenerationBench(f, quick);
   const bool eval_ok = RunEvaluationBench(f, texts, quick);
   const bool catalog_ok = RunCatalogBench(f, quick);
   const bool streaming_ok = ReportStreamingBench(f, streaming_runs);
@@ -1936,8 +2060,8 @@ int RunPipelineBench() {
                stitch_case.identical ? "true" : "false");
   std::fclose(f);
   std::printf("wrote %s\n\n", out_path);
-  return identical && window_case.identical && match_ok && charset_ok && eval_ok &&
-                 catalog_ok && streaming_ok &&
+  return identical && window_case.identical && match_ok && charset_ok &&
+                 generation_ok && eval_ok && catalog_ok && streaming_ok &&
                  sink_case.ok && norm_case.ok && stitch_case.ok
              ? 0
              : 1;

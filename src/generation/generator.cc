@@ -185,47 +185,47 @@ void NodeFreeList::do_deallocate(void* p, size_t bytes, size_t alignment) {
   head = p;
 }
 
-template <typename List>
-size_t CandidateIndex::FindOrAdd(const List& candidates,
-                                 std::string_view canonical) {
-  if (slots_.empty()) Grow();
-  const auto hash =
-      static_cast<uint32_t>(std::hash<std::string_view>{}(canonical));
-  const size_t mask = slots_.size() - 1;
-  size_t i = hash >> (32 - std::countr_zero(slots_.size()));
-  for (; slots_[i] != 0; i = (i + 1) & mask) {
-    const size_t at = static_cast<uint32_t>(slots_[i]) - size_t{1};
-    if (slots_[i] >> 32 == hash && candidates[at].canonical == canonical) {
-      return at;
+void AppendLineSkeleton(std::string_view line, const uint64_t* special,
+                        size_t first_bit, std::u16string* skeleton) {
+  const size_t last = first_bit + line.size();
+  size_t cursor = 0;  // offset just past the last pool byte
+  for (size_t bit = first_bit; bit < last;) {
+    const size_t width = std::min<size_t>(64 - bit % 64, last - bit);
+    uint64_t set = special[bit / 64] >> (bit % 64);
+    if (width < 64) set &= (uint64_t{1} << width) - 1;
+    for (; set != 0; set &= set - 1) {
+      const size_t pos =
+          bit - first_bit + static_cast<size_t>(std::countr_zero(set));
+      skeleton->push_back(static_cast<char16_t>(
+          static_cast<unsigned char>(line[pos]) |
+          (pos > cursor ? kFieldBefore : 0)));
+      cursor = pos + 1;
     }
+    bit += width;
   }
-  slots_[i] = uint64_t{hash} << 32 | (candidates.size() + 1);
-  if (2 * ++size_ > slots_.size()) Grow();
-  return candidates.size();
+  skeleton->push_back(static_cast<char16_t>(
+      kSkeletonEnd | (cursor < line.size() ? kFieldBefore : 0)));
 }
 
-template size_t CandidateIndex::FindOrAdd(
-    const std::vector<CandidateTemplate>& candidates,
-    std::string_view canonical);
-template size_t CandidateIndex::FindOrAdd(const CandidateList& candidates,
-                                          std::string_view canonical);
-
-void CandidateIndex::Clear() {
-  std::fill(slots_.begin(), slots_.end(), 0);
-  size_ = 0;
-}
-
-void CandidateIndex::Grow() {
-  std::vector<uint64_t> old(std::max(kMinSlots, 2 * slots_.size()));
-  old.swap(slots_);
-  const size_t mask = slots_.size() - 1;
-  const int shift = 32 - std::countr_zero(slots_.size());
-  for (const uint64_t s : old) {
-    if (s == 0) continue;
-    size_t i = static_cast<size_t>(s >> 32) >> shift;
-    while (slots_[i] != 0) i = (i + 1) & mask;
-    slots_[i] = s;
+size_t AppendSkeletonTemplate(std::u16string_view skeleton,
+                              const CharSet& charset, std::string* raw) {
+  size_t members = 0;
+  bool field = false;  // field bytes since the last member
+  for (const char16_t e : skeleton) {
+    field = field || (e & kFieldBefore) != 0;
+    if ((e & kSkeletonEnd) != 0) break;
+    const auto c = static_cast<unsigned char>(e);
+    if (!charset.Contains(c)) {
+      field = true;  // a pool byte outside the trial set is a field byte
+      continue;
+    }
+    if (field) raw->push_back('F');
+    raw->push_back(static_cast<char>(c));
+    field = false;
+    ++members;
   }
+  if (field) raw->push_back('F');
+  return members;
 }
 
 CandidateGenerator::CandidateGenerator(DatasetView sample,
@@ -234,11 +234,13 @@ CandidateGenerator::CandidateGenerator(DatasetView sample,
     : sample_(std::move(sample)), options_(options), pool_(pool) {
   // Histogram only the live lines; a gapped view must not let dead
   // (sampled-out or already-explained) text vote on the search alphabet.
+  const size_t n = sample_.line_count();
   std::array<size_t, 256> counts{};
-  for (size_t v = 0; v < sample_.line_count(); ++v) {
-    for (char c : sample_.line_with_newline(v)) {
-      counts[static_cast<unsigned char>(c)]++;
-    }
+  line_len_.resize(n);
+  for (size_t v = 0; v < n; ++v) {
+    const std::string_view line = sample_.line_with_newline(v);
+    for (char c : line) counts[static_cast<unsigned char>(c)]++;
+    line_len_[v] = static_cast<uint32_t>(line.size());
   }
   auto ranked = SortSpecialCounts(counts, options_->special_chars);
   int limit = options_->max_special_chars;
@@ -252,10 +254,31 @@ CandidateGenerator::CandidateGenerator(DatasetView sample,
   pool_charset_.Add('\n');
   // A bin's coverages are 32-bit sums of at most the sample's bytes.
   DM_CHECK(sample_.size_bytes() < (uint64_t{1} << 32));
-  if (options_->charset_engine == CharsetEngine::kSimd) {
-    const ByteClassifier classifier(pool_charset_, CharsetEngine::kSimd);
-    BuildSpecialMask(sample_, classifier, &special_mask_, &line_bit_);
+  if (options_->charset_engine != CharsetEngine::kSimd) return;
+  // Intern each live line's skeleton, read off the pool's special-character
+  // mask, which is not needed after.
+  std::vector<uint64_t> special_mask;
+  std::vector<size_t> line_bit;
+  const ByteClassifier classifier(pool_charset_, CharsetEngine::kSimd);
+  BuildSpecialMask(sample_, classifier, &special_mask, &line_bit);
+  KeyIndex index;
+  line_skeleton_.resize(n);
+  for (size_t v = 0; v < n; ++v) {
+    const size_t begin = skeletons_.size();
+    AppendLineSkeleton(sample_.line_with_newline(v), special_mask.data(),
+                       line_bit[v], &skeletons_);
+    const size_t count = skeleton_count();
+    const size_t s = index.FindOrAdd(
+        count, std::u16string_view(skeletons_).substr(begin),
+        [this](size_t k) { return skeleton(k); });
+    if (s == count) {
+      skeleton_begin_.push_back(skeletons_.size());
+    } else {
+      skeletons_.resize(begin);
+    }
+    line_skeleton_[v] = static_cast<uint32_t>(s);
   }
+  skeletons_.shrink_to_fit();
 }
 
 double CandidateGenerator::RunCharset(const CharSet& rt_charset,
@@ -271,95 +294,78 @@ double CandidateGenerator::RunCharset(const CharSet& rt_charset,
   charset.Add('\n');
   const size_t n = sample_.line_count();
   if (n == 0) return 0;
-
+  // Under kSimd a trial charset drawn from the pool (every one the search
+  // enumerates) reduces each distinct skeleton once: the units are the
+  // skeletons. Otherwise (kScalar, or a charset outside the pool, only
+  // reachable through the public RunCharset) each line is its own unit,
+  // scanned byte by byte: the reference the skeletons must reproduce.
+  const bool by_skeleton = options_->charset_engine == CharsetEngine::kSimd &&
+                           charset.IsSubsetOf(pool_charset_);
+  const size_t units = by_skeleton ? skeleton_count() : n;
   ws->canonicals.clear();
-  ws->canonical_begin.resize(n + 1);
-  ws->line_hash.resize(n);
-  ws->prefix_len.resize(n + 1);
-  ws->prefix_field_len.resize(n + 1);
-  ws->line_has_field.resize(n);
-
-  // Per-line record templates, reduced and hashed once for this charset;
-  // the field-character count falls out of the same single scan. With a
-  // vector charset engine, membership in the pool was classified once into
-  // the generator's special-character mask (every trial charset is a
-  // subset of the pool), so each trial walks only a line's set bits —
-  // emitting a member byte per bit in the trial set and one 'F' per gap —
-  // which is exactly what the per-byte reference scan produces. Charsets
-  // outside the pool (only reachable via the public RunCharset) use the
-  // reference.
-  const bool indexed = options_->charset_engine == CharsetEngine::kSimd &&
-                       charset.IsSubsetOf(pool_charset_);
-
+  ws->canonical_begin.resize(units + 1);
+  ws->unit_hash.resize(units);
+  ws->unit_members.resize(units);
+  ws->unit_has_field.resize(units);
   std::string& raw_template = ws->raw_template;
-  ws->prefix_len[0] = ws->prefix_field_len[0] = 0;
-  for (size_t k = 0; k < n; ++k) {
-    std::string_view line = sample_.line_with_newline(k);
+  const std::string& canonical = ws->unit_canonical;
+  for (size_t u = 0; u < units; ++u) {
     raw_template.clear();
-    size_t field_chars;
-    if (indexed) {
-      const size_t first = line_bit_[k];
-      const size_t last = first + line.size();
-      size_t cursor = 0;   // offset just past the last consumed member
-      size_t members = 0;  // trial-set members seen on this line
-      for (size_t bit = first; bit < last;) {
-        const size_t width = std::min<size_t>(64 - bit % 64, last - bit);
-        uint64_t set = special_mask_[bit / 64] >> (bit % 64);
-        if (width < 64) set &= (uint64_t{1} << width) - 1;
-        for (; set != 0; set &= set - 1) {
-          const size_t pos =
-              bit - first + static_cast<size_t>(std::countr_zero(set));
-          const char c = line[pos];
-          if (!charset.Contains(static_cast<unsigned char>(c))) continue;
-          if (pos > cursor) raw_template.push_back('F');
-          raw_template.push_back(c);
-          cursor = pos + 1;
-          ++members;
-        }
-        bit += width;
-      }
-      if (cursor < line.size()) raw_template.push_back('F');
-      field_chars = line.size() - members;
+    size_t members;
+    if (by_skeleton) {
+      members = AppendSkeletonTemplate(skeleton(u), charset, &raw_template);
     } else {
-      field_chars = AppendRecordTemplateCounting(line, charset, &raw_template);
+      const std::string_view line = sample_.line_with_newline(u);
+      members = line.size() -
+                AppendRecordTemplateCounting(line, charset, &raw_template);
     }
-    const std::string& canonical = ws->line_canonical;
-    ReduceToCanonical(raw_template, &ws->reduce_ws, &ws->line_canonical);
-    ws->canonical_begin[k] = ws->canonicals.size();
+    ReduceToCanonical(raw_template, &ws->reduce_ws, &ws->unit_canonical);
+    ws->canonical_begin[u] = ws->canonicals.size();
     ws->canonicals += canonical;
-    ws->line_hash[k] = Fnv1a(canonical);
-    ws->prefix_len[k + 1] = ws->prefix_len[k] + line.size();
-    ws->prefix_field_len[k + 1] = ws->prefix_field_len[k] + field_chars;
-    ws->line_has_field[k] = canonical.find('F') != std::string::npos ? 1 : 0;
+    ws->unit_hash[u] = Fnv1a(canonical);
+    ws->unit_members[u] = static_cast<uint32_t>(members);
+    ws->unit_has_field[u] = canonical.find('F') != std::string::npos ? 1 : 0;
   }
-  ws->canonical_begin[n] = ws->canonicals.size();
+  ws->canonical_begin[units] = ws->canonicals.size();
+  if (by_skeleton) {
+    return CollectCandidates(
+        [this](size_t k) -> size_t { return line_skeleton_[k]; }, ws, out);
+  }
+  return CollectCandidates([](size_t k) { return k; }, ws, out);
+}
 
-  // Enumerate all candidate boundaries (i, span<=L) and hash them. The
-  // map's nodes and buckets come from the workspace's recycled storage,
-  // but the container, its reserve and its insertion sequence are those
-  // of a default-allocated map, so it iterates in the same order: that
-  // order fixes the candidates' order, which Run's composite filter
-  // depends on.
+template <typename UnitOf>
+double CandidateGenerator::CollectCandidates(
+    const UnitOf& unit_of, GenerationWorkspace* ws,
+    std::vector<CandidateTemplate>* out) const {
+  const size_t n = sample_.line_count();
+  // Enumerate all candidate boundaries (i, span<=L) and hash them, adding
+  // up each window's bytes and trial-set members as it grows. The map's
+  // nodes and buckets come from the workspace's recycled storage, but the
+  // container, its reserve and its insertion sequence are those of a
+  // default-allocated map, so it iterates in the same order: that order
+  // fixes the candidates' order, which Run's composite filter depends on.
   std::pmr::unordered_map<uint64_t, Bin> bins(&ws->bin_storage);
   bins.reserve(n * 2);
   const int max_span = options_->max_record_span;
   for (size_t i = 0; i < n; ++i) {
     uint64_t h = kFnvOffset;
+    uint32_t len = 0;
+    uint32_t members = 0;
     for (int span = 1; span <= max_span && i + span <= n; ++span) {
       const size_t j = i + span;
-      h = ExtendWithHash(h, ws->line_hash[j - 1]);
+      const size_t unit = unit_of(j - 1);
+      h = ExtendWithHash(h, ws->unit_hash[unit]);
+      len += line_len_[j - 1];
+      members += ws->unit_members[unit];
       Bin& bin = bins[h];
       if (bin.count == 0) {
         bin.first_i = static_cast<uint32_t>(i);
         bin.span = static_cast<uint16_t>(span);
       }
       if (i >= bin.next_free) {
-        const auto len =
-            static_cast<uint32_t>(ws->prefix_len[j] - ws->prefix_len[i]);
-        const auto field_len = static_cast<uint32_t>(
-            ws->prefix_field_len[j] - ws->prefix_field_len[i]);
         bin.coverage += len;
-        bin.non_field_coverage += len - field_len;
+        bin.non_field_coverage += members;
         bin.count++;
         bin.next_free = static_cast<uint32_t>(i) + static_cast<uint32_t>(span);
       }
@@ -376,6 +382,10 @@ double CandidateGenerator::RunCharset(const CharSet& rt_charset,
   // same template; keep the strongest stats.
   ws->trial_index.Clear();
   const size_t out_base = out->size();
+  auto trial_candidate = [&](size_t k) -> std::string_view {
+    return (*out)[out_base + k].canonical;
+  };
+  std::string& window = ws->window;
   std::string& canonical = ws->candidate;
   for (const auto& [hash, bin] : bins) {
     const double coverage = bin.coverage;
@@ -384,7 +394,7 @@ double CandidateGenerator::RunCharset(const CharSet& rt_charset,
     const size_t end = bin.first_i + bin.span;
     bool has_field = false;
     for (size_t k = bin.first_i; k < end; ++k) {
-      if (ws->line_has_field[k]) {
+      if (ws->unit_has_field[unit_of(k)]) {
         has_field = true;
         break;
       }
@@ -393,10 +403,14 @@ double CandidateGenerator::RunCharset(const CharSet& rt_charset,
     // The window's line canonicals, reduced to one line period and
     // rotated to the smallest rotation, assembled in scratch: only a new
     // candidate's canonical is allocated.
-    const size_t begin = ws->canonical_begin[bin.first_i];
-    const std::string_view window(ws->canonicals.data() + begin,
-                                  ws->canonical_begin[end] - begin);
-    const std::string_view period = window.substr(0, LinePeriodLength(window));
+    window.clear();
+    for (size_t k = bin.first_i; k < end; ++k) {
+      const size_t unit = unit_of(k);
+      window.append(ws->canonicals, ws->canonical_begin[unit],
+                    ws->canonical_begin[unit + 1] - ws->canonical_begin[unit]);
+    }
+    const std::string_view period =
+        std::string_view(window).substr(0, LinePeriodLength(window));
     const size_t rotation = SmallestRotation(period);
     canonical.assign(period.substr(rotation));
     canonical.append(period.substr(0, rotation));
@@ -404,7 +418,10 @@ double CandidateGenerator::RunCharset(const CharSet& rt_charset,
         static_cast<int>(std::count(canonical.begin(), canonical.end(), '\n'));
     const double assimilation = coverage * non_field_coverage;
     best_assimilation = std::max(best_assimilation, assimilation);
-    const size_t at = ws->trial_index.FindOrAdd(*out, canonical);
+    const size_t at =
+        out_base + ws->trial_index.FindOrAdd(out->size() - out_base,
+                                             std::string_view(canonical),
+                                             trial_candidate);
     if (at == out->size()) {
       CandidateTemplate& cand = out->emplace_back();
       // Reserving the whole window first makes the string heap-backed
@@ -421,7 +438,6 @@ double CandidateGenerator::RunCharset(const CharSet& rt_charset,
       cand.field_count = CountFieldsInCanonical(canonical);
     } else {
       CandidateTemplate& existing = (*out)[at];
-      DM_CHECK(at >= out_base);
       existing.first_line = std::min<size_t>(existing.first_line, bin.first_i);
       if (assimilation > existing.assimilation()) {
         existing.coverage = coverage;
@@ -435,10 +451,15 @@ double CandidateGenerator::RunCharset(const CharSet& rt_charset,
 }
 
 void CandidateGenerator::MergeCandidates(
-    CandidateList* accumulated, CandidateIndex* index,
+    CandidateList* accumulated, KeyIndex* index,
     std::vector<CandidateTemplate>&& fresh) const {
+  auto merged = [accumulated](size_t k) -> std::string_view {
+    return (*accumulated)[k].canonical;
+  };
   for (auto& cand : fresh) {
-    const size_t at = index->FindOrAdd(*accumulated, cand.canonical);
+    const size_t at =
+        index->FindOrAdd(accumulated->size(),
+                         std::string_view(cand.canonical), merged);
     if (at == accumulated->size()) {
       accumulated->push_back(std::move(cand));
     } else {
@@ -457,7 +478,7 @@ void CandidateGenerator::MergeCandidates(
 
 GenerationResult CandidateGenerator::ExhaustiveSearch() {
   GenerationResult result;
-  CandidateIndex index;
+  KeyIndex index;
   const size_t c = search_chars_.size();
   const size_t subsets = size_t{1} << c;
   const int workers =
@@ -498,7 +519,7 @@ GenerationResult CandidateGenerator::ExhaustiveSearch() {
 
 GenerationResult CandidateGenerator::GreedySearch() {
   GenerationResult result;
-  CandidateIndex index;
+  KeyIndex index;
   CharSet current;  // '\n' is implicit
   std::vector<char> remaining = search_chars_;
   const int workers =

@@ -35,7 +35,7 @@ double GammaBits(uint64_t k) {
   return 2 * std::floor(std::log2(static_cast<double>(k))) + 1;
 }
 
-void ColumnStats::Add(std::string_view value) {
+void ColumnStats::Add(std::string_view value, bool stable) {
   ++count_;
   total_len_ += value.size();
   if (all_int_) {
@@ -58,40 +58,24 @@ void ColumnStats::Add(std::string_view value) {
       if (exp > max_exp_) max_exp_ = exp;
     }
   }
-  if (distinct_ <= kMaxDistinct) Intern(value);
+  if (distinct_ <= kMaxDistinct) Intern(value, stable);
 }
 
-std::string_view ColumnStats::Value(size_t index) const {
-  const char* p = values_[index];
-  size_t size = 0;
-  for (int shift = 0;; shift += 7) {
-    const auto byte = static_cast<unsigned char>(*p++);
-    size |= size_t{byte & 0x7fu} << shift;
-    if (byte < 0x80) break;
-  }
-  return {p, size};
-}
-
-const char* ColumnStats::Store(std::string_view value) {
-  size_t need = 1 + value.size();
-  for (size_t n = value.size(); n >= 0x80; n >>= 7) ++need;
-  if (need > block_size_ - block_used_) {
-    block_size_ =
-        std::max(need, std::clamp(2 * block_size_, kMinBlock, kMaxBlock));
+std::string_view ColumnStats::Store(std::string_view value) {
+  if (value.empty()) return {};
+  if (value.size() > block_size_ - block_used_) {
+    block_size_ = std::max(value.size(),
+                           std::clamp(2 * block_size_, kMinBlock, kMaxBlock));
     blocks_.push_back(std::make_unique_for_overwrite<char[]>(block_size_));
     block_used_ = 0;
   }
-  char* const record = blocks_.back().get() + block_used_;
-  char* p = record;
-  size_t n = value.size();
-  for (; n >= 0x80; n >>= 7) *p++ = static_cast<char>(n | 0x80);
-  *p++ = static_cast<char>(n);
-  std::copy(value.begin(), value.end(), p);
-  block_used_ += need;
-  return record;
+  char* const copy = blocks_.back().get() + block_used_;
+  std::copy(value.begin(), value.end(), copy);
+  block_used_ += value.size();
+  return {copy, value.size()};
 }
 
-void ColumnStats::Intern(std::string_view value) {
+void ColumnStats::Intern(std::string_view value, bool stable) {
   if (slots_.empty()) Grow();
   const auto hash =
       static_cast<uint32_t>(std::hash<std::string_view>{}(value));
@@ -100,18 +84,18 @@ void ColumnStats::Intern(std::string_view value) {
   size_t i = hash >> (32 - std::countr_zero(slots_.size()));
   for (; slots_[i] != 0; i = (i + 1) & mask) {
     if (slots_[i] >> kIdBits == tag &&
-        Value((slots_[i] & kIdMask) - 1) == value) {
+        values_[(slots_[i] & kIdMask) - 1] == value) {
       return;
     }
   }
   if (++distinct_ > kMaxDistinct) {
     // No longer an enum: TotalBits only needs to know that.
     std::vector<std::unique_ptr<char[]>>().swap(blocks_);
-    std::vector<const char*>().swap(values_);
+    std::vector<std::string_view>().swap(values_);
     std::vector<uint32_t>().swap(slots_);
     return;
   }
-  values_.push_back(Store(value));
+  values_.push_back(stable ? value : Store(value));
   dict_bytes_ += value.size();
   slots_[i] = tag << kIdBits | static_cast<uint32_t>(values_.size());
   if (2 * values_.size() > slots_.size()) Grow();
@@ -218,13 +202,14 @@ void TemplateStatsCollector::AddRecord(const ParsedValue& root,
 }
 
 void TemplateStatsCollector::AddRecordFlat(
-    const std::vector<MatchEvent>& events, std::string_view text) {
+    const std::vector<MatchEvent>& events, std::string_view text,
+    bool stable_text) {
   ++records_;
   for (const MatchEvent& ev : events) {
     switch (ev.kind()) {
       case MatchEvent::kFieldValue:
         columns_[static_cast<size_t>(field_column_.at(ev.node))].Add(
-            text.substr(ev.begin, ev.end() - ev.begin));
+            text.substr(ev.begin, ev.end() - ev.begin), stable_text);
         break;
       case MatchEvent::kArrayCount:
         array_bits_ += GammaBits(ev.count());

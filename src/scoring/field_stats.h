@@ -30,23 +30,24 @@ const char* FieldTypeName(FieldType type);
 
 /// Accumulates the values observed in one column.
 ///
-/// The enum scheme's dictionary is interned: each distinct value's bytes
-/// are copied once, after their length, into the column's own blocks, and
-/// an open-addressed table of value indices with stored hash bits finds
-/// them again, so a repeated value costs one hash and one compare and
-/// allocates nothing; only the dictionary's growth allocates. Blocks never
-/// move and hold at most kMaxBlock bytes (a longer value gets a block of
-/// its own): a dictionary grown by doubling one buffer would hold the old
-/// and the new copy at once, and a sample's worth of distinct values then
-/// raises the process's peak. A column whose distinct values pass
-/// kMaxDistinct can no longer be an enum, so it frees the dictionary and
-/// keeps only its distinct count. Values are copied, never kept as views
-/// of the caller's text: a window that straddles a view gap is parsed out
-/// of the scorer's reused scratch buffer (DatasetView::ResolveSpan), which
-/// the next window overwrites.
+/// The enum scheme's dictionary is interned: an open-addressed table of
+/// value indices with stored hash bits finds each distinct value again, so
+/// a repeated value costs one hash and one compare and allocates nothing;
+/// only the dictionary's growth allocates. A value the caller marks stable
+/// (text that outlives the column, such as a sample's backing buffer that
+/// the scan resolved in place) is kept as a view. Any other value, such as
+/// one parsed out of the scorer's reused scratch window
+/// (DatasetView::ResolveSpan), which the next window overwrites, is copied
+/// once into the column's own blocks. Blocks never move and hold at most
+/// kMaxBlock bytes (a longer value gets a block of its own): a dictionary
+/// grown by doubling one buffer would hold the old and the new copy at
+/// once. A column whose distinct values pass kMaxDistinct can no longer be
+/// an enum, so it frees the dictionary and keeps only its distinct count.
 class ColumnStats {
  public:
-  void Add(std::string_view value);
+  /// Adds one value. `stable` promises that its bytes stay valid and
+  /// unchanged while the column lives, so the dictionary need not copy it.
+  void Add(std::string_view value, bool stable = false);
 
   size_t count() const { return count_; }
   /// Distinct values seen, counted up to kMaxDistinct + 1.
@@ -78,12 +79,9 @@ class ColumnStats {
   static_assert(kMaxDistinct <= kIdMask);
   static_assert(2 * kMaxDistinct <= size_t{1} << (32 - kIdBits));
 
-  void Intern(std::string_view value);
-  /// The distinct value whose index is `index`.
-  std::string_view Value(size_t index) const;
-  /// Copies `value` into the blocks after its length, a base-128 varint,
-  /// and returns where that length starts.
-  const char* Store(std::string_view value);
+  void Intern(std::string_view value, bool stable);
+  /// Copies `value` into the blocks and returns the copy.
+  std::string_view Store(std::string_view value);
   /// Doubles the table (at least kMinSlots), re-placing each value by
   /// its stored hash bits.
   void Grow();
@@ -98,9 +96,10 @@ class ColumnStats {
   std::vector<std::unique_ptr<char[]>> blocks_;
   size_t block_size_ = 0;  ///< of blocks_.back()
   size_t block_used_ = 0;  ///< bytes of blocks_.back() holding values
-  std::vector<const char*> values_;  ///< each distinct value, in blocks_
-  size_t dict_bytes_ = 0;            ///< their total length
-  std::vector<uint32_t> slots_;      ///< power-of-two size, at most half full
+  /// Each distinct value: a stable caller's view, or a copy in blocks_.
+  std::vector<std::string_view> values_;
+  size_t dict_bytes_ = 0;  ///< their total length
+  std::vector<uint32_t> slots_;  ///< power-of-two size, at most half full
   size_t distinct_ = 0;
 };
 
@@ -117,9 +116,10 @@ class TemplateStatsCollector {
   /// Adds one record from a flat event stream (TemplateMatcher::ParseFlat
   /// with the same template). Equivalent to AddRecord but consumes the
   /// allocation-free representation directly, so the scoring hot loop
-  /// never builds a ParsedValue tree.
+  /// never builds a ParsedValue tree. `stable_text` is ColumnStats::Add's
+  /// `stable` for every value in `text`.
   void AddRecordFlat(const std::vector<MatchEvent>& events,
-                     std::string_view text);
+                     std::string_view text, bool stable_text = false);
 
   /// Bits for all field values (best type per column, parameters included).
   double FieldBits() const;

@@ -72,7 +72,9 @@ MdlBreakdown MdlScorer::EvaluateSet(
   // ParsedValue tree (a vector-of-children allocation per node per record)
   // is ever built, so the per-line cost is pure matching plus stats
   // accumulation. Candidate windows resolve against the backing buffer in
-  // place; only windows that straddle a view gap touch `scratch`.
+  // place, whose field values the column dictionaries keep as views; only
+  // windows that straddle a view gap touch `scratch`, whose values they
+  // copy.
   std::vector<MatchEvent> events;
   std::string scratch;
   size_t li = 0;
@@ -82,7 +84,7 @@ MdlBreakdown MdlScorer::EvaluateSet(
                                                          &scratch);
     auto parsed = matchers[t].ParseFlat(win.text, win.pos, &events);
     if (!parsed.has_value()) return false;
-    collectors[t].AddRecordFlat(events, win.text);
+    collectors[t].AddRecordFlat(events, win.text, !win.assembled);
     out.records += 1;
     out.record_lines += spans[t];
     out.covered_chars += parsed->end - win.pos;

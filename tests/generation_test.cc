@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstdint>
 #include <cstdlib>
 #include <new>
 #include <string>
@@ -13,23 +14,37 @@
 #include "datagen/manual_datasets.h"
 #include "generation/generator.h"
 #include "pruning/pruner.h"
+#include "template/record_template.h"
 #include "util/hashing.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
 // Global allocation counting for GenerationTest's allocation tests: while
 // a thread's flag is set, every operator new it calls is counted, with the
-// bytes it asks for.
+// bytes it asks for. Live bytes also go down by a sized delete's size (the
+// standard containers free that way), and their high-water mark is kept.
 namespace {
 thread_local bool tl_count_allocations = false;
 thread_local size_t tl_allocations = 0;
 thread_local size_t tl_allocated_bytes = 0;
+thread_local int64_t tl_live_bytes = 0;
+thread_local int64_t tl_peak_live_bytes = 0;
+
+void StartCounting() {
+  tl_allocations = 0;
+  tl_allocated_bytes = 0;
+  tl_live_bytes = 0;
+  tl_peak_live_bytes = 0;
+  tl_count_allocations = true;
+}
 }  // namespace
 
 void* operator new(std::size_t size) {
   if (tl_count_allocations) {
     ++tl_allocations;
     tl_allocated_bytes += size;
+    tl_live_bytes += static_cast<int64_t>(size);
+    tl_peak_live_bytes = std::max(tl_peak_live_bytes, tl_live_bytes);
   }
   if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
   throw std::bad_alloc();
@@ -38,8 +53,13 @@ void* operator new[](std::size_t size) { return ::operator new(size); }
 // Not inlined, so the compiler never sees free() meet operator new's result.
 [[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { ::operator delete(p); }
-void operator delete(void* p, std::size_t) noexcept { ::operator delete(p); }
-void operator delete[](void* p, std::size_t) noexcept { ::operator delete(p); }
+void operator delete(void* p, std::size_t size) noexcept {
+  if (tl_count_allocations) tl_live_bytes -= static_cast<int64_t>(size);
+  ::operator delete(p);
+}
+void operator delete[](void* p, std::size_t size) noexcept {
+  ::operator delete(p, size);
+}
 
 namespace datamaran {
 namespace {
@@ -466,8 +486,7 @@ TEST(GenerationTest, RunAllocatesPerCandidate) {
   const Dataset sample(xml.text);
   const DatamaranOptions opts;
   CandidateGenerator gen(&sample, &opts);
-  tl_allocations = 0;
-  tl_count_allocations = true;
+  StartCounting();
   const GenerationResult r = gen.Run();
   tl_count_allocations = false;
   ASSERT_GT(r.records_hashed, 1000000u);
@@ -487,14 +506,144 @@ TEST(GenerationTest, CandidatesAreStoredOnce) {
   const Dataset sample(crash.text);
   const DatamaranOptions opts;
   CandidateGenerator gen(&sample, &opts);
-  tl_allocated_bytes = 0;
-  tl_count_allocations = true;
+  StartCounting();
   const GenerationResult r = gen.Run();
   tl_count_allocations = false;
   ASSERT_GT(r.candidates.size(), 8192u);
   EXPECT_LT(tl_allocated_bytes, size_t{3} << 20)
       << tl_allocated_bytes << " bytes allocated for "
       << r.candidates.size() << " candidates";
+}
+
+TEST(GenerationTest, MergeIndexHoldsOneTable) {
+  // The search's merge index over crash_log's candidates. A table that
+  // doubled while the old one was still live held both at once: 8-byte
+  // slots, 131,072 and 262,144 bytes together at 8,426 candidates. Four-
+  // byte slots, the old table freed before the new one is built, hold one
+  // table of the smallest power of two slots that is at least half empty.
+  const GeneratedDataset crash =
+      BuildManualDataset(kCrashLog, DefaultManualBytes(kCrashLog));
+  const Dataset sample(crash.text);
+  const DatamaranOptions opts;
+  const CandidateList cands = CandidateGenerator(&sample, &opts).Run().candidates;
+  const size_t n = cands.size();
+  ASSERT_GT(n, 8192u);
+  auto key_at = [&cands](size_t k) -> std::string_view {
+    return cands[k].canonical;
+  };
+  KeyIndex index;
+  StartCounting();
+  for (size_t k = 0; k < n; ++k) {
+    ASSERT_EQ(index.FindOrAdd(k, std::string_view(cands[k].canonical), key_at),
+              k);
+  }
+  tl_count_allocations = false;
+  for (size_t k = 0; k < n; ++k) {
+    ASSERT_EQ(index.FindOrAdd(n, std::string_view(cands[k].canonical), key_at),
+              k);
+  }
+  const auto table_bytes =
+      static_cast<int64_t>(std::bit_ceil(2 * n) * sizeof(uint32_t));
+  EXPECT_EQ(tl_live_bytes, table_bytes);
+  EXPECT_EQ(tl_peak_live_bytes, table_bytes);
+}
+
+/// `records` three-line records (a header, a list of values, a footer), so
+/// every trial sees the same three skeletons and the same windows however
+/// many records there are.
+std::string ThreeLineRecords(int records) {
+  Rng rng(77);
+  std::string text;
+  for (int i = 0; i < records; ++i) {
+    text += "[job=" + std::to_string(rng.Uniform(0, 99999)) + "] user=u" +
+            std::to_string(rng.Uniform(0, 99)) + ";\n";
+    text += "  values: " + std::to_string(rng.Uniform(0, 999)) + ", " +
+            std::to_string(rng.Uniform(0, 999)) + ", " +
+            std::to_string(rng.Uniform(0, 999)) + "\n";
+    text += "end " + std::to_string(i) + ".\n";
+  }
+  return text;
+}
+
+TEST(GenerationTest, TrialWorkspaceDoesNotGrowWithLines) {
+  // What a trial leaves in its worker's workspace: its units' canonicals
+  // and stats, its bin nodes, its dedup and scratch. Under kSimd the units
+  // are the distinct skeletons, so the same format at 4x the lines leaves
+  // the same bytes; per-line canonicals and arrays took about 40 bytes a
+  // line.
+  const DatamaranOptions opts;
+  const CharSet charset = CharSet::Of("=;:,. []");
+  int64_t retained[2] = {0, 0};
+  for (int pass = 0; pass < 2; ++pass) {
+    const Dataset sample(ThreeLineRecords(pass == 0 ? 300 : 1200));
+    const CandidateGenerator gen(&sample, &opts);
+    ASSERT_EQ(gen.skeleton_count(), 3u);
+    GenerationWorkspace ws;
+    std::vector<CandidateTemplate> out;
+    StartCounting();
+    gen.RunCharset(charset, &ws, &out);
+    ASSERT_FALSE(out.empty());
+    std::vector<CandidateTemplate>().swap(out);
+    tl_count_allocations = false;
+    retained[pass] = tl_live_bytes;
+  }
+  EXPECT_GT(retained[0], 0);
+  EXPECT_EQ(retained[1], retained[0]);
+}
+
+TEST(GenerationTest, SkeletonTemplateMatchesPerByteScan) {
+  // A line's record template, reduced, and its count of trial-set bytes,
+  // derived from its skeleton must equal the per-byte scan's, for random
+  // lines (empty ones, ones without a final '\n', NUL and 0xFF bytes),
+  // random pools and random trial sets drawn from them. The mask bits
+  // around the line are random, as a neighbouring line's would be.
+  const std::string alphabet("\0\xff,= \n\tab7", 10);
+  Rng rng(57);
+  ReduceWorkspace reduce_ws;
+  std::string canonical_a, canonical_b;
+  for (int trial = 0; trial < 4000; ++trial) {
+    SCOPED_TRACE(trial);
+    CharSet pool;
+    for (char c : alphabet) {
+      if (rng.Uniform(0, 1) == 1) pool.Add(static_cast<unsigned char>(c));
+    }
+    std::string line;
+    for (uint64_t i = rng.Uniform(0, 3) == 0 ? 0 : rng.Uniform(1, 90); i > 0;
+         --i) {
+      line.push_back(alphabet[rng.Uniform(0, alphabet.size() - 1)]);
+    }
+    if (!line.empty() && rng.Uniform(0, 2) != 0) line.back() = '\n';
+    const size_t first_bit = rng.Uniform(0, 130);
+    std::vector<uint64_t> mask((first_bit + line.size()) / 64 + 2);
+    for (uint64_t& word : mask) word = rng.Next();
+    for (size_t i = 0; i < line.size(); ++i) {
+      const size_t bit = first_bit + i;
+      const uint64_t b = uint64_t{1} << (bit % 64);
+      if (pool.Contains(static_cast<unsigned char>(line[i]))) {
+        mask[bit / 64] |= b;
+      } else {
+        mask[bit / 64] &= ~b;
+      }
+    }
+    std::u16string skeleton;
+    AppendLineSkeleton(line, mask.data(), first_bit, &skeleton);
+    for (int subset = 0; subset < 4; ++subset) {
+      CharSet charset;
+      for (char c : alphabet) {
+        const auto u = static_cast<unsigned char>(c);
+        if (pool.Contains(u) && rng.Uniform(0, 2) != 0) charset.Add(u);
+      }
+      std::string raw_a, raw_b;
+      const size_t members = AppendSkeletonTemplate(skeleton, charset, &raw_a);
+      const size_t field_chars =
+          AppendRecordTemplateCounting(line, charset, &raw_b);
+      ASSERT_EQ(raw_a, raw_b);
+      ASSERT_EQ(members, line.size() - field_chars);
+      ReduceToCanonical(raw_a, &reduce_ws, &canonical_a);
+      ReduceToCanonical(raw_b, &reduce_ws, &canonical_b);
+      ASSERT_EQ(canonical_a, canonical_b);
+    }
+  }
 }
 
 // --------------------------------------------------------------- pruning --

@@ -17,19 +17,35 @@
 #include "util/rng.h"
 #include "util/strings.h"
 
-// Global allocation counting for ColumnStatsTest.RepeatsDoNotAllocate:
-// while a thread's flag is set, every operator new it calls is counted.
+// Global allocation counting for ColumnStatsTest's allocation tests: while
+// a thread's flag is set, every operator new it calls is counted, with the
+// bytes it asks for, and array news (a dictionary's blocks) separately.
 namespace {
 thread_local bool tl_count_allocations = false;
 thread_local size_t tl_allocations = 0;
+thread_local size_t tl_allocated_bytes = 0;
+thread_local size_t tl_array_allocations = 0;
+
+void StartCounting() {
+  tl_allocations = 0;
+  tl_allocated_bytes = 0;
+  tl_array_allocations = 0;
+  tl_count_allocations = true;
+}
 }  // namespace
 
 void* operator new(std::size_t size) {
-  if (tl_count_allocations) ++tl_allocations;
+  if (tl_count_allocations) {
+    ++tl_allocations;
+    tl_allocated_bytes += size;
+  }
   if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
   throw std::bad_alloc();
 }
-void* operator new[](std::size_t size) { return ::operator new(size); }
+void* operator new[](std::size_t size) {
+  if (tl_count_allocations) ++tl_array_allocations;
+  return ::operator new(size);
+}
 // Not inlined, so the compiler never sees free() meet operator new's result.
 [[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { ::operator delete(p); }
@@ -182,9 +198,23 @@ class OracleColumn {
   size_t distinct_len_ = 0;
 };
 
-ColumnStats ExpectMatchesOracle(const std::vector<std::string>& values) {
+/// Feeds `values` to a column either as stable views of `values` or
+/// through one scratch buffer that is overwritten after every Add, as the
+/// scorer's window is, and checks the column against the oracle.
+ColumnStats ExpectMatchesOracle(const std::vector<std::string>& values,
+                                bool stable) {
+  SCOPED_TRACE(stable ? "stable views" : "scratch copies");
   ColumnStats col;
-  for (const std::string& v : values) col.Add(v);
+  std::string scratch;
+  for (const std::string& v : values) {
+    if (stable) {
+      col.Add(v, /*stable=*/true);
+    } else {
+      scratch.assign(v);
+      col.Add(scratch);
+      std::fill(scratch.begin(), scratch.end(), '#');
+    }
+  }
   const OracleColumn oracle(values);
   EXPECT_EQ(col.count(), values.size());
   EXPECT_EQ(col.distinct_count(), oracle.distinct_count());
@@ -253,7 +283,7 @@ TEST(ColumnStatsTest, MatchesSetOracleOnRandomColumns) {
     for (int64_t i = rng.Uniform(0, 400); i > 0; --i) {
       values.push_back(RandomValue(&rng, rng.Choice(kinds)));
     }
-    ExpectMatchesOracle(values);
+    for (bool stable : {false, true}) ExpectMatchesOracle(values, stable);
   }
 }
 
@@ -284,10 +314,70 @@ TEST(ColumnStatsTest, MatchesSetOracleAroundTheDistinctLimit) {
                     rng.Uniform(1, static_cast<int64_t>(i)))]);
     }
     for (int i = 0; i < 50; ++i) values.push_back(pool[static_cast<size_t>(i)]);
-    const ColumnStats col = ExpectMatchesOracle(values);
-    EXPECT_EQ(col.distinct_count(), std::min<size_t>(distinct, 4097));
-    EXPECT_EQ(std::isinf(col.TotalBits(FieldType::kEnum)), distinct > 4096);
+    for (bool stable : {false, true}) {
+      const ColumnStats col = ExpectMatchesOracle(values, stable);
+      EXPECT_EQ(col.distinct_count(), std::min<size_t>(distinct, 4097));
+      EXPECT_EQ(std::isinf(col.TotalBits(FieldType::kEnum)), distinct > 4096);
+    }
   }
+}
+
+TEST(ColumnStatsTest, StableViewsAllocateNoDictionaryBlock) {
+  // 2,000 distinct 100-byte values, each seen three times. Fed as stable
+  // views, the dictionary keeps views and allocates only its index and
+  // its list of views, far less than the values' 200,000 bytes; copied,
+  // the same values fill blocks.
+  std::vector<std::string> values;
+  for (int i = 0; i < 2000; ++i) {
+    std::string v(100, 'v');
+    v.replace(0, 4, std::to_string(1000 + i));
+    values.push_back(std::move(v));
+  }
+  for (bool stable : {true, false}) {
+    SCOPED_TRACE(stable ? "stable views" : "copies");
+    ColumnStats col;
+    StartCounting();
+    for (int round = 0; round < 3; ++round) {
+      for (const std::string& v : values) col.Add(v, stable);
+    }
+    tl_count_allocations = false;
+    EXPECT_EQ(col.distinct_count(), values.size());
+    if (stable) {
+      EXPECT_EQ(tl_array_allocations, 0u);
+      EXPECT_LT(tl_allocated_bytes, 100u * 1024);
+    } else {
+      EXPECT_GT(tl_array_allocations, 0u);
+      EXPECT_GT(tl_allocated_bytes, 200u * 1000);
+    }
+  }
+}
+
+TEST(ColumnStatsTest, ScratchValuesDedupeAfterOverwrite) {
+  // Values parsed out of one reused buffer, overwritten after each Add with
+  // the next value or with junk, mixed with stable views of the same values:
+  // each distinct value is counted once, and the dictionary's bytes are
+  // those of the values, not of what the buffer held later.
+  const std::vector<std::string> pool = {"alpha", "beta", "", "gamma-long-value",
+                                         "beta2", std::string("n\0l", 3)};
+  Rng rng(5);
+  std::vector<std::string> values;
+  ColumnStats col;
+  std::string scratch;
+  for (int i = 0; i < 500; ++i) {
+    const std::string& v = pool[static_cast<size_t>(rng.Uniform(0, 5))];
+    values.push_back(v);
+    if (rng.Uniform(0, 3) == 0) {
+      col.Add(v, /*stable=*/true);
+      continue;
+    }
+    scratch.assign(v);
+    col.Add(scratch);
+    scratch.assign(scratch.size(), static_cast<char>(rng.Uniform(0, 255)));
+  }
+  const OracleColumn oracle(values);
+  EXPECT_EQ(col.distinct_count(), pool.size());
+  EXPECT_EQ(col.TotalBits(FieldType::kEnum),
+            oracle.TotalBits(FieldType::kEnum));
 }
 
 TEST(ColumnStatsTest, RepeatsDoNotAllocate) {
@@ -299,8 +389,7 @@ TEST(ColumnStatsTest, RepeatsDoNotAllocate) {
     values.push_back("GET /api/v1/resource/" + std::to_string(100 + i));
   }
   ColumnStats col;
-  tl_allocations = 0;
-  tl_count_allocations = true;
+  StartCounting();
   for (int i = 0; i < 100000; ++i) col.Add(values[static_cast<size_t>(i % 16)]);
   tl_count_allocations = false;
   EXPECT_EQ(col.distinct_count(), 16u);

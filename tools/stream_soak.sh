@@ -23,10 +23,15 @@
 # with the input: every peak must stay under a fixed budget (default
 # 16 MiB; measured ~4.1-4.8 MB for every kind and size), and for each kind
 # the large input's peak may exceed the small one's by at most 2 MiB, so
-# any term that grows with the input fails even below the budget. Fails
-# on a nonzero CLI exit, a summary error, no extracted records, a peak
-# over the budget, or a large-input peak over the small-input peak +
-# 2 MiB.
+# any term that grows with the input fails even below the budget. Then
+# the 16 MiB plain input runs again at --threads=1 and --threads=4: each
+# worker runs its own charset trials, so the 4-thread peak may exceed the
+# 1-thread one by at most 1.75 MiB (measured +1.1-1.3 MB over a 1-thread
+# peak of ~2.6 MB; +2.4-2.6 MB while every worker held a canonical and
+# four 8-byte entries per sample line). Fails on a nonzero CLI exit, a
+# summary error, no extracted records, a peak over the budget, a
+# large-input peak over the small-input peak + 2 MiB, or a 4-thread peak
+# over the 1-thread peak + 1.75 MiB.
 #
 # Crawl mode (--crawl): write a lake of four formats (comma- and
 # pipe-separated records, a syslog-like line and a two-line record), each
@@ -41,9 +46,10 @@
 # pool's threads or buffers freed and reallocated per segment: the
 # 4-thread peak may exceed the 1-thread one by at most 3 MiB (measured
 # +1.4-1.5 MB over a 1-thread peak of ~3.0 MB, and +3.4-3.9 MB with a
-# second pool and per-segment buffers). Discovery on full 256 KiB samples
-# also holds a generation workspace per worker, which this lake keeps
-# small (docs/ARCHITECTURE.md).
+# second pool and per-segment buffers). Each worker's generation
+# workspace holds its trials' per-skeleton canonicals and stats, and a bin
+# map whose bucket array still grows with the sample's lines, which this
+# lake's small files keep small (docs/ARCHITECTURE.md).
 # Fails on a nonzero crawl exit, a manifest error, a missing format, or a
 # 4-thread peak over the 1-thread peak plus 3 MiB.
 #
@@ -85,6 +91,7 @@ if [ "$MODE" = batch ]; then
   TOTAL_BYTES="${1:-67108864}"  # 64 MiB; the small run is a quarter of it
   BUDGET_KB="${2:-16384}"       # 16 MiB, whatever the file size
   GROWTH_KB=2048                # large-file peak over the small-file peak
+  WORKER_KB=1792                # 4-thread peak over the 1-thread peak
 elif [ "$MODE" = crawl ]; then
   TOOL=build/datamaran_crawl
   GROWTH_KB=3072                # 4-thread peak over the 1-thread peak
@@ -163,8 +170,8 @@ read_summary() {
 }
 
 # Batch extraction of $1 generated bytes as input kind $2 (plain, gzip,
-# crlf or stitch); sets $peak_kb and exits on a failed run, a summary
-# error or no extracted records.
+# crlf or stitch) at --threads=$3 (default 2); sets $peak_kb and exits on
+# a failed run, a summary error or no extracted records.
 run_batch() {
   generate "$1" > "$workdir/input.log"
   local file_bytes input
@@ -192,9 +199,10 @@ run_batch() {
       input="--inputs=$workdir/in/app.log*" ;;
   esac
   rm -f "$workdir/input.log"
-  echo "stream_soak: batch extraction of ${file_bytes} bytes ($2) ..."
+  echo "stream_soak: batch extraction of ${file_bytes} bytes ($2," \
+       "--threads=${3:-2}) ..."
   run_tool "$input" --out="$workdir/out" \
-    --summary-json="$workdir/summary.json" --threads=2 < /dev/null
+    --summary-json="$workdir/summary.json" --threads="${3:-2}" < /dev/null
   rm -rf "$workdir/in"
   read_summary
   if [ "${records:-0}" -lt 1 ]; then
@@ -343,6 +351,15 @@ if [ "$MODE" = batch ]; then
       exit 1
     fi
   done
+  run_batch $(( TOTAL_BYTES / 4 )) plain 1
+  one_kb="$peak_kb"
+  run_batch $(( TOTAL_BYTES / 4 )) plain 4
+  echo "stream_soak: plain: 4-thread peak ${peak_kb} kB, 1-thread peak" \
+       "${one_kb} kB (allowed growth ${WORKER_KB} kB)"
+  if [ "$peak_kb" -gt $(( one_kb + WORKER_KB )) ]; then
+    echo "stream_soak: FAIL — peak RSS grows past the allowance per worker" >&2
+    exit 1
+  fi
   echo "stream_soak: OK"
   exit 0
 fi
